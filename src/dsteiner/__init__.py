@@ -8,7 +8,7 @@ from .graph import (
     Graph,
     SteinerInstance,
     contract_zero_edges,
-    shortest_paths_from,
+    multi_source_dijkstra,
     validate_tree,
 )
 from .hanan import PointSet, build_hanan_grid, generate_random_points
@@ -29,9 +29,9 @@ __all__ = [
     "generate_random_points",
     "heuristic_upper_bound",
     "make_bound",
+    "multi_source_dijkstra",
     "parse_stp",
     "parse_stp_file",
-    "shortest_paths_from",
     "solve",
     "solve_baseline",
     "validate_tree",

@@ -10,10 +10,6 @@ from __future__ import annotations
 from typing import Iterator
 
 
-def bit_count(mask: int) -> int:
-    return mask.bit_count()
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:

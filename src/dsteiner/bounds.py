@@ -12,13 +12,12 @@ present for a nonzero value (sets without the root evaluate to 0).
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 from .bitsets import iter_bits, iter_subsets_of_size_at_most
 from .distances import DistanceOracle
 from .errors import TspTableTooLarge
-from .graph import INF, SteinerInstance
+from .graph import INF, SteinerInstance, multi_source_dijkstra
 
 DEFAULT_TSP_CAP = 20
 
@@ -138,7 +137,6 @@ class JTermBound(BoundOracle):
         tables: dict[int, Sequence[int]] = {}
         graph = instance.graph
         n = graph.n
-        adj = graph.adj
         for mask in family:
             if mask & (mask - 1) == 0:
                 tables[mask] = oracle.rows[mask.bit_length() - 1]
@@ -155,18 +153,8 @@ class JTermBound(BoundOracle):
                         if c < arr[v]:
                             arr[v] = c
                 sub = (sub - 1) & mask
-            heap = [(c, v) for v, c in enumerate(arr) if c < INF]
-            heapq.heapify(heap)
-            while heap:
-                c, u = heapq.heappop(heap)
-                if c != arr[u]:
-                    continue
-                for w, ec in adj[u]:
-                    nc = c + ec
-                    if nc < arr[w]:
-                        arr[w] = nc
-                        heapq.heappush(heap, (nc, w))
-            tables[mask] = arr
+            seeds = [(v, c) for v, c in enumerate(arr) if c < INF]
+            tables[mask] = multi_source_dijkstra(graph, seeds)[0]
         self.tables = tables
 
     def _set_max(self, jmask: int) -> int:
@@ -331,7 +319,7 @@ def _split_args(body: str) -> list[str]:
 
 
 def make_bound(spec: str, instance: SteinerInstance, root_index: int,
-               oracle: DistanceOracle, tsp_cap: int = DEFAULT_TSP_CAP) -> BoundOracle:
+               oracle: DistanceOracle) -> BoundOracle:
     """Build a bound evaluator from its selection string."""
     spec = spec.strip()
     low = spec.lower()
@@ -340,12 +328,12 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
     if low == "onetree":
         return OneTreeBound(oracle, 1 << root_index)
     if low == "tsp":
-        return TspBound(instance, oracle, root_index, cap=tsp_cap)
+        return TspBound(instance, oracle, root_index)
     if low.startswith("jterm"):
         j = 2 if ":" not in spec else int(spec.split(":", 1)[1])
         return JTermBound(instance, oracle, root_index, j)
     if low.startswith("max(") and spec.endswith(")"):
-        parts = [make_bound(p, instance, root_index, oracle, tsp_cap)
+        parts = [make_bound(p, instance, root_index, oracle)
                  for p in _split_args(spec[4:-1])]
         return MaxBound(parts)
     raise ValueError(f"unknown bound spec {spec!r}")

@@ -8,6 +8,7 @@ objects so harnesses can triage outcomes.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -47,7 +48,6 @@ class RunConfig:
     mem_limit: int = 4 << 30
     format: str = "json"
     parallel: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.time_limit <= 0:
@@ -69,25 +69,18 @@ def _config_from_args(args) -> RunConfig:
         mem_limit=args.mem_limit,
         format=getattr(args, "format", "json"),
         parallel=getattr(args, "parallel", 1),
-        seed=getattr(args, "seed", 0),
     )
 
 
 def _solve_path(path: str, cfg: RunConfig):
-    instance = parse_stp_file(path)
-    record = solve(
-        instance,
+    return solve(
+        parse_stp_file(path),
         bound=cfg.bound,
         prune=cfg.prune,
         root_rule=cfg.root,
         time_limit=cfg.time_limit,
         mem_limit=cfg.mem_limit,
     )
-    # paranoia before emitting: the record must validate against the file
-    cost = validate_tree(instance, record.edges)
-    if cost != record.opt:
-        raise RuntimeError(f"internal: tree cost {cost} != reported opt {record.opt}")
-    return record
 
 
 def cmd_solve(args) -> int:
@@ -139,10 +132,9 @@ def _bench_row(task):
     if name.endswith(".stp"):
         name = name[:-4]
     try:
-        record = _solve_path(path, cfg)
-        return record.summary_row() + [""]
+        return _solve_path(path, cfg).summary_row() + [""]
     except (DsteinerError, OSError) as exc:
-        return [name, "", "", "", "", "", "", "", f"{type(exc).__name__}: {exc}"]
+        return [name] + [""] * (len(CSV_HEADER) - 1) + [f"{type(exc).__name__}: {exc}"]
 
 
 def cmd_bench(args) -> int:
@@ -155,11 +147,11 @@ def cmd_bench(args) -> int:
             rows = list(pool.map(_bench_row, tasks))
     else:
         rows = [_bench_row(t) for t in tasks]
-    out = sys.stdout if not args.output else open(args.output, "w")
+    out = sys.stdout if not args.output else open(args.output, "w", newline="")
     try:
-        out.write(",".join(CSV_HEADER + ["error"]) + "\n")
-        for row in rows:
-            out.write(",".join(str(x) for x in row) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADER + ["error"])
+        writer.writerows(rows)
     finally:
         if args.output:
             out.close()
@@ -194,7 +186,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="last | center | index:<i>")
     p.add_argument("--time-limit", type=float, default=7200.0, metavar="SECONDS")
     p.add_argument("--mem-limit", type=int, default=4 << 30, metavar="BYTES")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

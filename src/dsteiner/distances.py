@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bitsets import iter_bits
-from .graph import INF, Graph, shortest_paths_from
+from .graph import INF, Graph, multi_source_dijkstra
 
 
 class DistanceOracle:
@@ -19,23 +19,16 @@ class DistanceOracle:
     """
 
     def __init__(self, graph: Graph, terminals: Sequence[int]):
-        self.graph = graph
         self.terminals = list(terminals)
         self.k = len(self.terminals)
-        self.rows: list[list[int]] = []
-        self.preds: list[list[int]] = []
-        for t in self.terminals:
-            dist, pred = shortest_paths_from(graph, t)
-            self.rows.append(dist)
-            self.preds.append(pred)
+        self.rows: list[list[int]] = [
+            multi_source_dijkstra(graph, [(t, 0)])[0] for t in self.terminals
+        ]
         # k x k matrix of pairwise terminal distances (metric closure on T)
         self.pair = [[self.rows[i][self.terminals[j]] for j in range(self.k)]
                      for i in range(self.k)]
         self._mst_cache: dict[int, int] = {}
         self._cut_cache: dict[int, int] = {}
-
-    def d(self, terminal_index: int, vertex: int) -> int:
-        return self.rows[terminal_index][vertex]
 
     def mst_cost(self, members) -> int:
         """MST cost of the distance graph spanned by the given terminals.

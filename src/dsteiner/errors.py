@@ -75,3 +75,7 @@ class GridTooLarge(DsteinerError):
 
 class CenterRuleNeedsCoordinates(DsteinerError):
     pass
+
+
+class InternalError(DsteinerError):
+    """A solver invariant failed: a bug or an inconsistent bound, never bad input."""

@@ -1,26 +1,19 @@
 """Graph representation, shortest paths, zero-edge contraction, tree validation.
 
 Edge costs are nonnegative integers; unreachable distances are the INF
-sentinel and every addition against it saturates, so cost arithmetic is
-exact everywhere.
+sentinel, so cost arithmetic is exact everywhere.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContainsCycle, MissingTerminal, NotConnected
 
-# Reserved "unreachable"/"unset" sentinel; additions saturate at it.
+# Reserved "unreachable"/"unset" sentinel.
 INF = (1 << 63) - 1
-
-
-def sat_add(a: int, b: int) -> int:
-    if a >= INF or b >= INF:
-        return INF
-    return a + b
 
 
 class Graph:
@@ -98,41 +91,22 @@ class SteinerInstance:
         return len(self.terminals)
 
 
-def shortest_paths_from(graph: Graph, source: int) -> tuple[list[int], list[int]]:
-    """Dijkstra from ``source``: (distance array, predecessor array).
-
-    Binary heap with lazy deletion; unreachable vertices stay at INF with
-    predecessor -1.  Ties resolve toward the smaller pushed vertex id.
-    """
-    dist = [INF] * graph.n
-    pred = [-1] * graph.n
-    dist[source] = 0
-    heap = [(0, source)]
-    adj = graph.adj
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d != dist[u]:
-            continue
-        for v, c in adj[u]:
-            nd = d + c
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, pred
-
-
 def multi_source_dijkstra(
     graph: Graph, seeds: Sequence[tuple[int, int]]
 ) -> tuple[list[int], list[int]]:
-    """Dijkstra seeded with (vertex, initial cost) pairs."""
+    """Dijkstra seeded with (vertex, initial cost) pairs.
+
+    Returns (distance array, predecessor array).  Binary heap with lazy
+    deletion; unreachable vertices stay at INF with predecessor -1.
+    """
     dist = [INF] * graph.n
     pred = [-1] * graph.n
     heap = []
     for v, d0 in seeds:
         if d0 < dist[v]:
             dist[v] = d0
-            heapq.heappush(heap, (d0, v))
+            heap.append((d0, v))
+    heapq.heapify(heap)
     adj = graph.adj
     while heap:
         d, u = heapq.heappop(heap)
@@ -197,10 +171,12 @@ class ContractionMap:
     component_edges: list[list[tuple[int, int]]]
     # per contracted edge (u', v'): a cheapest original edge realizing it
     edge_witness: dict[tuple[int, int], tuple[int, int]]
-    representative: list[int]  # one original vertex per new vertex
 
-    def lift_edges(self, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-        """Translate contracted tree edges into original-graph tree edges."""
+    def lift_edges(
+        self, edges: Sequence[tuple[int, int]], root: int
+    ) -> list[tuple[int, int]]:
+        """Translate a contracted tree containing ``root`` (possibly ``root``
+        alone) into original-graph tree edges."""
         lifted: list[tuple[int, int]] = []
         touched: set[int] = set()
         for u, v in edges:
@@ -208,12 +184,10 @@ class ContractionMap:
             lifted.append(self.edge_witness[key])
             touched.add(u)
             touched.add(v)
+        touched.add(root)
         for comp in touched:
             lifted.extend(self.component_edges[comp])
         return lifted
-
-    def lift_single_vertex(self, new_vertex: int) -> list[tuple[int, int]]:
-        return list(self.component_edges[new_vertex])
 
 
 def contract_zero_edges(
@@ -297,6 +271,5 @@ def contract_zero_edges(
         old_to_new=old_to_new,
         component_edges=component_edges,
         edge_witness=edge_witness,
-        representative=representative,
     )
     return reduced, cmap

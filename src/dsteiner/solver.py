@@ -16,10 +16,24 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bitsets import iter_bits, iter_nonempty_subsets
-from .bounds import DEFAULT_TSP_CAP, make_bound
+from .bounds import BoundOracle, make_bound
 from .distances import DistanceOracle
-from .errors import CenterRuleNeedsCoordinates, Infeasible, MemoryLimit, TimeLimit
-from .graph import INF, SteinerInstance, contract_zero_edges, multi_source_dijkstra
+from .errors import (
+    CenterRuleNeedsCoordinates,
+    Infeasible,
+    InternalError,
+    InvalidTree,
+    MemoryLimit,
+    TimeLimit,
+)
+from .graph import (
+    INF,
+    ContractionMap,
+    SteinerInstance,
+    contract_zero_edges,
+    multi_source_dijkstra,
+    validate_tree,
+)
 from .stp import SolutionRecord
 
 # rough CPython footprints used for the memory-limit estimate
@@ -45,13 +59,12 @@ class SolveStats:
 
 
 class _Label:
-    __slots__ = ("cost", "back", "permanent", "pruned")
+    __slots__ = ("cost", "back", "permanent")
 
     def __init__(self, cost, back):
         self.cost = cost
         self.back = back
         self.permanent = False
-        self.pruned = False
 
 
 class PruneTracker:
@@ -169,7 +182,6 @@ def solve(
     root_rule: str = "last",
     time_limit: Optional[float] = None,
     mem_limit: Optional[int] = None,
-    tsp_cap: int = DEFAULT_TSP_CAP,
     record_pops: bool = False,
     record_permanents: bool = False,
 ) -> SolutionRecord:
@@ -177,70 +189,96 @@ def solve(
 
     ``prune``: "off", "bound" (global upper-bound test) or "full" (adds the
     per-set test).  Reported time excludes parsing; edges are in original
-    vertex ids even though solving happens on the zero-edge-contracted graph.
+    vertex ids even though solving happens on the zero-edge-contracted graph
+    and are validated against ``instance`` before returning; a failed
+    internal check raises InternalError.
     """
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune mode {prune!r} not one of {PRUNE_MODES}")
     t_start = time.perf_counter()
-    stats = SolveStats()
-    if record_pops:
-        stats.popped_keys = []
-    if record_permanents:
-        stats.permanent_events = []
+    stats = SolveStats(
+        popped_keys=[] if record_pops else None,
+        permanent_events=[] if record_permanents else None,
+    )
+    search = _prepare(instance, bound, prune, root_rule, stats)
+    store = None
+    if search.bound is not None:
+        store = _label_loop(search, stats, t_start, time_limit, mem_limit)
+    cost, edges = _reconstruct(instance, search, store)
+    return SolutionRecord(
+        instance=instance.name,
+        n=instance.n,
+        m=instance.m,
+        k=instance.k,
+        opt=cost,
+        edges=edges,
+        config=f"bound={bound};prune={prune};root={root_rule}",
+        time_ms=(time.perf_counter() - t_start) * 1000.0,
+        labels=stats.labels_created,
+        stats=stats,
+    )
 
-    root_idx_orig = choose_root(instance, root_rule)
-    root_vertex_orig = instance.terminals[root_idx_orig]
+
+@dataclass
+class _Search:
+    """The contracted instance and everything the label loop reads."""
+
+    reduced: SteinerInstance
+    cmap: ContractionMap
+    root: int  # root vertex of ``reduced``
+    sources_mask: int  # all terminal bits but the root's: the root label's set
+    bound: Optional[BoundOracle] = None  # None when the root is the only terminal
+    upper2: int = INF  # doubled global upper bound; INF when prune is "off"
+    tracker: Optional[PruneTracker] = None  # set when prune is "full"
+
+
+def _prepare(
+    instance: SteinerInstance, bound: str, prune: str, root_rule: str,
+    stats: SolveStats,
+) -> _Search:
+    """Root choice, zero-edge contraction, distance oracle, bound, heuristic UB."""
+    root_vertex_orig = instance.terminals[choose_root(instance, root_rule)]
     reduced, cmap = contract_zero_edges(instance)
-    root_vertex = cmap.old_to_new[root_vertex_orig]
-    root_idx = reduced.terminals.index(root_vertex)
-    config = f"bound={bound};prune={prune};root={root_rule}"
-
-    def finish(cost: int, edges_orig: list[tuple[int, int]]) -> SolutionRecord:
-        elapsed_ms = (time.perf_counter() - t_start) * 1000.0
-        return SolutionRecord(
-            instance=instance.name,
-            n=instance.n,
-            m=instance.m,
-            k=instance.k,
-            opt=cost,
-            edges=edges_orig,
-            config=config,
-            time_ms=elapsed_ms,
-            labels=stats.labels_created,
-            stats=stats,
-        )
-
-    k = reduced.k
-    full_mask = (1 << k) - 1
-    root_bit = 1 << root_idx
-    sources_mask = full_mask ^ root_bit
-    if sources_mask == 0:
-        return finish(0, cmap.lift_single_vertex(root_vertex))
+    root = cmap.old_to_new[root_vertex_orig]
+    root_idx = reduced.terminals.index(root)
+    full_mask = (1 << reduced.k) - 1
+    search = _Search(reduced, cmap, root, full_mask ^ (1 << root_idx))
+    if not search.sources_mask:
+        return search
 
     oracle = DistanceOracle(reduced.graph, reduced.terminals)
     root_row = oracle.rows[root_idx]
     for t in reduced.terminals:
         if root_row[t] >= INF:
             raise Infeasible(f"terminal {t} unreachable from the root")
-
-    bound_oracle = make_bound(bound, reduced, root_idx, oracle, tsp_cap=tsp_cap)
-
-    upper = INF
-    tracker = None
+    search.bound = make_bound(bound, reduced, root_idx, oracle)
     if prune != "off":
         upper, _ = heuristic_upper_bound(reduced, root_idx)
         stats.upper_bound = upper
+        search.upper2 = 2 * upper
         if prune == "full":
-            tracker = PruneTracker(oracle, full_mask)
-    upper2 = 2 * upper if upper < INF else INF
+            search.tracker = PruneTracker(oracle, full_mask)
+    return search
 
+
+def _label_loop(
+    search: _Search, stats: SolveStats, t_start: float,
+    time_limit: Optional[float], mem_limit: Optional[int],
+) -> list[dict[int, _Label]]:
+    """Run labels until the root label is permanent; returns the label store."""
+    reduced = search.reduced
     n = reduced.graph.n
     adj = reduced.graph.adj
     terminals = reduced.terminals
+    k = reduced.k
+    full_mask = (1 << k) - 1
+    sources_mask = search.sources_mask
+    target_v = search.root
+    value2 = search.bound.value2
+    upper2 = search.upper2
+    tracker = search.tracker
     store: list[dict[int, _Label]] = [dict() for _ in range(n)]
     heap: list[tuple[int, int, int, int]] = []
-
-    value2 = bound_oracle.value2
     iteration_cap = n * (1 << (k - 1))
 
     for s in iter_bits(sources_mask):
@@ -252,20 +290,20 @@ def solve(
         heapq.heappush(heap, (key, 0, v, mask))
         stats.heap_pushes += 1
 
-    target_v = root_vertex
-    target_mask = sources_mask
     last_key = -1
     ticks = 0
 
     while True:
         if not heap:
-            raise RuntimeError(
+            raise InternalError(
                 "label heap exhausted before the root label became permanent; "
                 "this indicates an invalid lower bound"
             )
         key, cost, v, mask = heapq.heappop(heap)
         label = store[v].get(mask)
-        if label is None or label.permanent or label.pruned or label.cost != cost:
+        # each (v, mask) is pushed only at strictly lower cost, so a cost
+        # mismatch marks a stale entry
+        if label is None or label.permanent or label.cost != cost:
             continue
 
         ticks += 1
@@ -280,30 +318,28 @@ def solve(
                     )
 
         # popped keys are nondecreasing for any consistent bound
-        assert key >= last_key, "bound consistency violated: key decreased"
+        if key < last_key:
+            raise InternalError(
+                f"popped key {key} below the previous key {last_key}; "
+                "the lower bound is not consistent"
+            )
         last_key = key
         stats.pops += 1
         if stats.popped_keys is not None:
             stats.popped_keys.append(key)
 
         # re-prune on selection: bounds may have improved since creation
-        if prune != "off":
-            if key > upper2:
-                label.pruned = True
-                stats.pruned_at_pop += 1
-                continue
-            if tracker is not None and cost > tracker.bound_for(mask):
-                label.pruned = True
-                stats.pruned_at_pop += 1
-                continue
+        if key > upper2 or (tracker is not None and cost > tracker.bound_for(mask)):
+            stats.pruned_at_pop += 1
+            continue
 
         label.permanent = True
         stats.permanents += 1
         if stats.permanents > iteration_cap:
-            raise RuntimeError("permanence events exceeded n * 2^(k-1)")
+            raise InternalError("permanence events exceeded n * 2^(k-1)")
         if stats.permanent_events is not None:
             stats.permanent_events.append((v, mask, cost))
-        if v == target_v and mask == target_mask:
+        if v == target_v and mask == sources_mask:
             break
         if tracker is not None:
             tracker.on_pop(v, mask, cost)
@@ -316,16 +352,11 @@ def solve(
             tgt = store[w].get(mask)
             if tgt is not None and (tgt.permanent or nc >= tgt.cost):
                 continue
-            # cheap discards first: per-set bound, then cost alone (L >= 0)
-            if prune != "off":
-                if tracker is not None and nc > tracker.bound_for(mask):
-                    stats.pruned_at_creation += 1
-                    continue
-                if 2 * nc > upper2:
-                    stats.pruned_at_creation += 1
-                    continue
-            nkey = 2 * nc + value2(w, jmask_same)
-            if prune != "off" and nkey > upper2:
+            # cheap discards first: cost alone (L >= 0), the per-set bound,
+            # and only then the lower bound
+            if (2 * nc > upper2
+                    or (tracker is not None and nc > tracker.bound_for(mask))
+                    or (nkey := 2 * nc + value2(w, jmask_same)) > upper2):
                 stats.pruned_at_creation += 1
                 continue
             if tgt is None:
@@ -334,7 +365,6 @@ def solve(
             else:
                 tgt.cost = nc
                 tgt.back = ("e", v)
-                tgt.pruned = False
             heapq.heappush(heap, (nkey, nc, w, mask))
             stats.heap_pushes += 1
 
@@ -361,15 +391,9 @@ def solve(
                     continue
                 if tracker is not None:
                     tracker.on_merge(mask, j)
-                if prune != "off":
-                    if tracker is not None and nc > tracker.bound_for(union):
-                        stats.pruned_at_creation += 1
-                        continue
-                    if 2 * nc > upper2:
-                        stats.pruned_at_creation += 1
-                        continue
-                nkey = 2 * nc + value2(v, full_mask ^ union)
-                if prune != "off" and nkey > upper2:
+                if (2 * nc > upper2
+                        or (tracker is not None and nc > tracker.bound_for(union))
+                        or (nkey := 2 * nc + value2(v, full_mask ^ union)) > upper2):
                     stats.pruned_at_creation += 1
                     continue
                 if tgt is None:
@@ -378,14 +402,31 @@ def solve(
                 else:
                     tgt.cost = nc
                     tgt.back = ("m", mask)
-                    tgt.pruned = False
                 heapq.heappush(heap, (nkey, nc, v, union))
                 stats.heap_pushes += 1
 
-    stats.bound_evaluations = bound_oracle.evaluations
-    final_cost = store[target_v][target_mask].cost
-    reduced_edges = _backtrack(store, target_v, target_mask)
-    return finish(final_cost, cmap.lift_edges(reduced_edges))
+    stats.bound_evaluations = search.bound.evaluations
+    return store
+
+
+def _reconstruct(
+    instance: SteinerInstance, search: _Search,
+    store: Optional[list[dict[int, _Label]]],
+) -> tuple[int, list[tuple[int, int]]]:
+    """Backtrack the root label, lift the tree to ``instance`` and validate it."""
+    root, target = search.root, search.sources_mask
+    cost, reduced_edges = 0, []
+    if store is not None:
+        cost = store[root][target].cost
+        reduced_edges = _backtrack(store, root, target)
+    edges = search.cmap.lift_edges(reduced_edges, root)
+    try:
+        tree_cost = validate_tree(instance, edges)
+    except (InvalidTree, ValueError) as exc:
+        raise InternalError(f"reconstructed tree is invalid: {exc}") from exc
+    if tree_cost != cost:
+        raise InternalError(f"tree cost {tree_cost} != label cost {cost}")
+    return cost, edges
 
 
 def _backtrack(store, v: int, mask: int) -> list[tuple[int, int]]:

@@ -37,6 +37,13 @@ def _int_token(token: str, line_no: int, what: str) -> int:
         raise NonIntegralCost(f"line {line_no}: non-integral {what}: {token!r}") from None
 
 
+def _arg_token(tokens: list[str], line_no: int, what: str) -> int:
+    """The integer argument of a one-argument line such as ``Nodes 12``."""
+    if len(tokens) < 2:
+        raise StpSyntaxError(line_no, f"{tokens[0]} line without a {what}")
+    return _int_token(tokens[1], line_no, what)
+
+
 def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     """Parse an STP document into a SteinerInstance.
 
@@ -56,7 +63,6 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     coord_lines: dict[int, tuple[int, ...]] = {}
     coord_dim = None
     section = None
-    saw_magic = False
     saw_any = False
 
     for line_no, raw in enumerate(lines, start=1):
@@ -66,7 +72,6 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
         if not saw_any:
             saw_any = True
             if line.upper().startswith("33D32945"):
-                saw_magic = True
                 continue
             warnings.warn("missing STP magic line, parsing anyway", StpFormatWarning)
         tokens = line.split()
@@ -85,9 +90,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
             continue
         if section == "GRAPH":
             if key == "NODES":
-                n = _int_token(tokens[1], line_no, "node count")
+                n = _arg_token(tokens, line_no, "node count")
             elif key == "EDGES" or key == "ARCS":
-                declared_edges = _int_token(tokens[1], line_no, "edge count")
+                declared_edges = _arg_token(tokens, line_no, "edge count")
             elif key == "E":
                 if len(tokens) != 4:
                     raise StpSyntaxError(line_no, f"E line needs 3 fields, got {len(tokens) - 1}")
@@ -101,9 +106,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
                 raise StpSyntaxError(line_no, f"unexpected keyword {tokens[0]!r} in Graph section")
         elif section == "TERMINALS":
             if key == "TERMINALS":
-                declared_terminals = _int_token(tokens[1], line_no, "terminal count")
+                declared_terminals = _arg_token(tokens, line_no, "terminal count")
             elif key == "T":
-                term_lines.append(_int_token(tokens[1], line_no, "terminal id"))
+                term_lines.append(_arg_token(tokens, line_no, "terminal id"))
             else:
                 raise StpSyntaxError(line_no, f"unexpected keyword {tokens[0]!r} in Terminals section")
         elif section == "COORDINATES":

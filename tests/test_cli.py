@@ -74,6 +74,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "parse"
 
 
+NODES_WITHOUT_COUNT = (
+    "33D32945 STP File, STP Format Version 1.0\n"
+    "SECTION Graph\nNodes\nEdges 1\nE 1 2 1\nEND\n"
+    "SECTION Terminals\nTerminals 2\nT 1\nT 2\nEND\nEOF\n"
+)
+
+
+def test_line_without_argument_exit_code(tmp_path, capsys):
+    path = tmp_path / "bare.stp"
+    path.write_text(NODES_WITHOUT_COUNT)
+    assert main(["solve", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "parse"
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     text = (
         "33D32945 STP File, STP Format Version 1.0\n"
@@ -213,3 +227,28 @@ def test_bench_bad_row_does_not_abort(tmp_path, capsys):
     assert rows[0]["error"] != ""
     assert rows[1]["error"] == ""
     assert rows[1]["instance"] == "m0"
+
+
+def test_bench_unparsable_row_does_not_abort(tmp_path, capsys):
+    manifest, paths = _write_manifest(tmp_path, [15, 16])
+    bare = tmp_path / "bare.stp"
+    bare.write_text(NODES_WITHOUT_COUNT)
+    manifest.write_text("\n".join([paths[0], str(bare), paths[1]]) + "\n")
+    assert main(["bench", str(manifest)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["instance"] for r in rows] == ["m0", "bare", "m1"]
+    assert rows[1]["error"].startswith("StpSyntaxError")
+    assert rows[0]["error"] == rows[2]["error"] == ""
+    assert rows[0]["opt"] and rows[2]["opt"]
+
+
+def test_bench_rows_match_header_width(tmp_path, capsys):
+    # a comma inside the bound spec must stay inside the config field
+    manifest, paths = _write_manifest(tmp_path, [17, 18])
+    manifest.write_text("\n".join([paths[0], str(tmp_path / "missing.stp"), paths[1]]))
+    assert main(["bench", str(manifest), "--bound", "max(jterm:2,onetree)"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(rows) == 3
+    assert all(len(row) == len(header) for row in rows)
+    configs = [dict(zip(header, row))["config"] for row in rows]
+    assert configs[0] == configs[2] == "bound=max(jterm:2,onetree);prune=full;root=last"

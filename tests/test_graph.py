@@ -6,7 +6,7 @@ from dsteiner import (
     Graph,
     SteinerInstance,
     contract_zero_edges,
-    shortest_paths_from,
+    multi_source_dijkstra,
     solve,
     solve_baseline,
     validate_tree,
@@ -19,19 +19,19 @@ from gen import bellman_ford, random_instance
 
 def test_single_edge_distance():
     g = Graph(2, [(0, 1, 5)])
-    dist, _ = shortest_paths_from(g, 0)
+    dist, _ = multi_source_dijkstra(g, [(0, 0)])
     assert dist == [0, 5]
 
 
 def test_triangle_forces_relaxation():
     g = Graph(3, [(0, 1, 2), (1, 2, 2), (0, 2, 5)])
-    dist, _ = shortest_paths_from(g, 0)
+    dist, _ = multi_source_dijkstra(g, [(0, 0)])
     assert dist[2] == 4
 
 
 def test_unreachable_is_infinite():
     g = Graph(3, [(0, 1, 1)])
-    dist, pred = shortest_paths_from(g, 0)
+    dist, pred = multi_source_dijkstra(g, [(0, 0)])
     assert dist[2] == INF
     assert pred[2] == -1
 
@@ -39,14 +39,14 @@ def test_unreachable_is_infinite():
 @pytest.mark.parametrize("seed", range(12))
 def test_dijkstra_matches_bellman_ford(seed):
     inst = random_instance(seed, n_range=(20, 20))
-    dist, _ = shortest_paths_from(inst.graph, 0)
+    dist, _ = multi_source_dijkstra(inst.graph, [(0, 0)])
     assert dist == bellman_ford(inst.graph, 0)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_predecessors_reconstruct_shortest_paths(seed):
     inst = random_instance(seed)
-    dist, pred = shortest_paths_from(inst.graph, 0)
+    dist, pred = multi_source_dijkstra(inst.graph, [(0, 0)])
     for v in range(inst.n):
         if dist[v] >= INF or v == 0:
             continue
@@ -61,7 +61,7 @@ def test_predecessors_reconstruct_shortest_paths(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_triangle_inequality_on_terminal_rows(seed):
     inst = random_instance(seed)
-    rows = [shortest_paths_from(inst.graph, t)[0] for t in inst.terminals]
+    rows = [multi_source_dijkstra(inst.graph, [(t, 0)])[0] for t in inst.terminals]
     for i, ti in enumerate(inst.terminals):
         for j in range(len(inst.terminals)):
             for v in range(inst.n):

@@ -1,22 +1,31 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import dsteiner
+from dsteiner import solver
 from dsteiner import (
     BaselineOracle,
     Graph,
     SteinerInstance,
     choose_root,
     heuristic_upper_bound,
-    shortest_paths_from,
+    multi_source_dijkstra,
     solve,
     solve_baseline,
     validate_tree,
 )
+from dsteiner.bounds import BoundOracle
 from dsteiner.errors import (
     CenterRuleNeedsCoordinates,
     Infeasible,
+    InternalError,
     MemoryLimit,
     TimeLimit,
 )
+from dsteiner.graph import ContractionMap
 
 from gen import random_instance
 
@@ -37,7 +46,7 @@ def test_single_terminal():
 def test_two_terminals_degenerates_to_dijkstra(seed):
     inst = random_instance(seed, k_range=(2, 2))
     rec = solve(inst)
-    dist, _ = shortest_paths_from(inst.graph, inst.terminals[0])
+    dist, _ = multi_source_dijkstra(inst.graph, [(inst.terminals[0], 0)])
     assert rec.opt == dist[inst.terminals[1]]
     assert validate_tree(inst, rec.edges) == rec.opt
 
@@ -320,6 +329,100 @@ def test_memory_limit():
     inst = random_instance(73, n_range=(25, 25), k_range=(7, 7))
     with pytest.raises(MemoryLimit):
         solve(inst, bound="zero", prune="off", mem_limit=1)
+
+
+class InconsistentBound(BoundOracle):
+    """Large at vertex 0 and zero elsewhere, so keys drop one edge away."""
+
+    def _evaluate2(self, v, jmask):
+        return 10**6 if v == 0 else 0
+
+
+def path_instance():
+    # 0 - 1 - 2 with a costlier direct edge 0 - 2
+    g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
+    return SteinerInstance(graph=g, terminals=[0, 2])
+
+
+def test_inconsistent_bound_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(solver, "make_bound", lambda *args: InconsistentBound())
+    with pytest.raises(InternalError, match="not consistent"):
+        solve(path_instance(), prune="off")
+
+
+def test_inconsistent_bound_raises_internal_error_under_python_O():
+    code = (
+        "import sys, test_solver as t\n"
+        "if __debug__: sys.exit('assertions are enabled')\n"
+        "t.solver.make_bound = lambda *args: t.InconsistentBound()\n"
+        "t.solve(t.path_instance(), prune='off')\n"
+    )
+    src = os.path.dirname(os.path.dirname(dsteiner.__file__))
+    tests = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "dsteiner.errors.InternalError" in proc.stderr
+
+
+def _drop_first_backtracked(monkeypatch):
+    backtrack = solver._backtrack
+    monkeypatch.setattr(solver, "_backtrack", lambda *args: backtrack(*args)[1:])
+
+
+def _drop_first_lifted(monkeypatch):
+    lift = ContractionMap.lift_edges
+    monkeypatch.setattr(ContractionMap, "lift_edges",
+                        lambda self, *args: lift(self, *args)[1:])
+
+
+def _return_costlier_tree(monkeypatch):
+    monkeypatch.setattr(solver, "_backtrack", lambda *args: [(0, 2)])
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_first_backtracked, _drop_first_lifted, _return_costlier_tree,
+])
+def test_corrupted_reconstruction_raises_internal_error(monkeypatch, corrupt):
+    assert solve(path_instance()).opt == 2
+    corrupt(monkeypatch)
+    with pytest.raises(InternalError):
+        solve(path_instance())
+
+
+# (seed, bound) -> (opt, labels_created, pops, heap_pushes) under prune="full"
+# on random_instance(seed, n_range=(15, 25), k_range=(5, 7)).  A hot-path
+# change must keep these; only a change to pruning or bounds may lower them.
+PINNED_COUNTERS = {
+    (300, "zero"): (91, 121, 121, 150),
+    (300, "onetree"): (91, 90, 90, 92),
+    (300, "jterm:2"): (91, 44, 44, 46),
+    (301, "zero"): (60, 68, 68, 77),
+    (301, "onetree"): (60, 56, 41, 64),
+    (301, "jterm:2"): (60, 53, 38, 58),
+    (302, "zero"): (80, 75, 74, 81),
+    (302, "onetree"): (80, 53, 53, 55),
+    (302, "jterm:2"): (80, 29, 29, 29),
+    (303, "zero"): (46, 71, 70, 77),
+    (303, "onetree"): (46, 45, 45, 45),
+    (303, "jterm:2"): (46, 19, 19, 19),
+    (304, "zero"): (37, 94, 94, 114),
+    (304, "onetree"): (37, 53, 53, 54),
+    (304, "jterm:2"): (37, 22, 22, 22),
+    (305, "zero"): (49, 58, 58, 61),
+    (305, "onetree"): (49, 51, 51, 54),
+    (305, "jterm:2"): (49, 42, 42, 44),
+}
+
+
+@pytest.mark.parametrize("seed, bound", list(PINNED_COUNTERS))
+def test_pinned_counters(seed, bound):
+    inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
+    rec = solve(inst, bound=bound, prune="full")
+    st = rec.stats
+    got = (rec.opt, st.labels_created, st.pops, st.heap_pushes)
+    assert got == PINNED_COUNTERS[seed, bound]
 
 
 def test_record_carries_instance_shape():

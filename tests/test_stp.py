@@ -93,6 +93,20 @@ def test_bad_token_is_syntax_error():
         parse_stp(MINIMAL.replace("E 1 2 7", "E 1 x 7"))
 
 
+@pytest.mark.parametrize("line, bare", [
+    ("Nodes 2", "Nodes"),
+    ("Edges 1", "Edges"),
+    ("Edges 1", "Arcs"),
+    ("Terminals 2", "Terminals"),
+    ("T 2", "T"),
+])
+def test_line_without_argument_is_syntax_error(line, bare):
+    text = MINIMAL.replace(line, bare)
+    with pytest.raises(StpSyntaxError) as info:
+        parse_stp(text)
+    assert info.value.line_no == text.splitlines().index(bare) + 1
+
+
 def test_too_many_terminals():
     n = 70
     lines = [
