@@ -28,18 +28,20 @@ class BoundOracle:
     name = "bound"
 
     def __init__(self):
-        self._cache: dict[tuple[int, int], int] = {}
+        self._cache: dict[int, dict[int, int]] = {}  # jmask -> v -> value
         self.evaluations = 0
 
     def value2(self, v: int, jmask: int) -> int:
         """2 * B(v, set(jmask)); cached so each argument is computed once."""
-        key = (v, jmask)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        by_vertex = self._cache.get(jmask)
+        if by_vertex is None:
+            by_vertex = self._cache[jmask] = {}
+        else:
+            cached = by_vertex.get(v)
+            if cached is not None:
+                return cached
         self.evaluations += 1
-        val = self._evaluate2(v, jmask)
-        self._cache[key] = val
+        val = by_vertex[v] = self._evaluate2(v, jmask)
         return val
 
     def _evaluate2(self, v: int, jmask: int) -> int:

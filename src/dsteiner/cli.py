@@ -131,9 +131,10 @@ def _bench_row(task):
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".stp"):
         name = name[:-4]
+    # ValueError: a root rule such as index:<i> that does not fit this row
     try:
         return _solve_path(path, cfg).summary_row() + [""]
-    except (DsteinerError, OSError) as exc:
+    except (DsteinerError, OSError, ValueError) as exc:
         return [name] + [""] * (len(CSV_HEADER) - 1) + [f"{type(exc).__name__}: {exc}"]
 
 

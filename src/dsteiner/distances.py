@@ -6,7 +6,7 @@ construction, the mst / set-distance caches are single-writer.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .bitsets import iter_bits
 from .graph import INF, Graph, multi_source_dijkstra
@@ -29,6 +29,8 @@ class DistanceOracle:
                      for i in range(self.k)]
         self._mst_cache: dict[int, int] = {}
         self._cut_cache: dict[int, int] = {}
+        # per vertex, built on first query: sorted reachable (distance, terminal)
+        self._nearest: list[Optional[list[tuple[int, int]]]] = [None] * graph.n
 
     def mst_cost(self, members) -> int:
         """MST cost of the distance graph spanned by the given terminals.
@@ -99,12 +101,18 @@ class DistanceOracle:
         return result
 
     def vertex_to_set_distance(self, vertex: int, term_mask: int) -> tuple[int, int]:
-        """(min distance, achieving terminal) from a vertex into a terminal set."""
-        best = INF
-        best_y = -1
-        for y in iter_bits(term_mask):
-            dv = self.rows[y][vertex]
-            if dv < best:
-                best = dv
-                best_y = y
-        return best, best_y
+        """(min distance, achieving terminal) from a vertex into a terminal set.
+
+        Ties go to the smallest terminal index; (INF, -1) when no terminal
+        of the set is reachable.
+        """
+        order = self._nearest[vertex]
+        if order is None:
+            order = self._nearest[vertex] = sorted(
+                (row[vertex], y) for y, row in enumerate(self.rows)
+                if row[vertex] < INF
+            )
+        for d, y in order:
+            if term_mask >> y & 1:
+                return d, y
+        return INF, -1

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitsets import iter_bits, iter_nonempty_subsets
+from .bitsets import iter_bits
 from .bounds import BoundOracle, make_bound
 from .distances import DistanceOracle
 from .errors import (
@@ -36,9 +36,13 @@ from .graph import (
 )
 from .stp import SolutionRecord
 
-# rough CPython footprints used for the memory-limit estimate
-LABEL_BYTES = 120
-HEAP_ENTRY_BYTES = 80
+# Memory-limit footprints, measured with tracemalloc on CPython 3.11: a heap
+# of 10^5 (key, cost, v, mask) tuples of fresh large ints grew 160 B per entry;
+# the largest 3D Hanan benchmark solve (k=8, onetree/full) grew 3.75 MB across
+# the label loop for 12,381 labels and 4,432 heap entries, so about 250 B per
+# label for the three label maps, the bound cache and the prune tracker.
+LABEL_BYTES = 250
+HEAP_ENTRY_BYTES = 160
 LIMIT_CHECK_INTERVAL = 1024
 
 PRUNE_MODES = ("off", "bound", "full")
@@ -58,15 +62,6 @@ class SolveStats:
     permanent_events: Optional[list[tuple[int, int, int]]] = None
 
 
-class _Label:
-    __slots__ = ("cost", "back", "permanent")
-
-    def __init__(self, cost, back):
-        self.cost = cost
-        self.back = back
-        self.permanent = False
-
-
 class PruneTracker:
     """Per-set upper bounds U(I) with witness terminals S(I) outside I."""
 
@@ -81,13 +76,8 @@ class PruneTracker:
 
     def on_pop(self, vertex: int, mask: int, cost: int) -> None:
         d_set, y_set = self.oracle.set_cut_distance(mask, self.full_mask)
-        d_v, y_v = self.oracle.vertex_to_set_distance(
-            vertex, self.full_mask & ~mask
-        )
-        if d_v < d_set:
-            d, y = d_v, y_v
-        else:
-            d, y = d_set, y_set
+        d_v, y_v = self.oracle.vertex_to_set_distance(vertex, self.full_mask & ~mask)
+        d, y = (d_v, y_v) if d_v < d_set else (d_set, y_set)
         if d >= INF or y < 0:
             return
         cand = cost + d
@@ -201,10 +191,10 @@ def solve(
         permanent_events=[] if record_permanents else None,
     )
     search = _prepare(instance, bound, prune, root_rule, stats)
-    store = None
+    cost, back = 0, None
     if search.bound is not None:
-        store = _label_loop(search, stats, t_start, time_limit, mem_limit)
-    cost, edges = _reconstruct(instance, search, store)
+        cost, back = _label_loop(search, stats, t_start, time_limit, mem_limit)
+    edges = _reconstruct(instance, search, cost, back)
     return SolutionRecord(
         instance=instance.name,
         n=instance.n,
@@ -264,30 +254,40 @@ def _prepare(
 def _label_loop(
     search: _Search, stats: SolveStats, t_start: float,
     time_limit: Optional[float], mem_limit: Optional[int],
-) -> list[dict[int, _Label]]:
-    """Run labels until the root label is permanent; returns the label store."""
+) -> tuple[int, list[dict[int, int]]]:
+    """Run labels until the root label is permanent.
+
+    Returns the root label's cost and the per-vertex back pointers: ``w >= 0``
+    for an edge from vertex w, ``-1 - submask`` for a merge of two labels at
+    the same vertex, and ``-1`` (the empty merge) for a source label.
+    """
     reduced = search.reduced
     n = reduced.graph.n
     adj = reduced.graph.adj
     terminals = reduced.terminals
-    k = reduced.k
-    full_mask = (1 << k) - 1
+    full_mask = (1 << reduced.k) - 1
     sources_mask = search.sources_mask
     target_v = search.root
     value2 = search.bound.value2
     upper2 = search.upper2
     tracker = search.tracker
-    store: list[dict[int, _Label]] = [dict() for _ in range(n)]
+    upper_get = tracker.upper.get if tracker is not None else {}.get
+    # per vertex: cost and back pointer of every label, and the costs of the
+    # permanent ones; a label is permanent iff its mask is in ``perm``
+    cost_of: list[dict[int, int]] = [{} for _ in range(n)]
+    back: list[dict[int, int]] = [{} for _ in range(n)]
+    perm: list[dict[int, int]] = [{} for _ in range(n)]
     heap: list[tuple[int, int, int, int]] = []
-    iteration_cap = n * (1 << (k - 1))
+    heappush, heappop = heapq.heappush, heapq.heappop
+    iteration_cap = n * (1 << (reduced.k - 1))
 
     for s in iter_bits(sources_mask):
         v = terminals[s]
         mask = 1 << s
-        store[v][mask] = _Label(0, None)
+        cost_of[v][mask] = 0
+        back[v][mask] = -1
         stats.labels_created += 1
-        key = value2(v, full_mask ^ mask)
-        heapq.heappush(heap, (key, 0, v, mask))
+        heappush(heap, (value2(v, full_mask ^ mask), 0, v, mask))
         stats.heap_pushes += 1
 
     last_key = -1
@@ -299,11 +299,12 @@ def _label_loop(
                 "label heap exhausted before the root label became permanent; "
                 "this indicates an invalid lower bound"
             )
-        key, cost, v, mask = heapq.heappop(heap)
-        label = store[v].get(mask)
+        key, cost, v, mask = heappop(heap)
+        perm_v = perm[v]
+        cost_v = cost_of[v]
         # each (v, mask) is pushed only at strictly lower cost, so a cost
         # mismatch marks a stale entry
-        if label is None or label.permanent or label.cost != cost:
+        if mask in perm_v or cost_v[mask] != cost:
             continue
 
         ticks += 1
@@ -329,11 +330,10 @@ def _label_loop(
             stats.popped_keys.append(key)
 
         # re-prune on selection: bounds may have improved since creation
-        if key > upper2 or (tracker is not None and cost > tracker.bound_for(mask)):
+        if key > upper2 or cost > upper_get(mask, INF):
             stats.pruned_at_pop += 1
             continue
 
-        label.permanent = True
         stats.permanents += 1
         if stats.permanents > iteration_cap:
             raise InternalError("permanence events exceeded n * 2^(k-1)")
@@ -344,81 +344,62 @@ def _label_loop(
         if tracker is not None:
             tracker.on_pop(v, mask, cost)
 
-        # relax all edges incident to v
-        store_v = store[v]
+        # relax all edges incident to v; cheap discards first: cost alone
+        # (L >= 0), the per-set bound, and only then the lower bound
+        set_upper = upper_get(mask, INF)
         jmask_same = full_mask ^ mask
         for w, ec in adj[v]:
             nc = cost + ec
-            tgt = store[w].get(mask)
-            if tgt is not None and (tgt.permanent or nc >= tgt.cost):
+            cost_w = cost_of[w]
+            tc = cost_w.get(mask)
+            if tc is not None and (nc >= tc or mask in perm[w]):
                 continue
-            # cheap discards first: cost alone (L >= 0), the per-set bound,
-            # and only then the lower bound
-            if (2 * nc > upper2
-                    or (tracker is not None and nc > tracker.bound_for(mask))
+            if (2 * nc > upper2 or nc > set_upper
                     or (nkey := 2 * nc + value2(w, jmask_same)) > upper2):
                 stats.pruned_at_creation += 1
                 continue
-            if tgt is None:
-                store[w][mask] = _Label(nc, ("e", v))
+            if tc is None:
                 stats.labels_created += 1
-            else:
-                tgt.cost = nc
-                tgt.back = ("e", v)
-            heapq.heappush(heap, (nkey, nc, w, mask))
+            cost_w[mask] = nc
+            back[w][mask] = v
+            heappush(heap, (nkey, nc, w, mask))
             stats.heap_pushes += 1
 
-        # merge with disjoint permanent labels at v; walk whichever is
-        # smaller, the subset lattice of the complement or v's label list
-        free = sources_mask & ~mask
-        if free:
-            if (1 << free.bit_count()) - 1 <= len(store_v):
-                candidates = [
-                    j for j in iter_nonempty_subsets(free)
-                    if (lj := store_v.get(j)) is not None and lj.permanent
-                ]
-            else:
-                candidates = [
-                    j for j, lj in store_v.items()
-                    if lj.permanent and not j & mask and j != 0
-                ]
-            for j in candidates:
-                partner = store_v[j]
-                union = mask | j
-                nc = cost + partner.cost
-                tgt = store_v.get(union)
-                if tgt is not None and (tgt.permanent or nc >= tgt.cost):
-                    continue
-                if tracker is not None:
-                    tracker.on_merge(mask, j)
-                if (2 * nc > upper2
-                        or (tracker is not None and nc > tracker.bound_for(union))
-                        or (nkey := 2 * nc + value2(v, full_mask ^ union)) > upper2):
-                    stats.pruned_at_creation += 1
-                    continue
-                if tgt is None:
-                    store_v[union] = _Label(nc, ("m", mask))
-                    stats.labels_created += 1
-                else:
-                    tgt.cost = nc
-                    tgt.back = ("m", mask)
-                heapq.heappush(heap, (nkey, nc, v, union))
-                stats.heap_pushes += 1
+        # merge with the disjoint permanent labels at v
+        back_v = back[v]
+        for j, cj in perm_v.items():
+            if j & mask:
+                continue
+            union = mask | j
+            nc = cost + cj
+            tc = cost_v.get(union)
+            if tc is not None and (nc >= tc or union in perm_v):
+                continue
+            if tracker is not None:
+                tracker.on_merge(mask, j)
+            if (2 * nc > upper2 or nc > upper_get(union, INF)
+                    or (nkey := 2 * nc + value2(v, full_mask ^ union)) > upper2):
+                stats.pruned_at_creation += 1
+                continue
+            if tc is None:
+                stats.labels_created += 1
+            cost_v[union] = nc
+            back_v[union] = -1 - mask
+            heappush(heap, (nkey, nc, v, union))
+            stats.heap_pushes += 1
+        perm_v[mask] = cost
 
     stats.bound_evaluations = search.bound.evaluations
-    return store
+    return cost, back
 
 
 def _reconstruct(
-    instance: SteinerInstance, search: _Search,
-    store: Optional[list[dict[int, _Label]]],
-) -> tuple[int, list[tuple[int, int]]]:
+    instance: SteinerInstance, search: _Search, cost: int,
+    back: Optional[list[dict[int, int]]],
+) -> list[tuple[int, int]]:
     """Backtrack the root label, lift the tree to ``instance`` and validate it."""
-    root, target = search.root, search.sources_mask
-    cost, reduced_edges = 0, []
-    if store is not None:
-        cost = store[root][target].cost
-        reduced_edges = _backtrack(store, root, target)
+    root = search.root
+    reduced_edges = [] if back is None else _backtrack(back, root, search.sources_mask)
     edges = search.cmap.lift_edges(reduced_edges, root)
     try:
         tree_cost = validate_tree(instance, edges)
@@ -426,23 +407,20 @@ def _reconstruct(
         raise InternalError(f"reconstructed tree is invalid: {exc}") from exc
     if tree_cost != cost:
         raise InternalError(f"tree cost {tree_cost} != label cost {cost}")
-    return cost, edges
+    return edges
 
 
-def _backtrack(store, v: int, mask: int) -> list[tuple[int, int]]:
+def _backtrack(back: list[dict[int, int]], v: int, mask: int) -> list[tuple[int, int]]:
     edges: list[tuple[int, int]] = []
     stack = [(v, mask)]
     while stack:
         x, m = stack.pop()
-        back = store[x][m].back
-        if back is None:
-            continue
-        kind, arg = back
-        if kind == "e":
-            w = arg
-            edges.append((w, x) if w < x else (x, w))
-            stack.append((w, m))
-        else:
-            stack.append((x, arg))
-            stack.append((x, m ^ arg))
+        b = back[x][m]
+        if b >= 0:
+            edges.append((b, x) if b < x else (x, b))
+            stack.append((b, m))
+        elif b < -1:
+            sub = -1 - b
+            stack.append((x, sub))
+            stack.append((x, m ^ sub))
     return edges

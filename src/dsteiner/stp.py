@@ -19,6 +19,9 @@ from .graph import Graph, SteinerInstance
 
 MAGIC = "33D32945 STP File, STP Format Version 1.0"
 
+# Graph(n) allocates n lists up front (over 0.5 GB here): refuse larger counts
+MAX_NODES = 10**7
+
 CSV_HEADER = ["instance", "n", "m", "k", "opt", "time_ms", "labels", "config"]
 
 
@@ -91,6 +94,8 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
         if section == "GRAPH":
             if key == "NODES":
                 n = _arg_token(tokens, line_no, "node count")
+                if not 1 <= n <= MAX_NODES:
+                    raise StpSyntaxError(line_no, f"node count {n} outside 1..{MAX_NODES}")
             elif key == "EDGES" or key == "ARCS":
                 declared_edges = _arg_token(tokens, line_no, "edge count")
             elif key == "E":

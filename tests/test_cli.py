@@ -252,3 +252,21 @@ def test_bench_rows_match_header_width(tmp_path, capsys):
     assert all(len(row) == len(header) for row in rows)
     configs = [dict(zip(header, row))["config"] for row in rows]
     assert configs[0] == configs[2] == "bound=max(jterm:2,onetree);prune=full;root=last"
+
+
+def test_bench_root_index_out_of_range_does_not_abort(tmp_path, capsys):
+    # index:6 fits the k=7 instance but not the k=6 one
+    paths = []
+    for name, k in (("k7", 7), ("k6", 6)):
+        inst = random_instance(40 + k, n_range=(10, 20), k_range=(k, k), name=name)
+        path = tmp_path / f"{name}.stp"
+        path.write_text(write_stp(inst))
+        paths.append(str(path))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(paths) + "\n")
+    assert main(["bench", str(manifest), "--root", "index:6"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["instance"] for r in rows] == ["k7", "k6"]
+    assert rows[0]["error"] == "" and rows[0]["opt"] != ""
+    assert rows[1]["error"].startswith("ValueError")
+    assert rows[1]["opt"] == ""

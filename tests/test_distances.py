@@ -70,3 +70,39 @@ def test_set_cut_distance_reports_witness():
     assert d < INF
     assert y >= 2  # witness lies outside the set
     assert d == min(oracle.pair[x][z] for x in (0, 1) for z in (2, 3, 4))
+
+
+def _brute_nearest(oracle, v, mask):
+    best = (INF, -1)
+    for y in range(oracle.k):
+        if mask >> y & 1 and oracle.rows[y][v] < INF:
+            best = min(best, (oracle.rows[y][v], y))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vertex_to_set_distance_matches_brute_force(seed):
+    # costs 1..2 make equal distances common, so the tie-break is exercised
+    inst = random_instance(seed + 700, n_range=(8, 16), k_range=(5, 6),
+                           cost_range=(1, 2))
+    oracle = DistanceOracle(inst.graph, inst.terminals)
+    ties = 0
+    for v in range(inst.n):
+        dists = [row[v] for row in oracle.rows]
+        ties += len(dists) != len(set(dists))
+        assert oracle.vertex_to_set_distance(v, 0) == (INF, -1)
+        for mask in range(1, 1 << oracle.k):
+            assert oracle.vertex_to_set_distance(v, mask) == _brute_nearest(oracle, v, mask)
+    assert ties
+
+
+def test_vertex_to_set_distance_skips_unreachable_terminals():
+    from dsteiner import Graph
+
+    g = Graph(4, [(0, 1, 3), (2, 3, 1)])
+    oracle = DistanceOracle(g, [0, 1, 3])
+    assert oracle.vertex_to_set_distance(0, 0b111) == (0, 0)
+    assert oracle.vertex_to_set_distance(1, 0b101) == (3, 0)
+    assert oracle.vertex_to_set_distance(0, 0b100) == (INF, -1)
+    assert oracle.vertex_to_set_distance(2, 0b011) == (INF, -1)
+    assert oracle.vertex_to_set_distance(2, 0b111) == (1, 2)

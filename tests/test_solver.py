@@ -10,7 +10,9 @@ from dsteiner import (
     BaselineOracle,
     Graph,
     SteinerInstance,
+    build_hanan_grid,
     choose_root,
+    generate_random_points,
     heuristic_upper_bound,
     multi_source_dijkstra,
     solve,
@@ -423,6 +425,94 @@ def test_pinned_counters(seed, bound):
     st = rec.stats
     got = (rec.opt, st.labels_created, st.pops, st.heap_pushes)
     assert got == PINNED_COUNTERS[seed, bound]
+
+
+# (seed, bound, prune) -> (opt, labels_created, pops, heap_pushes,
+# pruned_at_creation, pruned_at_pop, bound_evaluations) on the instances of
+# PINNED_COUNTERS, under both pruning modes that read the bound; recorded
+# before the label store became per-vertex maps.
+PINNED_COUNTERS_ALL_MODES = {
+    (300, "zero", "bound"): (91, 1411, 1397, 2304, 2829, 0, 1411),
+    (300, "zero", "full"): (91, 121, 121, 150, 241, 0, 121),
+    (300, "onetree", "bound"): (91, 204, 204, 223, 944, 0, 582),
+    (300, "onetree", "full"): (91, 90, 90, 92, 256, 0, 108),
+    (300, "jterm:2", "bound"): (91, 101, 101, 106, 252, 0, 289),
+    (300, "jterm:2", "full"): (91, 44, 44, 46, 104, 0, 62),
+    (301, "zero", "bound"): (60, 308, 283, 475, 112, 0, 308),
+    (301, "zero", "full"): (60, 68, 68, 77, 104, 5, 68),
+    (301, "onetree", "bound"): (60, 111, 53, 139, 49, 0, 148),
+    (301, "onetree", "full"): (60, 56, 41, 64, 75, 0, 57),
+    (301, "jterm:2", "bound"): (60, 78, 41, 89, 28, 0, 103),
+    (301, "jterm:2", "full"): (60, 53, 38, 58, 62, 0, 59),
+    (302, "zero", "bound"): (80, 654, 652, 916, 569, 0, 654),
+    (302, "zero", "full"): (80, 75, 74, 81, 145, 0, 75),
+    (302, "onetree", "bound"): (80, 177, 177, 205, 494, 0, 443),
+    (302, "onetree", "full"): (80, 53, 53, 55, 123, 0, 66),
+    (302, "jterm:2", "bound"): (80, 29, 29, 29, 81, 0, 92),
+    (302, "jterm:2", "full"): (80, 29, 29, 29, 81, 0, 46),
+    (303, "zero", "bound"): (46, 825, 825, 1150, 1494, 0, 825),
+    (303, "zero", "full"): (46, 71, 70, 77, 189, 0, 71),
+    (303, "onetree", "bound"): (46, 151, 151, 191, 406, 0, 341),
+    (303, "onetree", "full"): (46, 45, 45, 45, 156, 0, 61),
+    (303, "jterm:2", "bound"): (46, 19, 19, 19, 74, 0, 66),
+    (303, "jterm:2", "full"): (46, 19, 19, 19, 74, 0, 34),
+    (304, "zero", "bound"): (37, 488, 488, 777, 66, 0, 488),
+    (304, "zero", "full"): (37, 94, 94, 114, 208, 1, 94),
+    (304, "onetree", "bound"): (37, 165, 165, 209, 671, 0, 424),
+    (304, "onetree", "full"): (37, 53, 53, 54, 190, 0, 72),
+    (304, "jterm:2", "bound"): (37, 23, 23, 23, 87, 0, 93),
+    (304, "jterm:2", "full"): (37, 22, 22, 22, 84, 0, 37),
+    (305, "zero", "bound"): (49, 519, 511, 845, 354, 0, 519),
+    (305, "zero", "full"): (49, 58, 58, 61, 145, 0, 58),
+    (305, "onetree", "bound"): (49, 165, 165, 196, 613, 0, 401),
+    (305, "onetree", "full"): (49, 51, 51, 54, 135, 0, 58),
+    (305, "jterm:2", "bound"): (49, 66, 66, 70, 192, 0, 181),
+    (305, "jterm:2", "full"): (49, 42, 42, 44, 114, 0, 54),
+}
+
+
+@pytest.mark.parametrize("seed, bound, prune", list(PINNED_COUNTERS_ALL_MODES))
+def test_pinned_counters_all_modes(seed, bound, prune):
+    inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
+    rec = solve(inst, bound=bound, prune=prune)
+    st = rec.stats
+    got = (rec.opt, st.labels_created, st.pops, st.heap_pushes,
+           st.pruned_at_creation, st.pruned_at_pop, st.bound_evaluations)
+    assert got == PINNED_COUNTERS_ALL_MODES[seed, bound, prune]
+
+
+def test_memory_estimate_tracks_measured_growth():
+    # traced memory held at the end of the label loop, against the estimate
+    # the memory limit is checked with, read from the loop's own locals
+    import tracemalloc
+
+    inst, _ = build_hanan_grid(generate_random_points(3, 7, 10**6, 2))
+    code = solver._label_loop.__code__
+    seen = {}
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            seen["growth"] = tracemalloc.get_traced_memory()[0] - seen["start"]
+            seen["heap"] = len(frame.f_locals["heap"])
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_lines = False
+        seen["start"] = tracemalloc.get_traced_memory()[0]
+        return on_return
+
+    tracemalloc.start()
+    sys.settrace(on_call)
+    try:
+        rec = solve(inst, bound="onetree", prune="full")
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    est = (rec.stats.labels_created * solver.LABEL_BYTES
+           + seen["heap"] * solver.HEAP_ENTRY_BYTES)
+    assert rec.stats.labels_created > 1000
+    assert seen["growth"] / 2 <= est <= 2 * seen["growth"]
 
 
 def test_record_carries_instance_shape():

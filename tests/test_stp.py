@@ -8,6 +8,7 @@ from dsteiner import parse_stp, write_solution, write_stp
 from dsteiner.errors import (
     CountMismatch,
     NonIntegralCost,
+    StpError,
     StpSyntaxError,
     TooManyTerminals,
 )
@@ -210,3 +211,61 @@ def test_parser_never_hangs_on_garbage(junk):
             parse_stp(junk)
     except (StpSyntaxError, CountMismatch, NonIntegralCost, TooManyTerminals):
         pass
+
+
+# Building blocks for token-stream documents: the lines of real files, STP
+# keywords, small integers (ids and counts near the ones that occur),
+# integers far beyond any node count, and junk.
+_DOC_LINES = MINIMAL.replace(
+    "EOF", "SECTION Coordinates\nDD 1 10 20\nDD 2 30 40\nEND\nEOF").splitlines()
+_KEYWORDS = ["SECTION", "Graph", "Terminals", "Coordinates", "Comment", "END",
+             "EOF", "Nodes", "Edges", "Arcs", "E", "A", "T", "DD", "DDD", "Name"]
+_TOKENS = st.one_of(
+    st.sampled_from(_KEYWORDS),
+    st.integers(-3, 70).map(str),
+    st.integers(10**12, 10**40).map(str),
+    st.sampled_from(["1.5", "-0", "nan", "inf", "1e3", "0x1f", "1_0", '"x"', "\x00", "é"]),
+    st.text(max_size=4),
+)
+_LINES = st.one_of(
+    st.sampled_from(_DOC_LINES),
+    st.lists(_TOKENS, min_size=1, max_size=5).map(" ".join),
+)
+
+
+@st.composite
+def _documents(draw):
+    """A real file with lines dropped, replaced and inserted, or pure noise."""
+    if draw(st.booleans()):
+        return draw(st.lists(_LINES, max_size=30))
+    lines = list(_DOC_LINES)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["drop", "replace", "insert"]))
+        if action == "insert" or i == len(lines):
+            lines.insert(i, draw(_LINES))
+        elif action == "replace":
+            lines[i] = draw(_LINES)
+        else:
+            del lines[i]
+    return lines
+
+
+@given(_documents())
+@settings(max_examples=300, deadline=None)
+def test_token_streams_parse_or_raise_stp_error(lines):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = parse_stp("\n".join(lines))
+    except StpError:
+        return
+    assert 1 <= inst.k <= inst.n
+
+
+@pytest.mark.parametrize("count", ["0", "-4", str(10**30)])
+def test_node_count_out_of_range_is_syntax_error(count):
+    text = MINIMAL.replace("Nodes 2", f"Nodes {count}")
+    with pytest.raises(StpSyntaxError) as info:
+        parse_stp(text)
+    assert info.value.line_no == text.splitlines().index(f"Nodes {count}") + 1
