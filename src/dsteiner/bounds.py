@@ -12,14 +12,21 @@ present for a nonzero value (sets without the root evaluate to 0).
 
 from __future__ import annotations
 
-from typing import Sequence
+import time
+from itertools import combinations
+from typing import Optional, Sequence
 
 from .bitsets import iter_bits, iter_subsets_of_size_at_most
 from .distances import DistanceOracle
-from .errors import TspTableTooLarge
+from .errors import MemoryLimit, TimeLimit, TspTableTooLarge
 from .graph import INF, SteinerInstance, multi_source_dijkstra
 
 DEFAULT_TSP_CAP = 20
+# Bytes per TSP path-table slot, for the memory-limit check: building the
+# table for 2D Hanan grids with k = 12..14 grew 12.9-13.1 B per slot under
+# tracemalloc on CPython 3.11 (an 8 B list pointer, plus an int object for
+# each finite entry).
+TSP_SLOT_BYTES = 13
 
 
 class BoundOracle:
@@ -202,68 +209,100 @@ class JTermBound(BoundOracle):
 class TspBound(BoundOracle):
     """Half the optimum tour through J and v in the distance graph.
 
-    Preprocessing tabulates shortest Hamiltonian paths with given endpoint
-    pairs for every terminal subset; a query inserts v between every pair
-    of potential tour neighbors in O(|J|^2).
+    Preprocessing tabulates shortest Hamiltonian paths between every end
+    pair for each terminal set holding the root, the only sets queries
+    read; a query inserts v between every pair of potential tour neighbors
+    in O(|J|^2).  The table has 2^(k-1) * k^2 slots: its size is checked
+    against ``mem_limit`` before the build and ``deadline`` (a
+    ``time.perf_counter`` value) once per set size during it.
     """
 
     name = "tsp"
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
-                 root_index: int, cap: int = DEFAULT_TSP_CAP):
+                 root_index: int, cap: int = DEFAULT_TSP_CAP, *,
+                 deadline: Optional[float] = None,
+                 mem_limit: Optional[int] = None):
         super().__init__()
         k = instance.k
         if k > cap:
             raise TspTableTooLarge(f"k={k} exceeds the TSP table cap {cap}")
+        est = (1 << (k - 1)) * k * k * TSP_SLOT_BYTES
+        if mem_limit is not None and est > mem_limit:
+            raise MemoryLimit(
+                f"estimated TSP table memory {est} exceeds limit {mem_limit}"
+            )
         self.oracle = oracle
+        self.k = k
         self.root_bit = 1 << root_index
-        self.terminals = instance.terminals
         self.term_index = {t: i for i, t in enumerate(instance.terminals)}
-        pair = oracle.pair
-        # paths[mask][(a, b)] = cheapest Hamiltonian path on terms(mask)
-        # with endpoints a <= b (a == b only for singletons)
-        paths: dict[int, dict[tuple[int, int], int]] = {}
-        for i in range(k):
-            paths[1 << i] = {(i, i): 0}
-        order = sorted(range(1, 1 << k), key=lambda m: m.bit_count())
-        full = (1 << k) - 1
-        for mask in order:
-            table = paths.get(mask)
-            if table is None:
-                continue
-            free = full ^ mask
-            for (a, b), cost in table.items():
-                for t in iter_bits(free):
-                    nm = mask | (1 << t)
-                    dest = paths.setdefault(nm, {})
-                    # extend at endpoint b
-                    c1 = cost + pair[b][t]
-                    key1 = (a, t) if a <= t else (t, a)
-                    if c1 < dest.get(key1, INF):
-                        dest[key1] = c1
-                    # extend at endpoint a (same thing for singletons)
-                    if a != b:
-                        c2 = cost + pair[a][t]
-                        key2 = (b, t) if b <= t else (t, b)
-                        if c2 < dest.get(key2, INF):
-                            dest[key2] = c2
-        self.paths = paths
+        self.paths = self._build_paths(root_index, deadline)
+        self._ends: dict[int, list[tuple[int, int, int]]] = {}
         self._tour_cache: dict[int, int] = {}
 
+    def _build_paths(self, r: int, deadline: Optional[float]) -> dict[int, list[int]]:
+        """paths[mask][a*k + b] = cheapest Hamiltonian path on terms(mask)
+        from a to b, for every mask holding the root r and another terminal;
+        INF on the diagonal and off the mask, and for values >= INF.
+
+        Pull recurrence, always peeling the end b != r: the path ends in an
+        edge c-b with c in mask - {a, b}, so it reads only root-holding sets.
+        Each pair is computed with a = r or a < b and mirrored.
+        """
+        k = self.k
+        kk = k * k
+        pair = self.oracle.pair
+        root_bit = self.root_bit
+        others = [i for i in range(k) if i != r]
+        paths: dict[int, list[int]] = {}
+        for b in others:
+            row = [INF] * kk
+            row[r * k + b] = row[b * k + r] = pair[r][b]
+            paths[root_bit | 1 << b] = row
+        for size in range(2, k):
+            if deadline is not None and time.perf_counter() > deadline:
+                raise TimeLimit("time limit exceeded while building the TSP table")
+            for combo in combinations(others, size):
+                mask = root_bit
+                for i in combo:
+                    mask |= 1 << i
+                row = [INF] * kk
+                for j, b in enumerate(combo):
+                    sub = paths[mask ^ (1 << b)]
+                    pb = pair[b]
+                    rest = (r,) + combo[:j] + combo[j + 1:]  # mask - {b}
+                    # a is r or below b; c == a reads the diagonal (INF), so
+                    # it never wins
+                    for a in rest[:j + 1]:
+                        ak = a * k
+                        best = min([sub[ak + c] + pb[c] for c in rest])
+                        row[ak + b] = row[b * k + a] = best if best < INF else INF
+                paths[mask] = row
+        return paths
+
+    def _end_pairs(self, mask: int) -> list[tuple[int, int, int]]:
+        """(a, b, path cost) for every end pair a < b of a mask with >= 2 members."""
+        ends = self._ends.get(mask)
+        if ends is None:
+            k = self.k
+            row = self.paths[mask]
+            bits = list(iter_bits(mask))
+            ends = self._ends[mask] = [
+                (a, b, row[a * k + b])
+                for i, a in enumerate(bits) for b in bits[i + 1:]
+            ]
+        return ends
+
     def _tour(self, mask: int) -> int:
-        """Exact optimum tour cost on the terminals of ``mask``."""
+        """Exact optimum tour cost on the terminals of a root-holding ``mask``."""
         cached = self._tour_cache.get(mask)
         if cached is not None:
             return cached
-        bits = list(iter_bits(mask))
-        if len(bits) == 1:
-            val = 0
-        elif len(bits) == 2:
-            val = 2 * self.oracle.pair[bits[0]][bits[1]]
-        else:
+        val = 0
+        if mask & (mask - 1):
             pair = self.oracle.pair
             val = INF
-            for (a, b), cost in self.paths[mask].items():
+            for a, b, cost in self._end_pairs(mask):
                 c = cost + pair[a][b]
                 if c < val:
                     val = c
@@ -277,16 +316,15 @@ class TspBound(BoundOracle):
         if ti is not None and jmask & (1 << ti):
             return self._tour(jmask)
         rows = self.oracle.rows
-        bits = list(iter_bits(jmask))
-        if len(bits) == 1:
-            d = rows[bits[0]][v]
+        if not jmask & (jmask - 1):
+            d = rows[jmask.bit_length() - 1][v]
             return 2 * d if d < INF else INF
         best = INF
-        for (a, b), cost in self.paths[jmask].items():
+        for a, b, cost in self._end_pairs(jmask):
             c = cost + rows[a][v] + rows[b][v]
             if c < best:
                 best = c
-        return min(best, INF)
+        return best
 
 
 class MaxBound(BoundOracle):
@@ -321,8 +359,13 @@ def _split_args(body: str) -> list[str]:
 
 
 def make_bound(spec: str, instance: SteinerInstance, root_index: int,
-               oracle: DistanceOracle) -> BoundOracle:
-    """Build a bound evaluator from its selection string."""
+               oracle: DistanceOracle, *, deadline: Optional[float] = None,
+               mem_limit: Optional[int] = None) -> BoundOracle:
+    """Build a bound evaluator from its selection string.
+
+    ``deadline`` (a ``time.perf_counter`` value) and ``mem_limit`` (bytes)
+    bound the TSP table build: it raises TimeLimit or MemoryLimit.
+    """
     spec = spec.strip()
     low = spec.lower()
     if low == "zero":
@@ -330,12 +373,14 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
     if low == "onetree":
         return OneTreeBound(oracle, 1 << root_index)
     if low == "tsp":
-        return TspBound(instance, oracle, root_index)
+        return TspBound(instance, oracle, root_index,
+                        deadline=deadline, mem_limit=mem_limit)
     if low.startswith("jterm"):
         j = 2 if ":" not in spec else int(spec.split(":", 1)[1])
         return JTermBound(instance, oracle, root_index, j)
     if low.startswith("max(") and spec.endswith(")"):
-        parts = [make_bound(p, instance, root_index, oracle)
+        parts = [make_bound(p, instance, root_index, oracle,
+                            deadline=deadline, mem_limit=mem_limit)
                  for p in _split_args(spec[4:-1])]
         return MaxBound(parts)
     raise ValueError(f"unknown bound spec {spec!r}")

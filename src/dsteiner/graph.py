@@ -198,9 +198,16 @@ def contract_zero_edges(
     Merged vertices keep terminal status if any member was a terminal, and
     terminal order follows the first occurrence in the original order.  The
     returned map lifts any contracted tree back to an original tree of the
-    same cost (zero edges re-inserted).
+    same cost (zero edges re-inserted).  Without a zero-cost edge the
+    instance itself is returned, with an identity map.
     """
     g = instance.graph
+    if 0 not in g._edge_cost.values():
+        return instance, ContractionMap(
+            old_to_new=list(range(g.n)),
+            component_edges=[[] for _ in range(g.n)],
+            edge_witness={e: e for e in g._edge_cost},
+        )
     parent = list(range(g.n))
 
     def find(x: int) -> int:

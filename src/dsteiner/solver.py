@@ -190,10 +190,11 @@ def solve(
         popped_keys=[] if record_pops else None,
         permanent_events=[] if record_permanents else None,
     )
-    search = _prepare(instance, bound, prune, root_rule, stats)
+    deadline = None if time_limit is None else t_start + time_limit
+    search = _prepare(instance, bound, prune, root_rule, stats, deadline, mem_limit)
     cost, back = 0, None
     if search.bound is not None:
-        cost, back = _label_loop(search, stats, t_start, time_limit, mem_limit)
+        cost, back = _label_loop(search, stats, deadline, mem_limit)
     edges = _reconstruct(instance, search, cost, back)
     return SolutionRecord(
         instance=instance.name,
@@ -224,7 +225,7 @@ class _Search:
 
 def _prepare(
     instance: SteinerInstance, bound: str, prune: str, root_rule: str,
-    stats: SolveStats,
+    stats: SolveStats, deadline: Optional[float], mem_limit: Optional[int],
 ) -> _Search:
     """Root choice, zero-edge contraction, distance oracle, bound, heuristic UB."""
     root_vertex_orig = instance.terminals[choose_root(instance, root_rule)]
@@ -241,7 +242,8 @@ def _prepare(
     for t in reduced.terminals:
         if root_row[t] >= INF:
             raise Infeasible(f"terminal {t} unreachable from the root")
-    search.bound = make_bound(bound, reduced, root_idx, oracle)
+    search.bound = make_bound(bound, reduced, root_idx, oracle,
+                              deadline=deadline, mem_limit=mem_limit)
     if prune != "off":
         upper, _ = heuristic_upper_bound(reduced, root_idx)
         stats.upper_bound = upper
@@ -252,8 +254,8 @@ def _prepare(
 
 
 def _label_loop(
-    search: _Search, stats: SolveStats, t_start: float,
-    time_limit: Optional[float], mem_limit: Optional[int],
+    search: _Search, stats: SolveStats,
+    deadline: Optional[float], mem_limit: Optional[int],
 ) -> tuple[int, list[dict[int, int]]]:
     """Run labels until the root label is permanent.
 
@@ -309,8 +311,8 @@ def _label_loop(
 
         ticks += 1
         if ticks % LIMIT_CHECK_INTERVAL == 0:
-            if time_limit is not None and time.perf_counter() - t_start > time_limit:
-                raise TimeLimit(f"time limit {time_limit}s exceeded")
+            if deadline is not None and time.perf_counter() > deadline:
+                raise TimeLimit("time limit exceeded in the label loop")
             if mem_limit is not None:
                 est = stats.labels_created * LABEL_BYTES + len(heap) * HEAP_ENTRY_BYTES
                 if est > mem_limit:

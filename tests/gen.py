@@ -115,6 +115,21 @@ def tsp_by_permutations(dist_matrix: list[list[int]], members: list[int]) -> int
     return best
 
 
+def path_by_permutations(
+    dist_matrix: list[list[int]], members: list[int], a: int, b: int
+) -> int:
+    """Cheapest path from a to b through every member, by enumerating the
+    orders of the members other than a and b."""
+    inner = [x for x in members if x != a and x != b]
+    best = None
+    for perm in itertools.permutations(inner):
+        order = (a,) + perm + (b,)
+        cost = sum(dist_matrix[order[i]][order[i + 1]] for i in range(len(order) - 1))
+        if best is None or cost < best:
+            best = cost
+    return best
+
+
 def steiner_by_subtree_enumeration(graph: Graph, terminals: list[int]) -> int:
     """Exact smt by enumerating every edge subset that forms a tree.
 

@@ -2,12 +2,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsteiner import BaselineOracle, DistanceOracle, Graph, SteinerInstance, make_bound
+from dsteiner import (
+    INF,
+    BaselineOracle,
+    DistanceOracle,
+    Graph,
+    SteinerInstance,
+    build_hanan_grid,
+    generate_random_points,
+    make_bound,
+)
 from dsteiner.bitsets import iter_bits, iter_nonempty_subsets
-from dsteiner.bounds import JTermBound, MaxBound, OneTreeBound, TspBound, ZeroBound
+from dsteiner.bounds import (
+    TSP_SLOT_BYTES,
+    JTermBound,
+    MaxBound,
+    OneTreeBound,
+    TspBound,
+    ZeroBound,
+)
 from dsteiner.errors import TspTableTooLarge
 
-from gen import random_instance, tsp_by_permutations
+from gen import path_by_permutations, random_instance, tsp_by_permutations
 
 ALL_SPECS = ["zero", "jterm:1", "jterm:2", "onetree", "tsp", "max(jterm:2,onetree)"]
 
@@ -182,15 +198,44 @@ def test_onetree_dominates_half_mst(seed):
 
 # --- tsp bound ---
 
-def test_tsp_path_table_trivia():
-    inst, root, oracle = setup(8, 5)
-    b = TspBound(inst, oracle, root)
-    for t in range(inst.k):
-        assert b.paths[1 << t] == {(t, t): 0}
-    for a in range(inst.k):
-        for c in range(a + 1, inst.k):
-            mask = (1 << a) | (1 << c)
-            assert b.paths[mask][(a, c)] == oracle.pair[a][c]
+def test_tsp_path_table_matches_permutations():
+    # every stored entry against brute force, and only root-holding sets
+    # with at least two members are stored
+    for seed, root in ((8, 6), (14, 0), (15, 3)):
+        inst = random_instance(seed, k_range=(7, 7), n_range=(8, 20))
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        b = TspBound(inst, oracle, root)
+        k, root_bit = inst.k, 1 << root
+        assert k == 7
+        assert set(b.paths) == {m for m in range(1 << k)
+                                if m & root_bit and m != root_bit}
+        for mask, row in b.paths.items():
+            assert len(row) == k * k
+            members = list(iter_bits(mask))
+            for a in range(k):
+                for c in range(k):
+                    if a != c and a in members and c in members:
+                        expected = path_by_permutations(oracle.pair, members, a, c)
+                    else:
+                        expected = INF
+                    assert row[a * k + c] == expected, (seed, bin(mask), a, c)
+
+
+def test_tsp_table_estimate_tracks_measured_growth():
+    import tracemalloc
+
+    inst, _ = build_hanan_grid(generate_random_points(2, 10, 10**6, 4))
+    oracle = DistanceOracle(inst.graph, inst.terminals)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        b = TspBound(inst, oracle, inst.k - 1)
+        growth = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    est = (1 << (inst.k - 1)) * inst.k ** 2 * TSP_SLOT_BYTES
+    assert len(b.paths) == (1 << (inst.k - 1)) - 1
+    assert growth / 2 <= est <= 2 * growth
 
 
 @pytest.mark.parametrize("seed", range(4))

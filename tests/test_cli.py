@@ -1,8 +1,14 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsteiner import parse_stp_file, solve, write_stp
 from dsteiner.cli import main
@@ -270,3 +276,62 @@ def test_bench_root_index_out_of_range_does_not_abort(tmp_path, capsys):
     assert rows[0]["error"] == "" and rows[0]["opt"] != ""
     assert rows[1]["error"].startswith("ValueError")
     assert rows[1]["opt"] == ""
+
+
+# Mutated STP files for the exit-code property: the lines of a real file
+# (coordinates included, so the center root rule can apply) with lines
+# dropped, replaced and inserted.
+_CLI_DOC = write_stp(random_instance(20, n_range=(6, 12), k_range=(3, 5))).splitlines()
+_CLI_DOC[-1:-1] = ["SECTION Coordinates"] + [
+    f"DD {v} {3 * v % 7} {v * v % 5}" for v in range(1, 13)] + ["END"]
+_CLI_TOKENS = st.one_of(
+    st.sampled_from(["SECTION", "Graph", "Terminals", "Coordinates", "END", "EOF",
+                     "Nodes", "Edges", "E", "T", "DD", "DDD"]),
+    st.integers(-2, 14).map(str),
+    st.integers(2**62, 2**70).map(str),
+    st.sampled_from(["1.5", "nan", "x", "\x00"]),
+)
+_CLI_LINES = st.one_of(
+    st.sampled_from(_CLI_DOC),
+    st.lists(_CLI_TOKENS, min_size=1, max_size=4).map(" ".join),
+)
+
+
+@st.composite
+def _mutated_doc(draw):
+    lines = list(_CLI_DOC)
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["drop", "replace", "insert"]))
+        if action == "insert" or i == len(lines):
+            lines.insert(i, draw(_CLI_LINES))
+        elif action == "replace":
+            lines[i] = draw(_CLI_LINES)
+        else:
+            del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@given(
+    doc=_mutated_doc(),
+    bound=st.sampled_from(["zero", "jterm:2", "onetree", "tsp",
+                           "max(jterm:2,onetree)", "jterm:7", "max(", "tsp,zero"]),
+    prune=st.sampled_from(["off", "bound", "full"]),
+    root=st.sampled_from(["last", "center", "index:0", "index:3", "index:-1", "index:x"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_solve_mutated_files_returns_documented_exit_codes(doc, bound, prune, root):
+    fd, path = tempfile.mkstemp(suffix=".stp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(doc)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["solve", path, "--bound", bound, "--prune", prune,
+                         "--root", root, "--time-limit", "10"])
+    finally:
+        os.unlink(path)
+    assert code in (0, 1, 2, 3, 4, 5)
+    payload = json.loads(out.getvalue())
+    assert ("error" in payload) == (code != 0)

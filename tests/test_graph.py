@@ -140,6 +140,15 @@ def test_contract_identity_without_zero_edges():
     assert cmap.old_to_new == list(range(inst.n))
 
 
+def test_contract_without_zero_edges_returns_instance():
+    inst = random_instance(4)
+    reduced, cmap = contract_zero_edges(inst)
+    assert reduced is inst and reduced.graph is inst.graph
+    edges = [e for e, _ in inst.graph.edges()]
+    assert cmap.lift_edges(edges, inst.terminals[0]) == edges
+    assert cmap.lift_edges([], inst.terminals[0]) == []
+
+
 def test_contract_merges_zero_joined_terminals():
     g = Graph(3, [(0, 1, 0), (1, 2, 4)])
     inst = SteinerInstance(graph=g, terminals=[0, 1, 2])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from dsteiner import (
     solve_baseline,
     validate_tree,
 )
-from dsteiner.bounds import BoundOracle
+from dsteiner.bounds import BoundOracle, TspBound
 from dsteiner.errors import (
     CenterRuleNeedsCoordinates,
     Infeasible,
@@ -333,6 +334,29 @@ def test_memory_limit():
         solve(inst, bound="zero", prune="off", mem_limit=1)
 
 
+def _tsp_k15_instance():
+    inst, _ = build_hanan_grid(generate_random_points(2, 15, 10**6, 1))
+    assert inst.k == 15
+    return inst
+
+
+def test_time_limit_covers_tsp_table_build():
+    inst = _tsp_k15_instance()
+    t0 = time.perf_counter()
+    with pytest.raises(TimeLimit, match="TSP table"):
+        solve(inst, bound="tsp", time_limit=0.05)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_memory_limit_refuses_tsp_table_before_building(monkeypatch):
+    def build(*args):
+        pytest.fail("the TSP table was built")
+
+    monkeypatch.setattr(TspBound, "_build_paths", build)
+    with pytest.raises(MemoryLimit, match="TSP table"):
+        solve(_tsp_k15_instance(), bound="tsp", mem_limit=1 << 20)
+
+
 class InconsistentBound(BoundOracle):
     """Large at vertex 0 and zero elsewhere, so keys drop one edge away."""
 
@@ -347,7 +371,7 @@ def path_instance():
 
 
 def test_inconsistent_bound_raises_internal_error(monkeypatch):
-    monkeypatch.setattr(solver, "make_bound", lambda *args: InconsistentBound())
+    monkeypatch.setattr(solver, "make_bound", lambda *args, **kwargs: InconsistentBound())
     with pytest.raises(InternalError, match="not consistent"):
         solve(path_instance(), prune="off")
 
@@ -356,7 +380,7 @@ def test_inconsistent_bound_raises_internal_error_under_python_O():
     code = (
         "import sys, test_solver as t\n"
         "if __debug__: sys.exit('assertions are enabled')\n"
-        "t.solver.make_bound = lambda *args: t.InconsistentBound()\n"
+        "t.solver.make_bound = lambda *args, **kwargs: t.InconsistentBound()\n"
         "t.solve(t.path_instance(), prune='off')\n"
     )
     src = os.path.dirname(os.path.dirname(dsteiner.__file__))
@@ -479,6 +503,36 @@ def test_pinned_counters_all_modes(seed, bound, prune):
     got = (rec.opt, st.labels_created, st.pops, st.heap_pushes,
            st.pruned_at_creation, st.pruned_at_pop, st.bound_evaluations)
     assert got == PINNED_COUNTERS_ALL_MODES[seed, bound, prune]
+
+
+# (seed, prune) -> (opt, labels_created, pops, heap_pushes, pruned_at_creation,
+# pruned_at_pop, bound_evaluations) under the tsp bound on the instances of
+# PINNED_COUNTERS; recorded before the TSP path table became a root-anchored
+# pull recurrence over flat lists.
+PINNED_COUNTERS_TSP = {
+    (300, "bound"): (91, 41, 41, 42, 114, 0, 139),
+    (300, "full"): (91, 37, 37, 38, 103, 0, 58),
+    (301, "bound"): (60, 56, 21, 58, 29, 0, 83),
+    (301, "full"): (60, 44, 21, 44, 45, 0, 47),
+    (302, "bound"): (80, 34, 34, 35, 86, 0, 102),
+    (302, "full"): (80, 32, 32, 33, 84, 0, 48),
+    (303, "bound"): (46, 19, 19, 19, 74, 0, 66),
+    (303, "full"): (46, 19, 19, 19, 74, 0, 34),
+    (304, "bound"): (37, 25, 25, 25, 93, 0, 99),
+    (304, "full"): (37, 25, 25, 25, 93, 0, 39),
+    (305, "bound"): (49, 63, 63, 68, 196, 0, 187),
+    (305, "full"): (49, 40, 40, 43, 111, 0, 53),
+}
+
+
+@pytest.mark.parametrize("seed, prune", list(PINNED_COUNTERS_TSP))
+def test_pinned_counters_tsp(seed, prune):
+    inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
+    rec = solve(inst, bound="tsp", prune=prune)
+    st = rec.stats
+    got = (rec.opt, st.labels_created, st.pops, st.heap_pushes,
+           st.pruned_at_creation, st.pruned_at_pop, st.bound_evaluations)
+    assert got == PINNED_COUNTERS_TSP[seed, prune]
 
 
 def test_memory_estimate_tracks_measured_growth():
