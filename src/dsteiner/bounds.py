@@ -116,13 +116,14 @@ class JTermBound(BoundOracle):
     at most j-1 non-root members, built by a rootless, boundless run over
     terminal sets of increasing cardinality.  Evaluation splits into a
     v-dependent scan over the stored arrays and a per-set maximum that is
-    memoized the first time a set is queried.
+    memoized the first time a set is queried.  ``deadline`` (a
+    ``time.perf_counter`` value) is checked after each table's Dijkstra run.
     """
 
     name = "jterm"
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
-                 root_index: int, j: int):
+                 root_index: int, j: int, *, deadline: Optional[float] = None):
         super().__init__()
         if j not in (1, 2, 3):
             raise ValueError(f"jterm bound supports j in 1..3, got {j}")
@@ -164,6 +165,8 @@ class JTermBound(BoundOracle):
                 sub = (sub - 1) & mask
             seeds = [(v, c) for v, c in enumerate(arr) if c < INF]
             tables[mask] = multi_source_dijkstra(graph, seeds)[0]
+            if deadline is not None and time.perf_counter() > deadline:
+                raise TimeLimit("time limit exceeded while building the jterm tables")
         self.tables = tables
 
     def _set_max(self, jmask: int) -> int:
@@ -363,8 +366,9 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
                mem_limit: Optional[int] = None) -> BoundOracle:
     """Build a bound evaluator from its selection string.
 
-    ``deadline`` (a ``time.perf_counter`` value) and ``mem_limit`` (bytes)
-    bound the TSP table build: it raises TimeLimit or MemoryLimit.
+    ``deadline`` (a ``time.perf_counter`` value) bounds the jterm and TSP
+    table builds, ``mem_limit`` (bytes) the TSP table: they raise TimeLimit
+    or MemoryLimit.
     """
     spec = spec.strip()
     low = spec.lower()
@@ -377,7 +381,7 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
                         deadline=deadline, mem_limit=mem_limit)
     if low.startswith("jterm"):
         j = 2 if ":" not in spec else int(spec.split(":", 1)[1])
-        return JTermBound(instance, oracle, root_index, j)
+        return JTermBound(instance, oracle, root_index, j, deadline=deadline)
     if low.startswith("max(") and spec.endswith(")"):
         parts = [make_bound(p, instance, root_index, oracle,
                             deadline=deadline, mem_limit=mem_limit)

@@ -50,9 +50,10 @@ class RunConfig:
     parallel: int = 1
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        # written so that NaN fails too: no comparison with NaN is true
+        if not self.time_limit > 0:
             raise ValueError("time limit must be positive")
-        if self.mem_limit <= 0:
+        if not self.mem_limit > 0:
             raise ValueError("memory limit must be positive")
 
 

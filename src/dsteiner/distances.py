@@ -6,9 +6,11 @@ construction, the mst / set-distance caches are single-writer.
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Sequence
 
 from .bitsets import iter_bits
+from .errors import TimeLimit
 from .graph import INF, Graph, multi_source_dijkstra
 
 
@@ -16,14 +18,19 @@ class DistanceOracle:
     """Shortest-path distances from every terminal, plus cached mst values.
 
     Terminal sets are int masks over terminal indices 0..k-1 (file order).
+    ``deadline`` (a ``time.perf_counter`` value) is checked after each of the
+    k Dijkstra runs; past it, the build raises TimeLimit.
     """
 
-    def __init__(self, graph: Graph, terminals: Sequence[int]):
+    def __init__(self, graph: Graph, terminals: Sequence[int], *,
+                 deadline: Optional[float] = None):
         self.terminals = list(terminals)
         self.k = len(self.terminals)
-        self.rows: list[list[int]] = [
-            multi_source_dijkstra(graph, [(t, 0)])[0] for t in self.terminals
-        ]
+        self.rows: list[list[int]] = []
+        for t in self.terminals:
+            self.rows.append(multi_source_dijkstra(graph, [(t, 0)])[0])
+            if deadline is not None and time.perf_counter() > deadline:
+                raise TimeLimit("time limit exceeded while building the distance oracle")
         # k x k matrix of pairwise terminal distances (metric closure on T)
         self.pair = [[self.rows[i][self.terminals[j]] for j in range(self.k)]
                      for i in range(self.k)]

@@ -55,6 +55,9 @@ class Graph:
     def edges(self) -> list[tuple[tuple[int, int], int]]:
         return list(self._edge_cost.items())
 
+    def has_zero_edge(self) -> bool:
+        return 0 in self._edge_cost.values()
+
 
 @dataclass
 class SteinerInstance:
@@ -108,8 +111,9 @@ def multi_source_dijkstra(
             heap.append((d0, v))
     heapq.heapify(heap)
     adj = graph.adj
+    heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if d != dist[u]:
             continue
         for v, c in adj[u]:
@@ -117,7 +121,7 @@ def multi_source_dijkstra(
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
-                heapq.heappush(heap, (nd, v))
+                heappush(heap, (nd, v))
     return dist, pred
 
 
@@ -202,7 +206,7 @@ def contract_zero_edges(
     instance itself is returned, with an identity map.
     """
     g = instance.graph
-    if 0 not in g._edge_cost.values():
+    if not g.has_zero_edge():
         return instance, ContractionMap(
             old_to_new=list(range(g.n)),
             component_edges=[[] for _ in range(g.n)],

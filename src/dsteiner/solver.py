@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .bitsets import iter_bits
 from .bounds import BoundOracle, make_bound
@@ -137,31 +137,72 @@ def choose_root(instance: SteinerInstance, rule: str = "last") -> int:
 
 
 def heuristic_upper_bound(
-    instance: SteinerInstance, root_index: int
+    instance: SteinerInstance, root_index: int,
+    root_row: Optional[Sequence[int]] = None,
 ) -> tuple[int, list[tuple[int, int]]]:
     """Feasible tree by repeatedly attaching the nearest terminal via a
-    shortest path to the component grown from the root."""
+    shortest path to the component grown from the root.
+
+    ``root_row`` (distances from the root terminal, such as the distance
+    oracle's row) saves the first Dijkstra.  One array holds every vertex's
+    distance to the component; each attachment zeroes the new path vertices
+    and relaxes from them, no farther than the farthest terminal still to
+    attach, so all rounds together do at most one Dijkstra's work.  Ties go
+    to the smallest ``(distance, vertex)``: the nearest terminal, and along
+    its path the tight neighbour a fresh multi-source Dijkstra would have
+    settled first.  Instances with zero-cost edges are contracted first.
+    """
     graph = instance.graph
     terminals = instance.terminals
-    comp = {terminals[root_index]}
-    remaining = set(terminals) - comp
+    root = terminals[root_index]
+    if graph.has_zero_edge():
+        reduced, cmap = contract_zero_edges(instance)
+        new_root = cmap.old_to_new[root]
+        total, edges = heuristic_upper_bound(reduced, reduced.terminals.index(new_root))
+        return total, cmap.lift_edges(edges, new_root)
+    # with positive costs, dist[v] == 0 iff v is in the component
+    if root_row is None:
+        dist = multi_source_dijkstra(graph, [(root, 0)])[0]
+    else:
+        dist = list(root_row)
+    adj = graph.adj
+    heappush, heappop = heapq.heappush, heapq.heappop
+    remaining = set(terminals)
+    remaining.discard(root)
     edges: list[tuple[int, int]] = []
     total = 0
     while remaining:
-        dist, pred = multi_source_dijkstra(graph, [(v, 0) for v in sorted(comp)])
         t = min(remaining, key=lambda x: (dist[x], x))
         if dist[t] >= INF:
             raise Infeasible(f"terminal {t} unreachable from the root component")
+        total += dist[t]
+        path = []
         x = t
-        while x not in comp:
-            p = pred[x]
+        while dist[x]:
+            dx = dist[x]
+            p = min((dist[u], u) for u, c in adj[x] if dist[u] + c == dx)[1]
             edges.append((p, x) if p < x else (x, p))
-            total += dist[x] - dist[p]
-            comp.add(x)
-            if x in remaining:
-                remaining.discard(x)
+            path.append(x)
             x = p
-        remaining.discard(t)
+        remaining.difference_update(path)
+        if not remaining:
+            break
+        # distances only fall, so no later round needs the distance of a
+        # vertex farther than the farthest remaining terminal: stop relaxing
+        # there; the upper bounds left beyond it never look tight in a walk
+        horizon = max(dist[x] for x in remaining)
+        for x in path:
+            dist[x] = 0
+        heap = [(0, x) for x in sorted(path)]
+        while heap:
+            d, u = heappop(heap)
+            if d != dist[u]:
+                continue
+            for v, c in adj[u]:
+                nd = d + c
+                if nd < dist[v] and nd <= horizon:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
     return total, edges
 
 
@@ -185,6 +226,9 @@ def solve(
     """
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune mode {prune!r} not one of {PRUNE_MODES}")
+    # written so that NaN fails too: a NaN deadline is never passed
+    if time_limit is not None and not time_limit > 0:
+        raise ValueError(f"time limit {time_limit} is not positive")
     t_start = time.perf_counter()
     stats = SolveStats(
         popped_keys=[] if record_pops else None,
@@ -237,7 +281,7 @@ def _prepare(
     if not search.sources_mask:
         return search
 
-    oracle = DistanceOracle(reduced.graph, reduced.terminals)
+    oracle = DistanceOracle(reduced.graph, reduced.terminals, deadline=deadline)
     root_row = oracle.rows[root_idx]
     for t in reduced.terminals:
         if root_row[t] >= INF:
@@ -245,7 +289,7 @@ def _prepare(
     search.bound = make_bound(bound, reduced, root_idx, oracle,
                               deadline=deadline, mem_limit=mem_limit)
     if prune != "off":
-        upper, _ = heuristic_upper_bound(reduced, root_idx)
+        upper, _ = heuristic_upper_bound(reduced, root_idx, root_row=root_row)
         stats.upper_bound = upper
         search.upper2 = 2 * upper
         if prune == "full":

@@ -22,6 +22,12 @@ MAGIC = "33D32945 STP File, STP Format Version 1.0"
 # Graph(n) allocates n lists up front (over 0.5 GB here): refuse larger counts
 MAX_NODES = 10**7
 
+# Distances at or above graph.INF = 2^63 - 1 read as unreachable, and the
+# solver compares doubled sums (keys, bounds) with it.  Refusing files whose
+# edge costs sum to 2^60 or more keeps every distance, and every doubled key
+# and bound of a tree no costlier than all edges together, below INF.
+MAX_TOTAL_COST = 1 << 60
+
 CSV_HEADER = ["instance", "n", "m", "k", "opt", "time_ms", "labels", "config"]
 
 
@@ -65,6 +71,7 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     term_lines: list[int] = []
     coord_lines: dict[int, tuple[int, ...]] = {}
     coord_dim = None
+    total_cost = 0
     section = None
     saw_any = False
 
@@ -106,6 +113,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
                 c = _int_token(tokens[3], line_no, "edge cost")
                 if c < 0:
                     raise StpSyntaxError(line_no, f"negative edge cost {c}")
+                total_cost += c
+                if total_cost >= MAX_TOTAL_COST:
+                    raise StpSyntaxError(line_no, "edge costs sum to 2^60 or more")
                 edge_lines.append((u, v, c))
             else:
                 raise StpSyntaxError(line_no, f"unexpected keyword {tokens[0]!r} in Graph section")

@@ -1,7 +1,9 @@
 """Shared instance generators and independent oracles for the test suite.
 
 The oracles here are deliberately naive (enumeration, Bellman-Ford,
-permutations) so they share no logic with the code under test.
+permutations) so they share no logic with the code under test.  The one
+exception is ``reference_heuristic``, the earlier construction heuristic,
+kept to pin the current one to the same trees.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ import itertools
 import random
 
 from dsteiner import Graph, SteinerInstance
-from dsteiner.graph import INF
+from dsteiner.errors import Infeasible
+from dsteiner.graph import INF, multi_source_dijkstra
 
 
 def random_instance(
@@ -43,6 +46,53 @@ def random_instance(
     return SteinerInstance(
         graph=g, terminals=terminals, name=name or f"rand{seed}"
     )
+
+
+def lattice_instance(side: int, k: int, seed: int, cost_range=(1, 100),
+                     window=None) -> SteinerInstance:
+    """side x side grid graph with k random terminals, all inside the top
+    left window x window square when ``window`` is given."""
+    rng = random.Random(seed)
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                edges.append((v, v + 1, rng.randint(*cost_range)))
+            if r + 1 < side:
+                edges.append((v, v + side, rng.randint(*cost_range)))
+    win = window or side
+    terminals = [(x // win) * side + x % win for x in rng.sample(range(win * win), k)]
+    return SteinerInstance(graph=Graph(side * side, edges), terminals=terminals,
+                           name=f"lattice{side}")
+
+
+def reference_heuristic(
+    instance: SteinerInstance, root_index: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """The construction heuristic as one fresh multi-source Dijkstra from
+    the whole grown component per attached terminal, following its
+    predecessor array back to the component."""
+    graph = instance.graph
+    terminals = instance.terminals
+    comp = {terminals[root_index]}
+    remaining = set(terminals) - comp
+    edges: list[tuple[int, int]] = []
+    total = 0
+    while remaining:
+        dist, pred = multi_source_dijkstra(graph, [(v, 0) for v in sorted(comp)])
+        t = min(remaining, key=lambda x: (dist[x], x))
+        if dist[t] >= INF:
+            raise Infeasible(f"terminal {t} unreachable from the root component")
+        x = t
+        while x not in comp:
+            p = pred[x]
+            edges.append((p, x) if p < x else (x, p))
+            total += dist[x] - dist[p]
+            comp.add(x)
+            remaining.discard(x)
+            x = p
+    return total, edges
 
 
 def bellman_ford(graph: Graph, source: int) -> list[int]:

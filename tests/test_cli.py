@@ -94,6 +94,36 @@ def test_line_without_argument_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "parse"
 
 
+@pytest.mark.parametrize("costs", [[2**64], [2**62, 2**62]])
+def test_edge_cost_overflow_exit_code(tmp_path, capsys, costs):
+    # a connected instance whose path costs reach graph.INF used to solve
+    # as "infeasible" (exit 3)
+    n = len(costs) + 1
+    text = (
+        "33D32945 STP File, STP Format Version 1.0\n"
+        f"SECTION Graph\nNodes {n}\nEdges {len(costs)}\n"
+        + "".join(f"E {i + 1} {i + 2} {c}\n" for i, c in enumerate(costs))
+        + f"END\nSECTION Terminals\nTerminals 2\nT 1\nT {n}\nEND\nEOF\n"
+    )
+    path = tmp_path / "huge.stp"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "parse"
+
+
+@pytest.mark.parametrize("value", ["nan", "-nan", "0", "-1"])
+def test_nonpositive_or_nan_time_limit_is_refused(tmp_path, capsys, value):
+    _, path = write_instance(tmp_path, 7, "nanlimit")
+    assert main(["solve", str(path), f"--time-limit={value}"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValueError"
+    assert "time limit" in payload["message"]
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     text = (
         "33D32945 STP File, STP Format Version 1.0\n"

@@ -20,7 +20,8 @@ from dsteiner import (
     solve_baseline,
     validate_tree,
 )
-from dsteiner.bounds import BoundOracle, TspBound
+from dsteiner.bounds import BoundOracle, JTermBound, TspBound
+from dsteiner.distances import DistanceOracle
 from dsteiner.errors import (
     CenterRuleNeedsCoordinates,
     Infeasible,
@@ -30,7 +31,7 @@ from dsteiner.errors import (
 )
 from dsteiner.graph import ContractionMap
 
-from gen import random_instance
+from gen import lattice_instance, random_instance, reference_heuristic
 
 BOUNDS = ["zero", "jterm:2", "onetree", "max(jterm:2,onetree)"]
 PRUNES = ["off", "bound", "full"]
@@ -268,6 +269,39 @@ def test_heuristic_is_feasible_and_above_optimum(seed):
     assert u >= solve(inst).opt
 
 
+def test_heuristic_matches_reference_on_tie_heavy_instances():
+    # costs 1..3 make many equal distances, so both tie rules are exercised:
+    # which terminal is attached next and which tight neighbour leads back
+    for seed in range(240):
+        inst = random_instance(seed + 900, cost_range=(1, 3))
+        for r in range(inst.k):
+            expected = reference_heuristic(inst, r)
+            row = multi_source_dijkstra(inst.graph, [(inst.terminals[r], 0)])[0]
+            row_before = list(row)
+            assert heuristic_upper_bound(inst, r) == expected, (seed, r)
+            assert heuristic_upper_bound(inst, r, root_row=row) == expected, (seed, r)
+            assert row == row_before  # the oracle's row is read, not written
+
+
+@pytest.mark.parametrize("window", [5, None])
+def test_heuristic_matches_reference_on_lattices(window):
+    # clustered terminals leave most of the lattice beyond the relaxation
+    # horizon, which the small random instances rarely reach
+    for seed in range(12):
+        inst = lattice_instance(14, 6, seed, cost_range=(1, 3), window=window)
+        for r in range(inst.k):
+            assert heuristic_upper_bound(inst, r) == reference_heuristic(inst, r), (seed, r)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_heuristic_terminates_on_zero_edges(seed):
+    inst = random_instance(seed + 950, zero_edges=3)
+    assert inst.graph.has_zero_edge()
+    for r in range(inst.k):
+        u, edges = heuristic_upper_bound(inst, r)
+        assert validate_tree(inst, edges) == u
+
+
 # --- root rules ---
 
 def test_choose_root_last_and_index():
@@ -338,6 +372,35 @@ def _tsp_k15_instance():
     inst, _ = build_hanan_grid(generate_random_points(2, 15, 10**6, 1))
     assert inst.k == 15
     return inst
+
+
+def test_time_limit_rejects_nan_and_nonpositive():
+    inst = random_instance(71)
+    for bad in (float("nan"), 0, -1.0):
+        with pytest.raises(ValueError, match="time limit"):
+            solve(inst, time_limit=bad)
+
+
+def test_time_limit_covers_distance_oracle(monkeypatch):
+    # one Dijkstra on this lattice takes tens of milliseconds, so the
+    # deadline passes during the oracle's first run
+    inst = lattice_instance(150, 8, seed=1)
+
+    def loop(*args):
+        pytest.fail("the label loop started")
+
+    monkeypatch.setattr(solver, "_label_loop", loop)
+    t0 = time.perf_counter()
+    with pytest.raises(TimeLimit, match="distance oracle"):
+        solve(inst, bound="jterm:2", time_limit=1e-3)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_time_limit_covers_jterm_tables():
+    inst = lattice_instance(40, 6, seed=2)
+    oracle = DistanceOracle(inst.graph, inst.terminals)
+    with pytest.raises(TimeLimit, match="jterm tables"):
+        JTermBound(inst, oracle, inst.k - 1, 3, deadline=time.perf_counter())
 
 
 def test_time_limit_covers_tsp_table_build():

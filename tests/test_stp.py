@@ -269,3 +269,24 @@ def test_node_count_out_of_range_is_syntax_error(count):
     with pytest.raises(StpSyntaxError) as info:
         parse_stp(text)
     assert info.value.line_no == text.splitlines().index(f"Nodes {count}") + 1
+
+
+@pytest.mark.parametrize("edges, bad", [
+    (["E 1 2 18446744073709551616"], 0),                             # 2^64
+    (["E 1 2 4611686018427387904", "E 2 3 4611686018427387904"], 0),  # 2^62 twice
+    (["E 1 2 576460752303423488", "E 2 3 576460752303423488"], 1),    # 2^59 twice
+])
+def test_edge_cost_sum_beyond_limit_is_syntax_error(edges, bad):
+    text = MINIMAL.replace("Nodes 2", "Nodes 3").replace(
+        "Edges 1\nE 1 2 7", f"Edges {len(edges)}\n" + "\n".join(edges))
+    with pytest.raises(StpSyntaxError, match="2\\^60") as info:
+        parse_stp(text)
+    assert info.value.line_no == text.splitlines().index(edges[bad]) + 1
+
+
+def test_edge_cost_sum_below_limit_parses():
+    big = (1 << 59) - 1
+    text = MINIMAL.replace("Nodes 2", "Nodes 3").replace(
+        "Edges 1\nE 1 2 7", f"Edges 2\nE 1 2 {big}\nE 2 3 {big}")
+    inst = parse_stp(text)
+    assert inst.graph.edge_cost(0, 1) == big
