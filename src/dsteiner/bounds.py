@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .bitsets import iter_bits, iter_subsets_of_size_at_most
-from .distances import DistanceOracle
+from .distances import ROW_SLOT_BYTES, DistanceOracle
 from .errors import MemoryLimit, TimeLimit, TspTableTooLarge
 from .graph import INF, SteinerInstance, multi_source_dijkstra
 
@@ -67,7 +67,10 @@ class OneTreeBound(BoundOracle):
 
     Doubled value: min over i, j in J (distinct unless |J| = 1) of
     d(v,i) + d(v,j), plus mst(J); spanning tree costs are cached per set
-    and computed on first sight of a set.
+    and computed on first sight of a set.  Over rows capped at a horizon U
+    the value is exact or INF: when the second-nearest terminal b of J lies
+    beyond U, mst(J) >= d(a,b) >= d(v,b) - d(v,a) puts the true value at
+    2*d(v,b) > 2*U or more, which prunes the label just the same.
     """
 
     name = "onetree"
@@ -116,14 +119,22 @@ class JTermBound(BoundOracle):
     at most j-1 non-root members, built by a rootless, boundless run over
     terminal sets of increasing cardinality.  Evaluation splits into a
     v-dependent scan over the stored arrays and a per-set maximum that is
-    memoized the first time a set is queried.  ``deadline`` (a
-    ``time.perf_counter`` value) is checked after each table's Dijkstra run.
+    memoized the first time a set is queried.
+
+    The arrays stop at the oracle's horizon U, as its rows do: an entry is
+    exact wherever smt({v} | S) <= U, since every tree that cheap is built
+    from parts no costlier, and INF elsewhere.  An INF entry makes the value
+    INF: the true value 2*B(v, J) >= 2*smt({v} | S) > 2*U prunes the label
+    anyway.  The sizes of the arrays are checked against ``mem_limit``
+    (bytes) before the build and ``deadline`` (a ``time.perf_counter``
+    value) after each array's Dijkstra run.
     """
 
     name = "jterm"
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
-                 root_index: int, j: int, *, deadline: Optional[float] = None):
+                 root_index: int, j: int, *, deadline: Optional[float] = None,
+                 mem_limit: Optional[int] = None):
         super().__init__()
         if j not in (1, 2, 3):
             raise ValueError(f"jterm bound supports j in 1..3, got {j}")
@@ -144,9 +155,16 @@ class JTermBound(BoundOracle):
                 family.append(src)
             family.append(src | self.root_bit)
         family.sort(key=lambda m: m.bit_count())
-        tables: dict[int, Sequence[int]] = {}
         graph = instance.graph
         n = graph.n
+        built = sum(1 for mask in family if mask & (mask - 1))
+        est = built * n * ROW_SLOT_BYTES
+        if mem_limit is not None and est > mem_limit:
+            raise MemoryLimit(
+                f"estimated jterm table memory {est} exceeds limit {mem_limit}"
+            )
+        horizon = oracle.horizon
+        tables: dict[int, Sequence[int]] = {}
         for mask in family:
             if mask & (mask - 1) == 0:
                 tables[mask] = oracle.rows[mask.bit_length() - 1]
@@ -164,7 +182,7 @@ class JTermBound(BoundOracle):
                             arr[v] = c
                 sub = (sub - 1) & mask
             seeds = [(v, c) for v, c in enumerate(arr) if c < INF]
-            tables[mask] = multi_source_dijkstra(graph, seeds)[0]
+            tables[mask] = multi_source_dijkstra(graph, seeds, horizon)[0]
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeLimit("time limit exceeded while building the jterm tables")
         self.tables = tables
@@ -181,8 +199,9 @@ class JTermBound(BoundOracle):
                 continue
             low = s & -s
             anchor = self.terminals[low.bit_length() - 1]
+            # a terminal set's optimum is at most U, so this entry is exact
             val = self.tables[(s ^ low) | self.root_bit][anchor]
-            if val > best and val < INF:
+            if val > best:
                 best = val
         self._per_set_max[jmask] = best
         return best
@@ -201,7 +220,9 @@ class JTermBound(BoundOracle):
         best = 0
         for table in scan:
             val = table[v]
-            if val > best and val < INF:
+            if val > best:
+                if val >= INF:
+                    return INF
                 best = val
         per_set = self._set_max(jmask)
         if per_set > best:
@@ -217,7 +238,10 @@ class TspBound(BoundOracle):
     read; a query inserts v between every pair of potential tour neighbors
     in O(|J|^2).  The table has 2^(k-1) * k^2 slots: its size is checked
     against ``mem_limit`` before the build and ``deadline`` (a
-    ``time.perf_counter`` value) once per set size during it.
+    ``time.perf_counter`` value) once per set size during it.  Over rows
+    capped at a horizon U, an end pair with an INF row drops out; if some
+    terminal t of J lies beyond U, every candidate left is still a tour
+    through v and t, so the value stays above 2*d(v,t) > 2*U and prunes.
     """
 
     name = "tsp"
@@ -340,7 +364,9 @@ class MaxBound(BoundOracle):
         self.parts = parts
 
     def _evaluate2(self, v, jmask):
-        return max(p.value2(v, jmask) for p in self.parts)
+        # this bound's own cache answers repeats, so the parts' caches never
+        # would: evaluate them directly
+        return max(p._evaluate2(v, jmask) for p in self.parts)
 
 
 # --- bound selection grammar: zero | jterm:<j> | onetree | tsp | max(a,b,...) ---
@@ -366,9 +392,9 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
                mem_limit: Optional[int] = None) -> BoundOracle:
     """Build a bound evaluator from its selection string.
 
-    ``deadline`` (a ``time.perf_counter`` value) bounds the jterm and TSP
-    table builds, ``mem_limit`` (bytes) the TSP table: they raise TimeLimit
-    or MemoryLimit.
+    ``deadline`` (a ``time.perf_counter`` value) and ``mem_limit`` (bytes)
+    bound the jterm and TSP table builds: they raise TimeLimit or
+    MemoryLimit.  The jterm tables stop at the oracle's horizon.
     """
     spec = spec.strip()
     low = spec.lower()
@@ -381,7 +407,8 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
                         deadline=deadline, mem_limit=mem_limit)
     if low.startswith("jterm"):
         j = 2 if ":" not in spec else int(spec.split(":", 1)[1])
-        return JTermBound(instance, oracle, root_index, j, deadline=deadline)
+        return JTermBound(instance, oracle, root_index, j,
+                          deadline=deadline, mem_limit=mem_limit)
     if low.startswith("max(") and spec.endswith(")"):
         parts = [make_bound(p, instance, root_index, oracle,
                             deadline=deadline, mem_limit=mem_limit)

@@ -233,7 +233,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DsteinerError, ValueError) as exc:
+    # OSError: an input file that cannot be read or an output that cannot
+    # be written
+    except (DsteinerError, ValueError, OSError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
 

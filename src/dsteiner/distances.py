@@ -10,25 +10,41 @@ import time
 from typing import Optional, Sequence
 
 from .bitsets import iter_bits
-from .errors import TimeLimit
+from .errors import MemoryLimit, TimeLimit
 from .graph import INF, Graph, multi_source_dijkstra
+
+# Bytes per distance-row slot, for the memory-limit checks of the oracle and
+# the jterm tables: full rows and jterm tables on lattices and Hanan grids
+# (n = 144..3728) grew 38-42 B per slot under tracemalloc on CPython 3.11,
+# an 8 B list pointer plus a 32 B int object per distance.  Rows capped at a
+# horizon share one INF object beyond it, so the check errs high for them.
+ROW_SLOT_BYTES = 40
 
 
 class DistanceOracle:
     """Shortest-path distances from every terminal, plus cached mst values.
 
     Terminal sets are int masks over terminal indices 0..k-1 (file order).
-    ``deadline`` (a ``time.perf_counter`` value) is checked after each of the
-    k Dijkstra runs; past it, the build raises TimeLimit.
+    Rows stop at ``horizon``: a farther vertex reads INF.  ``mem_limit``
+    (bytes) is checked against the size of k full rows before the build,
+    and ``deadline`` (a ``time.perf_counter`` value) after each of the k
+    Dijkstra runs; they raise MemoryLimit and TimeLimit.
     """
 
     def __init__(self, graph: Graph, terminals: Sequence[int], *,
-                 deadline: Optional[float] = None):
+                 horizon: int = INF, deadline: Optional[float] = None,
+                 mem_limit: Optional[int] = None):
         self.terminals = list(terminals)
         self.k = len(self.terminals)
+        self.horizon = horizon
+        est = self.k * graph.n * ROW_SLOT_BYTES
+        if mem_limit is not None and est > mem_limit:
+            raise MemoryLimit(
+                f"estimated distance-row memory {est} exceeds limit {mem_limit}"
+            )
         self.rows: list[list[int]] = []
         for t in self.terminals:
-            self.rows.append(multi_source_dijkstra(graph, [(t, 0)])[0])
+            self.rows.append(multi_source_dijkstra(graph, [(t, 0)], horizon)[0])
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeLimit("time limit exceeded while building the distance oracle")
         # k x k matrix of pairwise terminal distances (metric closure on T)

@@ -22,21 +22,38 @@ class Graph:
     __slots__ = ("n", "m", "adj", "_edge_cost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
+        """Build from (u, v, cost) triples in one pass, with the rules of
+        ``add_edge``: parallel edges keep the cheaper cost, and each vertex
+        lists its neighbours in the order their edges first occur."""
         self.n = n
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self._edge_cost: dict[tuple[int, int], int] = {}
-        self.m = 0
+        cost: dict[tuple[int, int], int] = {}
+        get = cost.get
         for u, v, c in edges:
-            self.add_edge(u, v, c)
+            key = (u, v) if u < v else (v, u)
+            old = get(key)
+            if old is None or c < old:
+                cost[key] = c
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (u, v), c in cost.items():
+            if u < 0 or v >= n or u == v or c < 0:
+                self._check_edge(u, v, c)
+            adj[u].append((v, c))
+            adj[v].append((u, c))
+        self.adj = adj
+        self._edge_cost = cost
+        self.m = len(cost)
 
-    def add_edge(self, u: int, v: int, cost: int) -> None:
-        """Insert {u, v}; parallel edges collapse to the cheaper cost."""
+    def _check_edge(self, u: int, v: int, cost: int) -> None:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if cost < 0:
             raise ValueError(f"negative cost {cost} on edge ({u}, {v})")
+
+    def add_edge(self, u: int, v: int, cost: int) -> None:
+        """Insert {u, v}; parallel edges collapse to the cheaper cost."""
+        self._check_edge(u, v, cost)
         key = (u, v) if u < v else (v, u)
         old = self._edge_cost.get(key)
         if old is None:
@@ -95,14 +112,19 @@ class SteinerInstance:
 
 
 def multi_source_dijkstra(
-    graph: Graph, seeds: Sequence[tuple[int, int]]
+    graph: Graph, seeds: Sequence[tuple[int, int]], horizon: int = INF
 ) -> tuple[list[int], list[int]]:
     """Dijkstra seeded with (vertex, initial cost) pairs.
 
     Returns (distance array, predecessor array).  Binary heap with lazy
-    deletion; unreachable vertices stay at INF with predecessor -1.
+    deletion; unreachable vertices, and those farther than ``horizon``, stay
+    at INF with predecessor -1.
     """
-    dist = [INF] * graph.n
+    # start every vertex just beyond the horizon: the relaxation test then
+    # caps the search with no extra comparison, and the untouched entries
+    # become INF at the end
+    limit = INF if horizon >= INF else horizon + 1
+    dist = [limit] * graph.n
     pred = [-1] * graph.n
     heap = []
     for v, d0 in seeds:
@@ -122,6 +144,8 @@ def multi_source_dijkstra(
                 dist[v] = nd
                 pred[v] = u
                 heappush(heap, (nd, v))
+    if limit != INF:
+        dist = [INF if d == limit else d for d in dist]
     return dist, pred
 
 
@@ -224,7 +248,7 @@ def contract_zero_edges(
 
     # spanning zero-edges recorded as they merge components
     zero_span: dict[int, list[tuple[int, int]]] = {}
-    for (u, v), c in g.edges():
+    for (u, v), c in g._edge_cost.items():
         if c == 0:
             ru, rv = find(u), find(v)
             if ru != rv:
@@ -244,17 +268,20 @@ def contract_zero_edges(
         old_to_new[v] = comp_of[r]
 
     new_n = len(representative)
-    new_graph = Graph(new_n)
+    # cheapest cost per contracted pair, and the first original edge with it
+    new_cost: dict[tuple[int, int], int] = {}
     edge_witness: dict[tuple[int, int], tuple[int, int]] = {}
-    for (u, v), c in g.edges():
+    get = new_cost.get
+    for (u, v), c in g._edge_cost.items():
         nu, nv = old_to_new[u], old_to_new[v]
         if nu == nv:
             continue
         key = (nu, nv) if nu < nv else (nv, nu)
-        prev = new_graph.edge_cost(nu, nv)
+        prev = get(key)
         if prev is None or c < prev:
+            new_cost[key] = c
             edge_witness[key] = (u, v)
-        new_graph.add_edge(nu, nv, c)
+    new_graph = Graph(new_n, [(a, b, c) for (a, b), c in new_cost.items()])
 
     new_terminals: list[int] = []
     seen: set[int] = set()

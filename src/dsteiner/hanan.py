@@ -63,7 +63,7 @@ def build_hanan_grid(
     def vertex_id(point: tuple[int, ...]) -> int:
         return sum(strides[i] * rank[i][point[i]] for i in range(d))
 
-    graph = Graph(total)
+    edges: list[tuple[int, int, int]] = []
     # enumerate vertices by mixed-radix rank vector; connect each vertex to
     # its successor along every axis
     radix = [0] * d
@@ -75,7 +75,7 @@ def build_hanan_grid(
             r = radix[i]
             if r + 1 < counts[i]:
                 step = axes[i][r + 1] - axes[i][r]
-                graph.add_edge(vid, vid + strides[i], step)
+                edges.append((vid, vid + strides[i], step))
         # increment mixed-radix counter
         for i in range(d - 1, -1, -1):
             radix[i] += 1
@@ -96,7 +96,7 @@ def build_hanan_grid(
         raise TooManyTerminals(f"{len(terminals)} distinct points; at most 63 supported")
 
     instance = SteinerInstance(
-        graph=graph, terminals=terminals, coords=coords_list
+        graph=Graph(total, edges), terminals=terminals, coords=coords_list
     )
     return instance, point_to_vertex
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .bitsets import iter_bits
 from .bounds import BoundOracle, make_bound
@@ -31,7 +31,6 @@ from .graph import (
     ContractionMap,
     SteinerInstance,
     contract_zero_edges,
-    multi_source_dijkstra,
     validate_tree,
 )
 from .stp import SolutionRecord
@@ -46,6 +45,8 @@ HEAP_ENTRY_BYTES = 160
 LIMIT_CHECK_INTERVAL = 1024
 
 PRUNE_MODES = ("off", "bound", "full")
+# solve() phases, in run order, timed into SolveStats.phase_ms
+PHASES = ("contract", "heuristic", "oracle", "bound", "loop", "reconstruct")
 
 
 @dataclass
@@ -58,6 +59,9 @@ class SolveStats:
     pruned_at_pop: int = 0
     bound_evaluations: int = 0
     upper_bound: int = 0
+    # wall milliseconds per phase; a phase that did not run stays at 0.0
+    phase_ms: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     popped_keys: Optional[list[int]] = None
     permanent_events: Optional[list[tuple[int, int, int]]] = None
 
@@ -137,20 +141,21 @@ def choose_root(instance: SteinerInstance, rule: str = "last") -> int:
 
 
 def heuristic_upper_bound(
-    instance: SteinerInstance, root_index: int,
-    root_row: Optional[Sequence[int]] = None,
+    instance: SteinerInstance, root_index: int, *,
+    deadline: Optional[float] = None,
 ) -> tuple[int, list[tuple[int, int]]]:
     """Feasible tree by repeatedly attaching the nearest terminal via a
     shortest path to the component grown from the root.
 
-    ``root_row`` (distances from the root terminal, such as the distance
-    oracle's row) saves the first Dijkstra.  One array holds every vertex's
-    distance to the component; each attachment zeroes the new path vertices
-    and relaxes from them, no farther than the farthest terminal still to
-    attach, so all rounds together do at most one Dijkstra's work.  Ties go
-    to the smallest ``(distance, vertex)``: the nearest terminal, and along
-    its path the tight neighbour a fresh multi-source Dijkstra would have
-    settled first.  Instances with zero-cost edges are contracted first.
+    One array holds every vertex's distance to the component, grown by one
+    incremental Dijkstra: the first round relaxes from the root, and each
+    attachment zeroes the new path vertices and relaxes from them.  A round
+    stops at the farthest terminal still to attach, so all rounds together
+    do at most one Dijkstra's work.  Ties go to the smallest
+    ``(distance, vertex)``: the nearest terminal, and along its path the
+    tight neighbour a fresh multi-source Dijkstra would have settled first.
+    Instances with zero-cost edges are contracted first.  ``deadline`` (a
+    ``time.perf_counter`` value) is checked after each round.
     """
     graph = instance.graph
     terminals = instance.terminals
@@ -158,20 +163,51 @@ def heuristic_upper_bound(
     if graph.has_zero_edge():
         reduced, cmap = contract_zero_edges(instance)
         new_root = cmap.old_to_new[root]
-        total, edges = heuristic_upper_bound(reduced, reduced.terminals.index(new_root))
+        total, edges = heuristic_upper_bound(
+            reduced, reduced.terminals.index(new_root), deadline=deadline)
         return total, cmap.lift_edges(edges, new_root)
-    # with positive costs, dist[v] == 0 iff v is in the component
-    if root_row is None:
-        dist = multi_source_dijkstra(graph, [(root, 0)])[0]
-    else:
-        dist = list(root_row)
-    adj = graph.adj
-    heappush, heappop = heapq.heappush, heapq.heappop
     remaining = set(terminals)
     remaining.discard(root)
+    if not remaining:
+        return 0, []
+    adj = graph.adj
+    heappush, heappop = heapq.heappush, heapq.heappop
+    # with positive costs, dist[v] == 0 iff v is in the component
+    dist = [INF] * graph.n
     edges: list[tuple[int, int]] = []
     total = 0
-    while remaining:
+    seeds = [root]
+    horizon = INF
+    while True:
+        # relax from the vertices new to the component.  Distances only
+        # fall, so no round needs a vertex farther than the farthest
+        # remaining terminal: pushes stop at that horizon, and the round
+        # ends once every remaining terminal is settled, with every vertex
+        # no farther than the last of them.  Beyond that radius dist holds
+        # only upper bounds above it, which a walk back (reading distances
+        # below the walked terminal's) never takes for tight.
+        for x in seeds:
+            dist[x] = 0
+        heap = [(0, x) for x in sorted(seeds)]
+        todo = len(remaining)
+        last = horizon
+        while heap:
+            d, u = heappop(heap)
+            if d > last:
+                break
+            if d != dist[u]:
+                continue
+            if u in remaining:
+                todo -= 1
+                if not todo:
+                    last = d
+            for v, c in adj[u]:
+                nd = d + c
+                if nd < dist[v] and nd <= horizon:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        if deadline is not None and time.perf_counter() > deadline:
+            raise TimeLimit("time limit exceeded in the heuristic upper bound")
         t = min(remaining, key=lambda x: (dist[x], x))
         if dist[t] >= INF:
             raise Infeasible(f"terminal {t} unreachable from the root component")
@@ -186,24 +222,9 @@ def heuristic_upper_bound(
             x = p
         remaining.difference_update(path)
         if not remaining:
-            break
-        # distances only fall, so no later round needs the distance of a
-        # vertex farther than the farthest remaining terminal: stop relaxing
-        # there; the upper bounds left beyond it never look tight in a walk
+            return total, edges
         horizon = max(dist[x] for x in remaining)
-        for x in path:
-            dist[x] = 0
-        heap = [(0, x) for x in sorted(path)]
-        while heap:
-            d, u = heappop(heap)
-            if d != dist[u]:
-                continue
-            for v, c in adj[u]:
-                nd = d + c
-                if nd < dist[v] and nd <= horizon:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-    return total, edges
+        seeds = path
 
 
 def solve(
@@ -237,9 +258,12 @@ def solve(
     deadline = None if time_limit is None else t_start + time_limit
     search = _prepare(instance, bound, prune, root_rule, stats, deadline, mem_limit)
     cost, back = 0, None
+    t = time.perf_counter()
     if search.bound is not None:
         cost, back = _label_loop(search, stats, deadline, mem_limit)
+        t = _lap(stats, "loop", t)
     edges = _reconstruct(instance, search, cost, back)
+    _lap(stats, "reconstruct", t)
     return SolutionRecord(
         instance=instance.name,
         n=instance.n,
@@ -267,33 +291,57 @@ class _Search:
     tracker: Optional[PruneTracker] = None  # set when prune is "full"
 
 
+def _lap(stats: SolveStats, phase: str, since: float) -> float:
+    """Record the time since ``since`` as ``phase``; returns the time now."""
+    now = time.perf_counter()
+    stats.phase_ms[phase] = (now - since) * 1000.0
+    return now
+
+
 def _prepare(
     instance: SteinerInstance, bound: str, prune: str, root_rule: str,
     stats: SolveStats, deadline: Optional[float], mem_limit: Optional[int],
 ) -> _Search:
-    """Root choice, zero-edge contraction, distance oracle, bound, heuristic UB."""
+    """Root choice, zero-edge contraction, heuristic UB, distance oracle, bound.
+
+    The heuristic's cost U caps the preprocessing.  A vertex farther than U
+    from some terminal lies in no tree of cost <= U, so no label there can
+    be part of a tree the search still needs: the oracle rows and the jterm
+    tables stop at distance U, and every bound reads an INF entry as a
+    value that prunes the label (see the bound classes).  Entries up to U
+    are exact, and so is every terminal-to-terminal distance, since the
+    heuristic tree joins each pair at cost <= U.  Prune "off" has no U and
+    keeps full rows.
+    """
+    t = time.perf_counter()
     root_vertex_orig = instance.terminals[choose_root(instance, root_rule)]
     reduced, cmap = contract_zero_edges(instance)
     root = cmap.old_to_new[root_vertex_orig]
     root_idx = reduced.terminals.index(root)
     full_mask = (1 << reduced.k) - 1
     search = _Search(reduced, cmap, root, full_mask ^ (1 << root_idx))
+    t = _lap(stats, "contract", t)
     if not search.sources_mask:
         return search
 
-    oracle = DistanceOracle(reduced.graph, reduced.terminals, deadline=deadline)
+    horizon = INF
+    if prune != "off":
+        horizon, _ = heuristic_upper_bound(reduced, root_idx, deadline=deadline)
+        stats.upper_bound = horizon
+        search.upper2 = 2 * horizon
+        t = _lap(stats, "heuristic", t)
+    oracle = DistanceOracle(reduced.graph, reduced.terminals, horizon=horizon,
+                            deadline=deadline, mem_limit=mem_limit)
     root_row = oracle.rows[root_idx]
-    for t in reduced.terminals:
-        if root_row[t] >= INF:
-            raise Infeasible(f"terminal {t} unreachable from the root")
+    for v in reduced.terminals:
+        if root_row[v] >= INF:
+            raise Infeasible(f"terminal {v} unreachable from the root")
+    t = _lap(stats, "oracle", t)
     search.bound = make_bound(bound, reduced, root_idx, oracle,
                               deadline=deadline, mem_limit=mem_limit)
-    if prune != "off":
-        upper, _ = heuristic_upper_bound(reduced, root_idx, root_row=root_row)
-        stats.upper_bound = upper
-        search.upper2 = 2 * upper
-        if prune == "full":
-            search.tracker = PruneTracker(oracle, full_mask)
+    if prune == "full":
+        search.tracker = PruneTracker(oracle, full_mask)
+    _lap(stats, "bound", t)
     return search
 
 

@@ -156,13 +156,13 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     if not term_lines:
         raise StpSyntaxError(0, "no terminals")
 
-    graph = Graph(n)
+    edges = []
     for u, v, c in edge_lines:
         if not (1 <= u <= n and 1 <= v <= n):
             raise StpSyntaxError(0, f"edge ({u}, {v}) outside 1..{n}")
-        if u == v:
-            continue  # self-loops can never occur in a tree
-        graph.add_edge(u - 1, v - 1, c)
+        if u != v:  # self-loops can never occur in a tree
+            edges.append((u - 1, v - 1, c))
+    graph = Graph(n, edges)
 
     terminals = []
     seen = set()
@@ -283,15 +283,26 @@ def write_solution(record: SolutionRecord, format: str = "json") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
+def _field(record: dict, name: str):
+    try:
+        return record[name]
+    except KeyError:
+        raise ValueError(f"solution record has no {name!r} field") from None
+
+
 def read_solution(text: str, format: str = "json") -> SolutionRecord:
+    """Parse a record written by ``write_solution``; a missing required
+    field raises ValueError naming it."""
     if format == "json":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("solution record is not a JSON object")
         return SolutionRecord(
-            instance=payload["instance"],
-            n=payload["n"],
-            m=payload["m"],
-            k=payload["k"],
-            opt=payload["opt"],
+            instance=_field(payload, "instance"),
+            n=_field(payload, "n"),
+            m=_field(payload, "m"),
+            k=_field(payload, "k"),
+            opt=_field(payload, "opt"),
             edges=[(u, v) for u, v in payload.get("edges", [])],
             config=payload.get("config", ""),
             time_ms=payload.get("time_ms", 0.0),
@@ -303,14 +314,14 @@ def read_solution(text: str, format: str = "json") -> SolutionRecord:
             raise ValueError(f"expected exactly one CSV data row, got {len(rows)}")
         row = rows[0]
         return SolutionRecord(
-            instance=row["instance"],
-            n=int(row["n"]),
-            m=int(row["m"]),
-            k=int(row["k"]),
-            opt=int(row["opt"]),
+            instance=_field(row, "instance"),
+            n=int(_field(row, "n")),
+            m=int(_field(row, "m")),
+            k=int(_field(row, "k")),
+            opt=int(_field(row, "opt")),
             edges=[],
-            config=row["config"],
-            time_ms=float(row["time_ms"]),
-            labels=int(row["labels"]),
+            config=_field(row, "config"),
+            time_ms=float(_field(row, "time_ms")),
+            labels=int(_field(row, "labels")),
         )
     raise ValueError(f"unknown format {format!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from dsteiner import Graph, SteinerInstance
+from dsteiner import Graph, SteinerInstance, contract_zero_edges
 from dsteiner.errors import Infeasible
 from dsteiner.graph import INF, multi_source_dijkstra
 
@@ -93,6 +93,20 @@ def reference_heuristic(
             remaining.discard(x)
             x = p
     return total, edges
+
+
+def capped_cases(zero_edges: int):
+    """(contracted instance, U) pairs for checking preprocessing capped at
+    the construction heuristic's cost U from the last terminal: random
+    graphs, and lattices whose clustered terminals leave much of the grid
+    beyond U."""
+    cases = [random_instance(seed + 1200, zero_edges=zero_edges) for seed in range(30)]
+    cases += [lattice_instance(12, 5, seed, cost_range=(0 if zero_edges else 1, 9),
+                               window=4) for seed in range(4)]
+    for inst in cases:
+        reduced, _ = contract_zero_edges(inst)
+        if reduced.k > 1:
+            yield reduced, reference_heuristic(reduced, reduced.k - 1)[0]
 
 
 def bellman_ford(graph: Graph, source: int) -> list[int]:

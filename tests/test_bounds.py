@@ -21,9 +21,16 @@ from dsteiner.bounds import (
     TspBound,
     ZeroBound,
 )
-from dsteiner.errors import TspTableTooLarge
+from dsteiner.distances import ROW_SLOT_BYTES
+from dsteiner.errors import MemoryLimit, TspTableTooLarge
 
-from gen import path_by_permutations, random_instance, tsp_by_permutations
+from gen import (
+    capped_cases,
+    lattice_instance,
+    path_by_permutations,
+    random_instance,
+    tsp_by_permutations,
+)
 
 ALL_SPECS = ["zero", "jterm:1", "jterm:2", "onetree", "tsp", "max(jterm:2,onetree)"]
 
@@ -303,6 +310,8 @@ def test_max_is_pointwise_max_and_idempotent():
             combined = mx.value2(v, jmask)
             assert combined == max(jt.value2(v, jmask), lt.value2(v, jmask))
             assert same.value2(v, jmask) == lt.value2(v, jmask)
+    # the max bound's own cache answers repeats; its parts keep none
+    assert all(not p._cache and p.evaluations == 0 for p in mx.parts + same.parts)
 
 
 def test_bound_grammar():
@@ -318,3 +327,77 @@ def test_bound_grammar():
         make_bound("bogus", inst, root, oracle)
     with pytest.raises(ValueError):
         make_bound("jterm:9", inst, root, oracle)
+
+
+# --- preprocessing capped at the heuristic's upper bound ---
+
+@pytest.mark.parametrize("zero_edges", [0, 3])
+def test_capped_jterm_tables_are_full_tables_up_to_upper_bound(zero_edges):
+    beyond = 0
+    for inst, upper in capped_cases(zero_edges):
+        full_oracle = DistanceOracle(inst.graph, inst.terminals)
+        oracle = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
+        for j in (2, 3):
+            full = JTermBound(inst, full_oracle, inst.k - 1, j)
+            capped = JTermBound(inst, oracle, inst.k - 1, j)
+            assert capped.tables.keys() == full.tables.keys()
+            for mask, table in full.tables.items():
+                row = list(capped.tables[mask])
+                assert row == [d if d <= upper else INF for d in table], (j, bin(mask))
+                beyond += row.count(INF)
+    assert beyond > 0
+
+
+@pytest.mark.parametrize("zero_edges", [0, 3])
+def test_capped_bounds_prune_exactly_as_full_bounds(zero_edges):
+    # a label is pruned when its key 2*cost + 2*B exceeds 2*U: every bound
+    # over capped rows must equal the full-row value wherever that is at
+    # most 2*U, and exceed 2*U wherever the full-row value does
+    specs = ALL_SPECS + ["jterm:3"]
+    for inst, upper in capped_cases(zero_edges):
+        root = inst.k - 1
+        full_oracle = DistanceOracle(inst.graph, inst.terminals)
+        oracle = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
+        for spec in specs:
+            full = make_bound(spec, inst, root, full_oracle)
+            capped = make_bound(spec, inst, root, oracle)
+            for jmask in range(1 << root, 1 << inst.k):
+                for v in range(inst.n):
+                    want = full.value2(v, jmask)
+                    got = capped.value2(v, jmask)
+                    if want <= 2 * upper:
+                        assert got == want, (spec, v, bin(jmask))
+                    else:
+                        assert got > 2 * upper, (spec, v, bin(jmask))
+
+
+def test_jterm_table_estimate_tracks_measured_growth():
+    import tracemalloc
+
+    inst = lattice_instance(30, 6, seed=4)
+    oracle = DistanceOracle(inst.graph, inst.terminals)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        b = JTermBound(inst, oracle, inst.k - 1, 3)
+        growth = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    built = sum(1 for mask in b.tables if mask & (mask - 1))
+    est = built * inst.n * ROW_SLOT_BYTES
+    assert growth / 2 <= est <= 2 * growth
+
+
+def test_memory_limit_refuses_jterm_tables_before_building(monkeypatch):
+    import dsteiner.bounds as bounds
+
+    inst = lattice_instance(20, 5, seed=2)
+    oracle = DistanceOracle(inst.graph, inst.terminals)
+    # j = 2 builds one table per source terminal s, for {s, root}
+    est = (inst.k - 1) * inst.n * ROW_SLOT_BYTES
+    with pytest.raises(MemoryLimit, match="jterm"):
+        monkeypatch.setattr(bounds, "multi_source_dijkstra",
+                            lambda *a: pytest.fail("a table was built"))
+        make_bound("jterm:2", inst, inst.k - 1, oracle, mem_limit=est - 1)
+    monkeypatch.undo()
+    make_bound("jterm:2", inst, inst.k - 1, oracle, mem_limit=est)

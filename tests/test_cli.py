@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dsteiner import parse_stp_file, solve, write_stp
 from dsteiner.cli import main
 
-from gen import random_instance
+from gen import lattice_instance, random_instance
 
 
 def write_instance(tmp_path, seed, name):
@@ -157,6 +157,48 @@ def test_memory_exit_code(tmp_path, capsys):
                  "--mem-limit", "1"])
     assert code == 5
     assert json.loads(capsys.readouterr().out)["error"] == "memory"
+
+
+@pytest.mark.parametrize("bound", ["onetree", "jterm:3"])
+def test_memory_limit_refuses_preprocessing(tmp_path, capsys, monkeypatch, bound):
+    # n = 5184: the distance rows alone outgrow 1 byte, before the first pop
+    import dsteiner.solver
+
+    monkeypatch.setattr(dsteiner.solver, "_label_loop",
+                        lambda *a: pytest.fail("the label loop started"))
+    path = tmp_path / "lattice.stp"
+    path.write_text(write_stp(lattice_instance(72, 10, seed=1, window=12)))
+    code = main(["solve", str(path), "--bound", bound, "--mem-limit", "1"])
+    assert code == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "memory"
+
+
+def test_missing_files_report_cleanly(tmp_path, capsys):
+    _, path = write_instance(tmp_path, 7, "m")
+    missing = str(tmp_path / "missing.stp")
+    for argv in (["solve", missing],
+                 ["validate", missing, str(tmp_path / "sol.json")],
+                 ["validate", str(path), str(tmp_path / "missing.json")],
+                 ["solve", str(path), "-o", str(tmp_path / "no" / "sol.json")]):
+        assert main(argv) == 1, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("payload", ["{}", '{"instance": "v", "n": 1}', "[]"])
+def test_validate_incomplete_record_reports_cleanly(tmp_path, capsys, payload):
+    _, path = write_instance(tmp_path, 8, "v")
+    sol = tmp_path / "sol.json"
+    sol.write_text(payload)
+    assert main(["validate", str(path), str(sol)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    if payload != "[]":
+        assert ("'instance'" if payload == "{}" else "'m'") in err["message"]
 
 
 def test_validate_detects_tampered_cost(tmp_path, capsys):

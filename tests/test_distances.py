@@ -1,9 +1,16 @@
 import pytest
 
 from dsteiner import DistanceOracle
+from dsteiner.distances import ROW_SLOT_BYTES
+from dsteiner.errors import MemoryLimit
 from dsteiner.graph import INF
 
-from gen import mst_by_prufer_enumeration, random_instance
+from gen import (
+    capped_cases,
+    lattice_instance,
+    mst_by_prufer_enumeration,
+    random_instance,
+)
 
 
 def _oracle(seed, k):
@@ -106,3 +113,50 @@ def test_vertex_to_set_distance_skips_unreachable_terminals():
     assert oracle.vertex_to_set_distance(0, 0b100) == (INF, -1)
     assert oracle.vertex_to_set_distance(2, 0b011) == (INF, -1)
     assert oracle.vertex_to_set_distance(2, 0b111) == (1, 2)
+
+
+# --- rows capped at the heuristic's upper bound ---
+
+@pytest.mark.parametrize("zero_edges", [0, 3])
+def test_capped_rows_are_full_rows_up_to_upper_bound(zero_edges):
+    beyond = 0
+    for inst, upper in capped_cases(zero_edges):
+        full = DistanceOracle(inst.graph, inst.terminals)
+        capped = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
+        for full_row, row in zip(full.rows, capped.rows):
+            assert row == [d if d <= upper else INF for d in full_row]
+            beyond += row.count(INF)
+        # the heuristic tree joins every terminal pair at cost <= U
+        assert capped.pair == full.pair
+    assert beyond > 0
+
+
+def test_row_estimate_tracks_measured_growth():
+    import tracemalloc
+
+    inst = lattice_instance(40, 6, seed=3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        growth = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    est = len(oracle.rows) * inst.n * ROW_SLOT_BYTES
+    assert growth / 2 <= est <= 2 * growth
+
+
+def test_memory_limit_refuses_rows_before_building(monkeypatch):
+    import dsteiner.distances as distances
+
+    inst = lattice_instance(20, 4, seed=1)
+    est = inst.k * inst.n * ROW_SLOT_BYTES
+
+    def dijkstra(*args):
+        pytest.fail("a row was built")
+
+    monkeypatch.setattr(distances, "multi_source_dijkstra", dijkstra)
+    with pytest.raises(MemoryLimit, match="distance-row"):
+        DistanceOracle(inst.graph, inst.terminals, mem_limit=est - 1)
+    monkeypatch.undo()
+    DistanceOracle(inst.graph, inst.terminals, mem_limit=est)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,70 @@ def test_parallel_edges_keep_cheaper():
     g.add_edge(1, 0, 7)
     assert g.m == 1
     assert g.edge_cost(0, 1) == 4
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dijkstra_horizon_caps_distances(seed):
+    inst = random_instance(seed, zero_edges=2)
+    seeds = [(inst.terminals[0], 0), (inst.terminals[-1], 7)]
+    full, _ = multi_source_dijkstra(inst.graph, seeds)
+    finite = sorted({d for d in full if d < INF})
+    for horizon in (0, 6, finite[len(finite) // 2], finite[-1]):
+        capped, pred = multi_source_dijkstra(inst.graph, seeds, horizon)
+        assert capped == [d if d <= horizon else INF for d in full], horizon
+        assert all(pred[v] == -1 for v in range(inst.n) if capped[v] == INF)
+
+
+# --- bulk construction ---
+
+def _add_edge_loop(n, edges):
+    g = Graph(n)
+    for u, v, c in edges:
+        g.add_edge(u, v, c)
+    return g
+
+
+def _assert_same_graph(bulk, loop):
+    assert bulk.adj == loop.adj  # neighbours, costs and their order
+    assert bulk.edges() == loop.edges()  # costs, in first-occurrence order
+    assert bulk.m == loop.m
+
+
+def test_bulk_build_parallel_edges_in_both_cost_orders():
+    for edges in ([(0, 1, 9), (1, 2, 3), (1, 0, 4)],
+                  [(1, 0, 4), (1, 2, 3), (0, 1, 9)]):
+        bulk = Graph(3, edges)
+        _assert_same_graph(bulk, _add_edge_loop(3, edges))
+        assert bulk.edge_cost(0, 1) == 4 and bulk.m == 2
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_bulk_build_matches_add_edge_loop(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    edges = []
+    for _ in range(rng.randint(0, 40)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.randint(0, 9)))
+    # repeat pairs reversed, cheaper or dearer, before or after the original
+    for u, v, c in rng.sample(edges, min(8, len(edges))):
+        edges.insert(rng.randrange(len(edges) + 1),
+                     (v, u, max(0, c + rng.choice((-2, -1, 1, 2)))))
+    _assert_same_graph(Graph(n, edges), _add_edge_loop(n, edges))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 3, 1)], "out of range"),
+    ([(-1, 0, 1)], "out of range"),
+    ([(1, 1, 2)], "self-loop"),
+    ([(0, 1, -1)], "negative cost"),
+    ([(0, 1, 2), (1, 0, -1)], "negative cost"),
+])
+def test_bulk_build_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, edges)
+    with pytest.raises(ValueError, match=message):
+        _add_edge_loop(3, edges)
 
 
 # --- validate_tree ---

@@ -275,12 +275,7 @@ def test_heuristic_matches_reference_on_tie_heavy_instances():
     for seed in range(240):
         inst = random_instance(seed + 900, cost_range=(1, 3))
         for r in range(inst.k):
-            expected = reference_heuristic(inst, r)
-            row = multi_source_dijkstra(inst.graph, [(inst.terminals[r], 0)])[0]
-            row_before = list(row)
-            assert heuristic_upper_bound(inst, r) == expected, (seed, r)
-            assert heuristic_upper_bound(inst, r, root_row=row) == expected, (seed, r)
-            assert row == row_before  # the oracle's row is read, not written
+            assert heuristic_upper_bound(inst, r) == reference_heuristic(inst, r), (seed, r)
 
 
 @pytest.mark.parametrize("window", [5, None])
@@ -368,6 +363,30 @@ def test_memory_limit():
         solve(inst, bound="zero", prune="off", mem_limit=1)
 
 
+@pytest.mark.parametrize("bound", ["onetree", "jterm:3"])
+def test_memory_limit_covers_preprocessing(monkeypatch, bound):
+    # the rows of a 72x72 lattice are refused before any is built, so the
+    # label loop's own check (every 1024 pops) is never reached
+    inst = lattice_instance(72, 10, seed=4, window=12)
+
+    def loop(*args):
+        pytest.fail("the label loop started")
+
+    monkeypatch.setattr(solver, "_label_loop", loop)
+    with pytest.raises(MemoryLimit, match="distance-row"):
+        solve(inst, bound=bound, mem_limit=1)
+
+
+def test_memory_limit_covers_jterm_tables(monkeypatch):
+    from dsteiner.distances import ROW_SLOT_BYTES
+
+    inst = lattice_instance(30, 6, seed=5)
+    rows = inst.k * inst.n * ROW_SLOT_BYTES
+    monkeypatch.setattr(solver, "_label_loop", lambda *a: pytest.fail("loop"))
+    with pytest.raises(MemoryLimit, match="jterm"):
+        solve(inst, bound="jterm:3", mem_limit=rows)
+
+
 def _tsp_k15_instance():
     inst, _ = build_hanan_grid(generate_random_points(2, 15, 10**6, 1))
     assert inst.k == 15
@@ -383,7 +402,8 @@ def test_time_limit_rejects_nan_and_nonpositive():
 
 def test_time_limit_covers_distance_oracle(monkeypatch):
     # one Dijkstra on this lattice takes tens of milliseconds, so the
-    # deadline passes during the oracle's first run
+    # deadline passes during the oracle's first run; prune "off" runs no
+    # heuristic, so the oracle's rows are the first Dijkstra
     inst = lattice_instance(150, 8, seed=1)
 
     def loop(*args):
@@ -392,7 +412,21 @@ def test_time_limit_covers_distance_oracle(monkeypatch):
     monkeypatch.setattr(solver, "_label_loop", loop)
     t0 = time.perf_counter()
     with pytest.raises(TimeLimit, match="distance oracle"):
-        solve(inst, bound="jterm:2", time_limit=1e-3)
+        solve(inst, bound="jterm:2", prune="off", time_limit=1e-3)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_time_limit_covers_heuristic(monkeypatch):
+    # spread terminals make the heuristic's first Dijkstra cover the lattice
+    inst = lattice_instance(150, 8, seed=1)
+
+    def oracle(*args, **kwargs):
+        pytest.fail("the distance oracle started")
+
+    monkeypatch.setattr(solver, "DistanceOracle", oracle)
+    t0 = time.perf_counter()
+    with pytest.raises(TimeLimit, match="heuristic"):
+        solve(inst, time_limit=1e-3)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -630,6 +664,50 @@ def test_memory_estimate_tracks_measured_growth():
            + seen["heap"] * solver.HEAP_ENTRY_BYTES)
     assert rec.stats.labels_created > 1000
     assert seen["growth"] / 2 <= est <= 2 * seen["growth"]
+
+
+def _solve_with_full_rows(monkeypatch, inst, **kwargs):
+    """solve() with the distance oracle forced to ignore the horizon."""
+    def full_rows(graph, terminals, *, horizon, **kw):
+        return DistanceOracle(graph, terminals, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "DistanceOracle", full_rows)
+        return solve(inst, **kwargs)
+
+
+def _outcome(rec):
+    st = rec.stats
+    return (rec.opt, sorted(rec.edges), st.pops, st.permanents, st.labels_created,
+            st.heap_pushes, st.pruned_at_creation, st.pruned_at_pop,
+            st.bound_evaluations, st.upper_bound)
+
+
+@pytest.mark.parametrize("zero_edges", [0, 3])
+def test_capped_preprocessing_changes_no_counter(monkeypatch, zero_edges):
+    cases = [random_instance(seed + 1400, zero_edges=zero_edges) for seed in range(12)]
+    cases += [lattice_instance(16, 5, seed, cost_range=(0 if zero_edges else 1, 9),
+                               window=5) for seed in range(4)]
+    for i, inst in enumerate(cases):
+        for bound in ("onetree", "jterm:2", "jterm:3", "tsp", "max(jterm:2,onetree)"):
+            for prune in ("bound", "full"):
+                got = solve(inst, bound=bound, prune=prune)
+                want = _solve_with_full_rows(monkeypatch, inst, bound=bound, prune=prune)
+                assert _outcome(got) == _outcome(want), (i, bound, prune)
+
+
+def test_phase_times_cover_the_solve():
+    inst = lattice_instance(20, 5, seed=6, cost_range=(0, 9))
+    rec = solve(inst, bound="jterm:2")
+    phases = rec.stats.phase_ms
+    assert tuple(phases) == solver.PHASES
+    assert all(ms > 0 for ms in phases.values())
+    assert sum(phases.values()) <= rec.time_ms
+    # prune "off" runs no heuristic; one terminal needs no search at all
+    assert solve(inst, prune="off").stats.phase_ms["heuristic"] == 0.0
+    one = SteinerInstance(graph=inst.graph, terminals=[0])
+    assert [p for p, ms in solve(one).stats.phase_ms.items() if ms > 0] == [
+        "contract", "reconstruct"]
 
 
 def test_record_carries_instance_shape():

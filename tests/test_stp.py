@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import pytest
@@ -193,6 +194,28 @@ def test_solution_csv_roundtrip_summary_fields():
     )
     assert again.config == rec.config
     assert again.labels == rec.labels
+
+
+@pytest.mark.parametrize("fmt, field", [("json", "instance"), ("json", "opt"),
+                                         ("csv", "opt"), ("csv", "labels")])
+def test_solution_missing_field_names_it(fmt, field):
+    text = write_solution(_record(), fmt)
+    if fmt == "json":
+        payload = json.loads(text)
+        del payload[field]
+        text = json.dumps(payload)
+    else:
+        header, row = (line.split(",") for line in text.strip().splitlines())
+        i = header.index(field)
+        text = ",".join(header[:i] + header[i + 1:]) + "\n" + ",".join(row[:i] + row[i + 1:])
+    with pytest.raises(ValueError, match=repr(field)):
+        read_solution(text, fmt)
+
+
+@pytest.mark.parametrize("text", ["{}", "[]", "3"])
+def test_solution_not_a_record_is_value_error(text):
+    with pytest.raises(ValueError):
+        read_solution(text, "json")
 
 
 def test_empty_edge_list_record_is_valid():
