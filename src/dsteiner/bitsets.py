@@ -18,17 +18,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def iter_nonempty_subsets(mask: int) -> Iterator[int]:
-    """Yield every nonempty subset of ``mask`` exactly once.
-
-    Visits 2**p - 1 subsets for a p-bit mask, in decreasing numeric order.
-    """
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
-
 def iter_subsets_of_size_at_most(mask: int, limit: int) -> Iterator[int]:
     """Yield subsets of ``mask`` (including 0) with at most ``limit`` bits."""
     bits = list(iter_bits(mask))

@@ -8,13 +8,18 @@ All values are handled doubled (2*B) so the halved 1-tree and TSP bounds
 stay in exact integer arithmetic; the solver compares 2*l + 2*L uniformly.
 Terminal sets are int masks over terminal indices; the root's bit must be
 present for a nonzero value (sets without the root evaluate to 0).
+
+Work that depends only on the set is done once per set: on the first query
+of a set, ``BoundOracle.value2`` asks the bound's ``_for_set`` for an
+evaluator ``v -> 2*B(v, J)`` with the set's rows, spanning tree, tables or
+tour already in hand, and keeps it beside the set's per-vertex values.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bitsets import iter_bits, iter_subsets_of_size_at_most
 from .distances import ROW_SLOT_BYTES, DistanceOracle
@@ -29,48 +34,57 @@ DEFAULT_TSP_CAP = 20
 TSP_SLOT_BYTES = 13
 
 
+Evaluator = Callable[[int], int]
+
+
+def _zero(v: int) -> int:
+    return 0
+
+
 class BoundOracle:
-    """Base class: per-argument cache plus the doubled-value contract."""
+    """Base class: per-set evaluators and values, and the doubled-value contract."""
 
     name = "bound"
 
     def __init__(self):
-        self._cache: dict[int, dict[int, int]] = {}  # jmask -> v -> value
+        # jmask -> (v -> value, the set's evaluator)
+        self._cache: dict[int, tuple[dict[int, int], Evaluator]] = {}
         self.evaluations = 0
 
     def value2(self, v: int, jmask: int) -> int:
         """2 * B(v, set(jmask)); cached so each argument is computed once."""
-        by_vertex = self._cache.get(jmask)
-        if by_vertex is None:
-            by_vertex = self._cache[jmask] = {}
-        else:
-            cached = by_vertex.get(v)
-            if cached is not None:
-                return cached
+        entry = self._cache.get(jmask)
+        if entry is None:
+            entry = self._cache[jmask] = ({}, self._for_set(jmask))
+        by_vertex, evaluate = entry
+        cached = by_vertex.get(v)
+        if cached is not None:
+            return cached
         self.evaluations += 1
-        val = by_vertex[v] = self._evaluate2(v, jmask)
+        val = by_vertex[v] = evaluate(v)
         return val
 
-    def _evaluate2(self, v: int, jmask: int) -> int:
+    def _for_set(self, jmask: int) -> Evaluator:
+        """The evaluator v -> 2 * B(v, set(jmask)), built once per set."""
         raise NotImplementedError
 
 
 class ZeroBound(BoundOracle):
     name = "zero"
 
-    def _evaluate2(self, v, jmask):
-        return 0
+    def _for_set(self, jmask):
+        return _zero
 
 
 class OneTreeBound(BoundOracle):
     """Half of (cheapest 1-tree through v over the distance graph of J).
 
     Doubled value: min over i, j in J (distinct unless |J| = 1) of
-    d(v,i) + d(v,j), plus mst(J); spanning tree costs are cached per set
-    and computed on first sight of a set.  Over rows capped at a horizon U
-    the value is exact or INF: when the second-nearest terminal b of J lies
-    beyond U, mst(J) >= d(a,b) >= d(v,b) - d(v,a) puts the true value at
-    2*d(v,b) > 2*U or more, which prunes the label just the same.
+    d(v,i) + d(v,j), plus mst(J), which is computed once per set.  Over
+    rows capped at a horizon U the value is exact or INF: when the
+    second-nearest terminal b of J lies beyond U, mst(J) >= d(a,b) >=
+    d(v,b) - d(v,a) puts the true value at 2*d(v,b) > 2*U or more, which
+    prunes the label just the same.
     """
 
     name = "onetree"
@@ -79,37 +93,32 @@ class OneTreeBound(BoundOracle):
         super().__init__()
         self.oracle = oracle
         self.root_bit = root_bit
-        # per-set distance-row lists and mst values; sets repeat across
-        # thousands of vertices, so this dominates evaluation cost
-        self._set_rows: dict[int, tuple[list, int]] = {}
 
-    def _evaluate2(self, v, jmask):
+    def _for_set(self, jmask):
         if not jmask & self.root_bit:
-            return 0
-        cached = self._set_rows.get(jmask)
-        if cached is None:
-            rows = self.oracle.rows
-            cached = (
-                [rows[t] for t in iter_bits(jmask)],
-                self.oracle.mst_cost(jmask),
-            )
-            self._set_rows[jmask] = cached
-        set_rows, mst = cached
-        best1 = best2 = INF
-        for row in set_rows:
-            dv = row[v]
-            if dv < best1:
-                best2 = best1
-                best1 = dv
-            elif dv < best2:
-                best2 = dv
-        if len(set_rows) == 1:
-            pair_sum = best1 + best1 if best1 < INF else INF
-        else:
-            pair_sum = best1 + best2 if best2 < INF else INF
-        if pair_sum >= INF or mst >= INF:
-            return INF
-        return pair_sum + mst
+            return _zero
+        rows = self.oracle.rows
+        set_rows = [rows[t] for t in iter_bits(jmask)]
+        single = len(set_rows) == 1
+        mst = self.oracle.mst_cost(jmask)
+
+        def evaluate(v):
+            best1 = best2 = INF
+            for row in set_rows:
+                dv = row[v]
+                if dv < best1:
+                    best2 = best1
+                    best1 = dv
+                elif dv < best2:
+                    best2 = dv
+            if single:
+                pair_sum = best1 + best1 if best1 < INF else INF
+            else:
+                pair_sum = best1 + best2 if best2 < INF else INF
+            if pair_sum >= INF or mst >= INF:
+                return INF
+            return pair_sum + mst
+        return evaluate
 
 
 class JTermBound(BoundOracle):
@@ -118,8 +127,8 @@ class JTermBound(BoundOracle):
     Preprocessing stores smt({v} | S) arrays for every terminal set S with
     at most j-1 non-root members, built by a rootless, boundless run over
     terminal sets of increasing cardinality.  Evaluation splits into a
-    v-dependent scan over the stored arrays and a per-set maximum that is
-    memoized the first time a set is queried.
+    v-dependent scan over the stored arrays and a per-set maximum, which is
+    computed with the set's list of arrays to scan on its first query.
 
     The arrays stop at the oracle's horizon U, as its rows do: an entry is
     exact wherever smt({v} | S) <= U, since every tree that cheap is built
@@ -144,8 +153,6 @@ class JTermBound(BoundOracle):
         self.terminals = instance.terminals
         k = len(self.terminals)
         sources_mask = ((1 << k) - 1) ^ self.root_bit
-        self._per_set_max: dict[int, int] = {}
-        self._scan_tables: dict[int, list] = {}
         # tables[mask][v] = smt({v} | terms(mask)) for every mask with at
         # most j-1 source bits (root bit optional); singletons reuse the
         # distance rows.
@@ -187,13 +194,14 @@ class JTermBound(BoundOracle):
                 raise TimeLimit("time limit exceeded while building the jterm tables")
         self.tables = tables
 
-    def _set_max(self, jmask: int) -> int:
-        """max of smt(S | {root}) over S <= sources(jmask), |S| <= j."""
-        cached = self._per_set_max.get(jmask)
-        if cached is not None:
-            return cached
+    def _for_set(self, jmask):
+        if not jmask & self.root_bit:
+            return _zero
         src_part = jmask & ~self.root_bit
-        best = 0
+        scan = [self.tables[s | self.root_bit]
+                for s in iter_subsets_of_size_at_most(src_part, self.j - 1)]
+        # max of smt(S | {root}) over nonempty S <= sources(jmask), |S| <= j
+        per_set = 0
         for s in iter_subsets_of_size_at_most(src_part, self.j):
             if s == 0:
                 continue
@@ -201,33 +209,20 @@ class JTermBound(BoundOracle):
             anchor = self.terminals[low.bit_length() - 1]
             # a terminal set's optimum is at most U, so this entry is exact
             val = self.tables[(s ^ low) | self.root_bit][anchor]
-            if val > best:
-                best = val
-        self._per_set_max[jmask] = best
-        return best
+            if val > per_set:
+                per_set = val
 
-    def _evaluate2(self, v, jmask):
-        if not jmask & self.root_bit:
-            return 0
-        scan = self._scan_tables.get(jmask)
-        if scan is None:
-            src_part = jmask & ~self.root_bit
-            scan = [
-                self.tables[s | self.root_bit]
-                for s in iter_subsets_of_size_at_most(src_part, self.j - 1)
-            ]
-            self._scan_tables[jmask] = scan
-        best = 0
-        for table in scan:
-            val = table[v]
-            if val > best:
-                if val >= INF:
-                    return INF
-                best = val
-        per_set = self._set_max(jmask)
-        if per_set > best:
+        def evaluate(v):
+            # an INF entry beats any finite per-set maximum
             best = per_set
-        return 2 * best
+            for table in scan:
+                val = table[v]
+                if val > best:
+                    if val >= INF:
+                        return INF
+                    best = val
+            return 2 * best
+        return evaluate
 
 
 class TspBound(BoundOracle):
@@ -262,10 +257,8 @@ class TspBound(BoundOracle):
         self.oracle = oracle
         self.k = k
         self.root_bit = 1 << root_index
-        self.term_index = {t: i for i, t in enumerate(instance.terminals)}
+        self.terminals = instance.terminals
         self.paths = self._build_paths(root_index, deadline)
-        self._ends: dict[int, list[tuple[int, int, int]]] = {}
-        self._tour_cache: dict[int, int] = {}
 
     def _build_paths(self, r: int, deadline: Optional[float]) -> dict[int, list[int]]:
         """paths[mask][a*k + b] = cheapest Hamiltonian path on terms(mask)
@@ -309,49 +302,46 @@ class TspBound(BoundOracle):
 
     def _end_pairs(self, mask: int) -> list[tuple[int, int, int]]:
         """(a, b, path cost) for every end pair a < b of a mask with >= 2 members."""
-        ends = self._ends.get(mask)
-        if ends is None:
-            k = self.k
-            row = self.paths[mask]
-            bits = list(iter_bits(mask))
-            ends = self._ends[mask] = [
-                (a, b, row[a * k + b])
-                for i, a in enumerate(bits) for b in bits[i + 1:]
-            ]
-        return ends
+        k = self.k
+        row = self.paths[mask]
+        bits = list(iter_bits(mask))
+        return [(a, b, row[a * k + b])
+                for i, a in enumerate(bits) for b in bits[i + 1:]]
 
     def _tour(self, mask: int) -> int:
         """Exact optimum tour cost on the terminals of a root-holding ``mask``."""
-        cached = self._tour_cache.get(mask)
-        if cached is not None:
-            return cached
-        val = 0
-        if mask & (mask - 1):
-            pair = self.oracle.pair
-            val = INF
-            for a, b, cost in self._end_pairs(mask):
-                c = cost + pair[a][b]
-                if c < val:
-                    val = c
-        self._tour_cache[mask] = val
-        return val
-
-    def _evaluate2(self, v, jmask):
-        if not jmask & self.root_bit:
+        if not mask & (mask - 1):
             return 0
-        ti = self.term_index.get(v)
-        if ti is not None and jmask & (1 << ti):
-            return self._tour(jmask)
-        rows = self.oracle.rows
-        if not jmask & (jmask - 1):
-            d = rows[jmask.bit_length() - 1][v]
-            return 2 * d if d < INF else INF
+        pair = self.oracle.pair
         best = INF
-        for a, b, cost in self._end_pairs(jmask):
-            c = cost + rows[a][v] + rows[b][v]
+        for a, b, cost in self._end_pairs(mask):
+            c = cost + pair[a][b]
             if c < best:
                 best = c
         return best
+
+    def _for_set(self, jmask):
+        if not jmask & self.root_bit:
+            return _zero
+        rows = self.oracle.rows
+        if not jmask & (jmask - 1):
+            row = rows[jmask.bit_length() - 1]
+            # the root's own vertex reads 0, its (empty) tour
+            return lambda v: 2 * row[v] if row[v] < INF else INF
+        tour = self._tour(jmask)
+        members = {self.terminals[i] for i in iter_bits(jmask)}
+        ends = [(rows[a], rows[b], cost) for a, b, cost in self._end_pairs(jmask)]
+
+        def evaluate(v):
+            if v in members:
+                return tour
+            best = INF
+            for row_a, row_b, cost in ends:
+                c = cost + row_a[v] + row_b[v]
+                if c < best:
+                    best = c
+            return best
+        return evaluate
 
 
 class MaxBound(BoundOracle):
@@ -363,10 +353,11 @@ class MaxBound(BoundOracle):
             raise ValueError("max bound needs at least one component")
         self.parts = parts
 
-    def _evaluate2(self, v, jmask):
+    def _for_set(self, jmask):
         # this bound's own cache answers repeats, so the parts' caches never
-        # would: evaluate them directly
-        return max(p._evaluate2(v, jmask) for p in self.parts)
+        # would: combine their evaluators directly
+        parts = [p._for_set(jmask) for p in self.parts]
+        return lambda v: max(f(v) for f in parts)
 
 
 # --- bound selection grammar: zero | jterm:<j> | onetree | tsp | max(a,b,...) ---

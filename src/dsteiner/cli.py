@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -144,8 +145,11 @@ def cmd_bench(args) -> int:
     with open(args.manifest) as fh:
         paths = [ln.strip() for ln in fh if ln.strip()]
     tasks = [(p, cfg) for p in paths]
-    if cfg.parallel > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.parallel) as pool:
+    # the pool starts all its workers at the first submit, so never ask for
+    # more than there are tasks or CPUs
+    workers = min(cfg.parallel, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_row, tasks))
     else:
         rows = [_bench_row(t) for t in tasks]

@@ -1,7 +1,7 @@
 """Terminal-to-all shortest path rows and distance-graph spanning trees.
 
 One solver run owns one DistanceOracle: the rows are immutable after
-construction, the mst / set-distance caches are single-writer.
+construction, the set-distance caches are single-writer.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ ROW_SLOT_BYTES = 40
 
 
 class DistanceOracle:
-    """Shortest-path distances from every terminal, plus cached mst values.
+    """Shortest-path distances from every terminal, plus terminal-set queries.
 
     Terminal sets are int masks over terminal indices 0..k-1 (file order).
     Rows stop at ``horizon``: a farther vertex reads INF.  ``mem_limit``
@@ -50,30 +50,16 @@ class DistanceOracle:
         # k x k matrix of pairwise terminal distances (metric closure on T)
         self.pair = [[self.rows[i][self.terminals[j]] for j in range(self.k)]
                      for i in range(self.k)]
-        self._mst_cache: dict[int, int] = {}
         self._cut_cache: dict[int, int] = {}
         # per vertex, built on first query: sorted reachable (distance, terminal)
         self._nearest: list[Optional[list[tuple[int, int]]]] = [None] * graph.n
 
-    def mst_cost(self, members) -> int:
-        """MST cost of the distance graph spanned by the given terminals.
+    def mst_cost(self, mask: int) -> int:
+        """MST cost of the distance graph spanned by the terminals of ``mask``.
 
-        ``members`` is an int mask or an iterable of terminal indices.
-        Empty and singleton sets cost 0.  Values are cached per set.
+        Empty and singleton sets cost 0; INF if some terminal is unreachable.
         """
-        mask = members if isinstance(members, int) else 0
-        if not isinstance(members, int):
-            for i in members:
-                mask |= 1 << i
-        cached = self._mst_cache.get(mask)
-        if cached is not None:
-            return cached
         idx = list(iter_bits(mask))
-        cost = self._prim(idx)
-        self._mst_cache[mask] = cost
-        return cost
-
-    def _prim(self, idx: list[int]) -> int:
         if len(idx) <= 1:
             return 0
         pair = self.pair

@@ -149,6 +149,17 @@ def multi_source_dijkstra(
     return dist, pred
 
 
+def _find(parent, x: int) -> int:
+    """Union-find root of ``x`` in ``parent`` (a list or a dict), compressing
+    the path from ``x``."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
 def validate_tree(instance: SteinerInstance, edges: Sequence[tuple[int, int]]) -> int:
     """Check that ``edges`` forms a tree spanning all terminals; return its cost.
 
@@ -161,15 +172,6 @@ def validate_tree(instance: SteinerInstance, edges: Sequence[tuple[int, int]]) -
         raise MissingTerminal("empty edge set but more than one terminal")
     cost = 0
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     for u, v in edges:
         c = instance.graph.edge_cost(u, v)
         if c is None:
@@ -177,15 +179,15 @@ def validate_tree(instance: SteinerInstance, edges: Sequence[tuple[int, int]]) -
         cost += c
         parent.setdefault(u, u)
         parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             raise ContainsCycle(f"edge ({u}, {v}) closes a cycle")
         parent[ru] = rv
     for t in instance.terminals:
         if t not in parent:
             raise MissingTerminal(f"terminal {t} not covered by the tree")
-    roots = {find(t) for t in instance.terminals}
-    if len(roots) > 1 or any(find(x) not in roots for x in parent):
+    roots = {_find(parent, t) for t in instance.terminals}
+    if len(roots) > 1 or any(_find(parent, x) not in roots for x in parent):
         raise NotConnected("edge set has more than one component")
     return cost
 
@@ -237,20 +239,11 @@ def contract_zero_edges(
             edge_witness={e: e for e in g._edge_cost},
         )
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     # spanning zero-edges recorded as they merge components
     zero_span: dict[int, list[tuple[int, int]]] = {}
     for (u, v), c in g._edge_cost.items():
         if c == 0:
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 merged = zero_span.pop(ru, []) + zero_span.pop(rv, [])
@@ -261,7 +254,7 @@ def contract_zero_edges(
     old_to_new = [0] * g.n
     representative: list[int] = []
     for v in range(g.n):
-        r = find(v)
+        r = _find(parent, v)
         if r not in comp_of:
             comp_of[r] = len(representative)
             representative.append(v)
@@ -293,7 +286,7 @@ def contract_zero_edges(
 
     component_edges = [[] for _ in range(new_n)]
     for root, span in zero_span.items():
-        component_edges[comp_of[find(root)]] = span
+        component_edges[comp_of[_find(parent, root)]] = span
 
     new_coords = None
     if instance.coords is not None:

@@ -62,7 +62,6 @@ class SolveStats:
     # wall milliseconds per phase; a phase that did not run stays at 0.0
     phase_ms: dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(PHASES, 0.0))
-    popped_keys: Optional[list[int]] = None
     permanent_events: Optional[list[tuple[int, int, int]]] = None
 
 
@@ -234,7 +233,6 @@ def solve(
     root_rule: str = "last",
     time_limit: Optional[float] = None,
     mem_limit: Optional[int] = None,
-    record_pops: bool = False,
     record_permanents: bool = False,
 ) -> SolutionRecord:
     """Compute an optimum Steiner tree; returns a validated SolutionRecord.
@@ -251,10 +249,7 @@ def solve(
     if time_limit is not None and not time_limit > 0:
         raise ValueError(f"time limit {time_limit} is not positive")
     t_start = time.perf_counter()
-    stats = SolveStats(
-        popped_keys=[] if record_pops else None,
-        permanent_events=[] if record_permanents else None,
-    )
+    stats = SolveStats(permanent_events=[] if record_permanents else None)
     deadline = None if time_limit is None else t_start + time_limit
     search = _prepare(instance, bound, prune, root_rule, stats, deadline, mem_limit)
     cost, back = 0, None
@@ -420,8 +415,6 @@ def _label_loop(
             )
         last_key = key
         stats.pops += 1
-        if stats.popped_keys is not None:
-            stats.popped_keys.append(key)
 
         # re-prune on selection: bounds may have improved since creation
         if key > upper2 or cost > upper_get(mask, INF):

@@ -292,18 +292,25 @@ def _field(record: dict, name: str):
 
 def read_solution(text: str, format: str = "json") -> SolutionRecord:
     """Parse a record written by ``write_solution``; a missing required
-    field raises ValueError naming it."""
+    field, or ``edges`` that is not a list of two-int pairs, raises
+    ValueError naming it."""
     if format == "json":
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("solution record is not a JSON object")
+        edges = payload.get("edges", [])
+        # type() rather than isinstance(): JSON true/false are not vertices
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2
+                and type(e[0]) is int and type(e[1]) is int for e in edges):
+            raise ValueError("solution record's 'edges' is not a list of [u, v] int pairs")
         return SolutionRecord(
             instance=_field(payload, "instance"),
             n=_field(payload, "n"),
             m=_field(payload, "m"),
             k=_field(payload, "k"),
             opt=_field(payload, "opt"),
-            edges=[(u, v) for u, v in payload.get("edges", [])],
+            edges=[(u, v) for u, v in edges],
             config=payload.get("config", ""),
             time_ms=payload.get("time_ms", 0.0),
             labels=payload.get("labels", 0),

@@ -11,8 +11,11 @@ from dsteiner import (
     build_hanan_grid,
     generate_random_points,
     make_bound,
+    solve,
+    solve_baseline,
 )
-from dsteiner.bitsets import iter_bits, iter_nonempty_subsets
+from dsteiner import solver
+from dsteiner.bitsets import iter_bits
 from dsteiner.bounds import (
     TSP_SLOT_BYTES,
     JTermBound,
@@ -47,15 +50,6 @@ def all_bounds(inst, root, oracle):
 
 
 # --- bitset helpers the set machinery relies on ---
-
-@given(st.integers(min_value=0, max_value=(1 << 12) - 1))
-@settings(max_examples=60, deadline=None)
-def test_subset_enumeration_counts(mask):
-    subs = list(iter_nonempty_subsets(mask))
-    assert len(subs) == (1 << mask.bit_count()) - 1
-    assert len(set(subs)) == len(subs)
-    assert all(s & ~mask == 0 and s for s in subs)
-
 
 @given(st.integers(min_value=0, max_value=(1 << 10) - 1))
 @settings(max_examples=40, deadline=None)
@@ -312,6 +306,40 @@ def test_max_is_pointwise_max_and_idempotent():
             assert same.value2(v, jmask) == lt.value2(v, jmask)
     # the max bound's own cache answers repeats; its parts keep none
     assert all(not p._cache and p.evaluations == 0 for p in mx.parts + same.parts)
+
+
+# --- per-set evaluators ---
+
+@pytest.mark.parametrize("spec", ["zero", "onetree", "jterm:2", "jterm:3", "tsp",
+                                  "max(jterm:2,onetree)"])
+def test_for_set_runs_once_per_set_and_matches_a_fresh_evaluator(spec, monkeypatch):
+    built = []
+
+    def make_counted(*args, **kwargs):
+        bound = make_bound(*args, **kwargs)
+        calls = []
+        for_set = bound._for_set
+
+        def counted(jmask):
+            calls.append(jmask)
+            return for_set(jmask)
+
+        bound._for_set = counted
+        built.append((args, kwargs, bound, calls))
+        return bound
+
+    monkeypatch.setattr(solver, "make_bound", make_counted)
+    inst = random_instance(31, k_range=(6, 6), n_range=(15, 25))
+    assert solve(inst, bound=spec).opt == solve_baseline(inst)[0]
+    (args, kwargs, bound, calls), = built
+    assert len(calls) == len(set(calls)) == len(bound._cache) > 1
+    assert sum(len(by_vertex) for by_vertex, _ in bound._cache.values()) == bound.evaluations
+    # a second bound built from the same oracle answers every query alike
+    fresh = make_bound(*args, **kwargs)
+    for jmask, (by_vertex, _) in bound._cache.items():
+        evaluate = fresh._for_set(jmask)
+        for v, val in by_vertex.items():
+            assert val == bound.value2(v, jmask) == evaluate(v), (spec, v, bin(jmask))
 
 
 def test_bound_grammar():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsteiner import parse_stp_file, solve, write_stp
+from dsteiner import cli, parse_stp_file, solve, write_stp
 from dsteiner.cli import main
 
 from gen import lattice_instance, random_instance
@@ -201,6 +201,20 @@ def test_validate_incomplete_record_reports_cleanly(tmp_path, capsys, payload):
         assert ("'instance'" if payload == "{}" else "'m'") in err["message"]
 
 
+@pytest.mark.parametrize("edges", [5, [5], [[0, [1]]], [[0, "1"]], [[True, 1]]])
+def test_validate_malformed_edges_reports_cleanly(tmp_path, capsys, edges):
+    _, path = write_instance(tmp_path, 8, "v")
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"instance": "v", "n": 1, "m": 0, "k": 1, "opt": 0,
+                               "edges": edges}))
+    assert main(["validate", str(path), str(sol)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert "'edges'" in err["message"]
+
+
 def test_validate_detects_tampered_cost(tmp_path, capsys):
     _, path = write_instance(tmp_path, 5, "t")
     out = tmp_path / "sol.json"
@@ -295,6 +309,34 @@ def test_bench_deterministic_and_parallel_invariant(tmp_path):
         rows = list(csv.DictReader(out.open()))
         outs.append([(r["instance"], r["opt"]) for r in rows])
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, [2]), (1, []), (None, [])])
+def test_bench_caps_workers_at_tasks_and_cpus(tmp_path, monkeypatch, cpus, workers):
+    # a fake pool records the worker count it was asked for and runs the
+    # tasks in this process, so no worker is ever started
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    manifest, _ = _write_manifest(tmp_path, [10, 11])
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(manifest), "--parallel", "1000", "-o", str(out)]) == 0
+    assert seen == workers
+    assert [r["error"] for r in csv.DictReader(out.open())] == ["", ""]
 
 
 def test_bench_bad_row_does_not_abort(tmp_path, capsys):

@@ -66,19 +66,33 @@ def test_star_merges_at_center():
                for v, mask, cost in rec.stats.permanent_events)
 
 
+def _permanent_keys(inst, bound, monkeypatch):
+    """Solve with prune off, check the optimum, and return the key
+    2*l + 2*B(v, T - I) of each label in the order it became permanent."""
+    make, built = solver.make_bound, []
+
+    def capture(*args, **kwargs):
+        built.append((args[1], make(*args, **kwargs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(solver, "make_bound", capture)
+    rec = solve(inst, bound=bound, prune="off", record_permanents=True)
+    assert rec.opt == solve_baseline(inst)[0]
+    (reduced, b), = built
+    full = (1 << reduced.k) - 1
+    return [2 * cost + b.value2(v, full ^ mask)
+            for v, mask, cost in rec.stats.permanent_events]
+
+
 @pytest.mark.parametrize("bound", BOUNDS + ["tsp"])
-def test_popped_keys_nondecreasing(bound):
-    inst = random_instance(17, k_range=(5, 7))
-    rec = solve(inst, bound=bound, prune="off", record_pops=True)
-    keys = rec.stats.popped_keys
+def test_popped_keys_nondecreasing(bound, monkeypatch):
+    keys = _permanent_keys(random_instance(17, k_range=(5, 7)), bound, monkeypatch)
     assert all(a <= b for a, b in zip(keys, keys[1:]))
 
 
-def test_zero_bound_pop_order_is_dijkstra_monotone():
+def test_zero_bound_pop_order_is_dijkstra_monotone(monkeypatch):
     # with the zero bound the popped key is exactly 2*l
-    inst = random_instance(21, k_range=(4, 6))
-    rec = solve(inst, bound="zero", prune="off", record_pops=True)
-    keys = rec.stats.popped_keys
+    keys = _permanent_keys(random_instance(21, k_range=(4, 6)), "zero", monkeypatch)
     assert all(a <= b for a, b in zip(keys, keys[1:]))
 
 
@@ -457,8 +471,8 @@ def test_memory_limit_refuses_tsp_table_before_building(monkeypatch):
 class InconsistentBound(BoundOracle):
     """Large at vertex 0 and zero elsewhere, so keys drop one edge away."""
 
-    def _evaluate2(self, v, jmask):
-        return 10**6 if v == 0 else 0
+    def _for_set(self, jmask):
+        return lambda v: 10**6 if v == 0 else 0
 
 
 def path_instance():
