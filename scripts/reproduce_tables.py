@@ -14,6 +14,7 @@ fetched are reported in the error column and do not abort the sweep.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -39,12 +40,9 @@ def main() -> int:
         if ln.strip() and not ln.startswith("#")
     ]
     data = Path(args.data_dir)
-    paths = []
-    for name in names:
-        stp = data / "steinlib" / f"{name}.stp"
-        if stp.exists():
-            paths.append(str(stp))
-    if not paths:
+    # bench writes an error row for each path that cannot be read
+    paths = [str(data / "steinlib" / f"{name}.stp") for name in names]
+    if not any(Path(p).exists() for p in paths):
         print("no corpus files found; run scripts/fetch_corpus.py first",
               file=sys.stderr)
         return 1
@@ -55,7 +53,10 @@ def main() -> int:
     argv = ["bench", manifest, "--parallel", str(args.parallel)]
     if args.out:
         argv += ["-o", args.out]
-    return cli_main(argv)
+    try:
+        return cli_main(argv)
+    finally:
+        os.unlink(manifest)
 
 
 if __name__ == "__main__":

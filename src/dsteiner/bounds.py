@@ -26,7 +26,7 @@ from .distances import ROW_SLOT_BYTES, DistanceOracle
 from .errors import MemoryLimit, TimeLimit, TspTableTooLarge
 from .graph import INF, SteinerInstance, multi_source_dijkstra
 
-DEFAULT_TSP_CAP = 20
+MAX_TSP_TERMINALS = 20
 # Bytes per TSP path-table slot, for the memory-limit check: building the
 # table for 2D Hanan grids with k = 12..14 grew 12.9-13.1 B per slot under
 # tracemalloc on CPython 3.11 (an 8 B list pointer, plus an int object for
@@ -189,7 +189,7 @@ class JTermBound(BoundOracle):
                             arr[v] = c
                 sub = (sub - 1) & mask
             seeds = [(v, c) for v, c in enumerate(arr) if c < INF]
-            tables[mask] = multi_source_dijkstra(graph, seeds, horizon)[0]
+            tables[mask] = multi_source_dijkstra(graph, seeds, horizon)
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeLimit("time limit exceeded while building the jterm tables")
         self.tables = tables
@@ -242,13 +242,13 @@ class TspBound(BoundOracle):
     name = "tsp"
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
-                 root_index: int, cap: int = DEFAULT_TSP_CAP, *,
+                 root_index: int, *,
                  deadline: Optional[float] = None,
                  mem_limit: Optional[int] = None):
         super().__init__()
         k = instance.k
-        if k > cap:
-            raise TspTableTooLarge(f"k={k} exceeds the TSP table cap {cap}")
+        if k > MAX_TSP_TERMINALS:
+            raise TspTableTooLarge(f"k={k} exceeds the TSP table cap {MAX_TSP_TERMINALS}")
         est = (1 << (k - 1)) * k * k * TSP_SLOT_BYTES
         if mem_limit is not None and est > mem_limit:
             raise MemoryLimit(

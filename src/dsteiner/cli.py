@@ -171,7 +171,7 @@ def cmd_validate(args) -> int:
         _emit_error("parse", str(exc))
         return EXIT_PARSE
     with open(args.solution) as fh:
-        record = read_solution(fh.read(), "json")
+        record = read_solution(fh.read())
     try:
         cost = validate_tree(instance, [tuple(e) for e in record.edges])
     except (InvalidTree, ValueError) as exc:

@@ -44,7 +44,7 @@ class DistanceOracle:
             )
         self.rows: list[list[int]] = []
         for t in self.terminals:
-            self.rows.append(multi_source_dijkstra(graph, [(t, 0)], horizon)[0])
+            self.rows.append(multi_source_dijkstra(graph, [(t, 0)], horizon))
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeLimit("time limit exceeded while building the distance oracle")
         # k x k matrix of pairwise terminal distances (metric closure on T)

@@ -22,9 +22,9 @@ class Graph:
     __slots__ = ("n", "m", "adj", "_edge_cost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
-        """Build from (u, v, cost) triples in one pass, with the rules of
-        ``add_edge``: parallel edges keep the cheaper cost, and each vertex
-        lists its neighbours in the order their edges first occur."""
+        """Build from (u, v, cost) triples in one pass: parallel edges keep
+        the cheaper cost, and each vertex lists its neighbours in the order
+        their edges first occur."""
         self.n = n
         cost: dict[tuple[int, int], int] = {}
         get = cost.get
@@ -50,21 +50,6 @@ class Graph:
             raise ValueError(f"self-loop at vertex {u}")
         if cost < 0:
             raise ValueError(f"negative cost {cost} on edge ({u}, {v})")
-
-    def add_edge(self, u: int, v: int, cost: int) -> None:
-        """Insert {u, v}; parallel edges collapse to the cheaper cost."""
-        self._check_edge(u, v, cost)
-        key = (u, v) if u < v else (v, u)
-        old = self._edge_cost.get(key)
-        if old is None:
-            self._edge_cost[key] = cost
-            self.adj[u].append((v, cost))
-            self.adj[v].append((u, cost))
-            self.m += 1
-        elif cost < old:
-            self._edge_cost[key] = cost
-            self.adj[u] = [(w, (cost if w == v else c)) for w, c in self.adj[u]]
-            self.adj[v] = [(w, (cost if w == u else c)) for w, c in self.adj[v]]
 
     def edge_cost(self, u: int, v: int) -> Optional[int]:
         return self._edge_cost.get((u, v) if u < v else (v, u))
@@ -113,19 +98,18 @@ class SteinerInstance:
 
 def multi_source_dijkstra(
     graph: Graph, seeds: Sequence[tuple[int, int]], horizon: int = INF
-) -> tuple[list[int], list[int]]:
-    """Dijkstra seeded with (vertex, initial cost) pairs.
+) -> list[int]:
+    """Dijkstra seeded with (vertex, initial cost) pairs; returns the
+    distance array.
 
-    Returns (distance array, predecessor array).  Binary heap with lazy
-    deletion; unreachable vertices, and those farther than ``horizon``, stay
-    at INF with predecessor -1.
+    Binary heap with lazy deletion; unreachable vertices, and those farther
+    than ``horizon``, stay at INF.
     """
     # start every vertex just beyond the horizon: the relaxation test then
     # caps the search with no extra comparison, and the untouched entries
     # become INF at the end
     limit = INF if horizon >= INF else horizon + 1
     dist = [limit] * graph.n
-    pred = [-1] * graph.n
     heap = []
     for v, d0 in seeds:
         if d0 < dist[v]:
@@ -142,11 +126,10 @@ def multi_source_dijkstra(
             nd = d + c
             if nd < dist[v]:
                 dist[v] = nd
-                pred[v] = u
                 heappush(heap, (nd, v))
     if limit != INF:
         dist = [INF if d == limit else d for d in dist]
-    return dist, pred
+    return dist
 
 
 def _find(parent, x: int) -> int:
@@ -239,16 +222,14 @@ def contract_zero_edges(
             edge_witness={e: e for e in g._edge_cost},
         )
     parent = list(range(g.n))
-    # spanning zero-edges recorded as they merge components
-    zero_span: dict[int, list[tuple[int, int]]] = {}
+    # the zero edges that merge two components span the merged ones
+    zero_span: list[tuple[int, int]] = []
     for (u, v), c in g._edge_cost.items():
         if c == 0:
             ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
-                merged = zero_span.pop(ru, []) + zero_span.pop(rv, [])
-                merged.append((u, v))
-                zero_span[rv] = merged
+                zero_span.append((u, v))
 
     comp_of: dict[int, int] = {}
     old_to_new = [0] * g.n
@@ -285,8 +266,8 @@ def contract_zero_edges(
             new_terminals.append(nt)
 
     component_edges = [[] for _ in range(new_n)]
-    for root, span in zero_span.items():
-        component_edges[comp_of[_find(parent, root)]] = span
+    for u, v in zero_span:
+        component_edges[old_to_new[u]].append((u, v))
 
     new_coords = None
     if instance.coords is not None:

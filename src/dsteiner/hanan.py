@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import GridTooLarge, TooManyTerminals
 from .graph import Graph, SteinerInstance
 
-DEFAULT_VERTEX_CAP = 1 << 26
+MAX_GRID_VERTICES = 1 << 26
 
 
 @dataclass
@@ -33,7 +33,7 @@ class PointSet:
 
 
 def build_hanan_grid(
-    points: PointSet, vertex_cap: int = DEFAULT_VERTEX_CAP
+    points: PointSet,
 ) -> tuple[SteinerInstance, dict[tuple[int, ...], int]]:
     """Build the Hanan-grid Steiner instance for a point set.
 
@@ -48,8 +48,8 @@ def build_hanan_grid(
     total = 1
     for c in counts:
         total *= c
-        if total > vertex_cap:
-            raise GridTooLarge(f"grid would have more than {vertex_cap} vertices")
+        if total > MAX_GRID_VERTICES:
+            raise GridTooLarge(f"grid would have more than {MAX_GRID_VERTICES} vertices")
 
     # strides for row-major rank indexing: last axis varies fastest
     strides = [0] * d
@@ -101,20 +101,6 @@ def build_hanan_grid(
     return instance, point_to_vertex
 
 
-def hanan_grid_size(points: PointSet) -> tuple[int, int]:
-    """Exact (|V|, |E|) of the Hanan grid without building it."""
-    d = points.dimension
-    counts = [len({p[i] for p in points.points}) for i in range(d)]
-    v = 1
-    for c in counts:
-        v *= c
-    e = 0
-    for i in range(d):
-        others = v // counts[i]
-        e += (counts[i] - 1) * others
-    return v, e
-
-
 def generate_random_points(d: int, k: int, coord_max: int, seed: int) -> PointSet:
     """k points with coordinates uniform on {0, ..., coord_max}; seeded."""
     if coord_max < 1:
@@ -142,10 +128,3 @@ def parse_points(text: str) -> PointSet:
             raise ValueError(f"point line {ln!r} is not {d}-dimensional")
         pts.append(tuple(vals))
     return PointSet(dimension=d, points=pts)
-
-
-def write_points(points: PointSet) -> str:
-    out = [f"{points.dimension} {len(points.points)}"]
-    for p in points.points:
-        out.append(" ".join(str(x) for x in p))
-    return "\n".join(out) + "\n"

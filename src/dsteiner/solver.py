@@ -62,7 +62,6 @@ class SolveStats:
     # wall milliseconds per phase; a phase that did not run stays at 0.0
     phase_ms: dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(PHASES, 0.0))
-    permanent_events: Optional[list[tuple[int, int, int]]] = None
 
 
 class PruneTracker:
@@ -73,9 +72,6 @@ class PruneTracker:
         self.full_mask = full_mask
         self.upper: dict[int, int] = {}
         self.witness: dict[int, int] = {}
-
-    def bound_for(self, mask: int) -> int:
-        return self.upper.get(mask, INF)
 
     def on_pop(self, vertex: int, mask: int, cost: int) -> None:
         d_set, y_set = self.oracle.set_cut_distance(mask, self.full_mask)
@@ -233,7 +229,6 @@ def solve(
     root_rule: str = "last",
     time_limit: Optional[float] = None,
     mem_limit: Optional[int] = None,
-    record_permanents: bool = False,
 ) -> SolutionRecord:
     """Compute an optimum Steiner tree; returns a validated SolutionRecord.
 
@@ -245,11 +240,13 @@ def solve(
     """
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune mode {prune!r} not one of {PRUNE_MODES}")
-    # written so that NaN fails too: a NaN deadline is never passed
+    # written so that NaN fails too: a NaN limit is never exceeded
     if time_limit is not None and not time_limit > 0:
         raise ValueError(f"time limit {time_limit} is not positive")
+    if mem_limit is not None and not mem_limit > 0:
+        raise ValueError(f"memory limit {mem_limit} is not positive")
     t_start = time.perf_counter()
-    stats = SolveStats(permanent_events=[] if record_permanents else None)
+    stats = SolveStats()
     deadline = None if time_limit is None else t_start + time_limit
     search = _prepare(instance, bound, prune, root_rule, stats, deadline, mem_limit)
     cost, back = 0, None
@@ -424,8 +421,6 @@ def _label_loop(
         stats.permanents += 1
         if stats.permanents > iteration_cap:
             raise InternalError("permanence events exceeded n * 2^(k-1)")
-        if stats.permanent_events is not None:
-            stats.permanent_events.append((v, mask, cost))
         if v == target_v and mask == sources_mask:
             break
         if tracker is not None:

@@ -290,45 +290,27 @@ def _field(record: dict, name: str):
         raise ValueError(f"solution record has no {name!r} field") from None
 
 
-def read_solution(text: str, format: str = "json") -> SolutionRecord:
-    """Parse a record written by ``write_solution``; a missing required
+def read_solution(text: str) -> SolutionRecord:
+    """Parse a JSON record written by ``write_solution``; a missing required
     field, or ``edges`` that is not a list of two-int pairs, raises
     ValueError naming it."""
-    if format == "json":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("solution record is not a JSON object")
-        edges = payload.get("edges", [])
-        # type() rather than isinstance(): JSON true/false are not vertices
-        if not isinstance(edges, list) or not all(
-                isinstance(e, list) and len(e) == 2
-                and type(e[0]) is int and type(e[1]) is int for e in edges):
-            raise ValueError("solution record's 'edges' is not a list of [u, v] int pairs")
-        return SolutionRecord(
-            instance=_field(payload, "instance"),
-            n=_field(payload, "n"),
-            m=_field(payload, "m"),
-            k=_field(payload, "k"),
-            opt=_field(payload, "opt"),
-            edges=[(u, v) for u, v in edges],
-            config=payload.get("config", ""),
-            time_ms=payload.get("time_ms", 0.0),
-            labels=payload.get("labels", 0),
-        )
-    if format == "csv":
-        rows = list(csv.DictReader(io.StringIO(text)))
-        if len(rows) != 1:
-            raise ValueError(f"expected exactly one CSV data row, got {len(rows)}")
-        row = rows[0]
-        return SolutionRecord(
-            instance=_field(row, "instance"),
-            n=int(_field(row, "n")),
-            m=int(_field(row, "m")),
-            k=int(_field(row, "k")),
-            opt=int(_field(row, "opt")),
-            edges=[],
-            config=_field(row, "config"),
-            time_ms=float(_field(row, "time_ms")),
-            labels=int(_field(row, "labels")),
-        )
-    raise ValueError(f"unknown format {format!r}")
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("solution record is not a JSON object")
+    edges = payload.get("edges", [])
+    # type() rather than isinstance(): JSON true/false are not vertices
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2
+            and type(e[0]) is int and type(e[1]) is int for e in edges):
+        raise ValueError("solution record's 'edges' is not a list of [u, v] int pairs")
+    return SolutionRecord(
+        instance=_field(payload, "instance"),
+        n=_field(payload, "n"),
+        m=_field(payload, "m"),
+        k=_field(payload, "k"),
+        opt=_field(payload, "opt"),
+        edges=[(u, v) for u, v in edges],
+        config=payload.get("config", ""),
+        time_ms=payload.get("time_ms", 0.0),
+        labels=payload.get("labels", 0),
+    )

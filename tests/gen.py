@@ -8,12 +8,13 @@ kept to pin the current one to the same trees.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
 from dsteiner import Graph, SteinerInstance, contract_zero_edges
 from dsteiner.errors import Infeasible
-from dsteiner.graph import INF, multi_source_dijkstra
+from dsteiner.graph import INF
 
 
 def random_instance(
@@ -67,6 +68,31 @@ def lattice_instance(side: int, k: int, seed: int, cost_range=(1, 100),
                            name=f"lattice{side}")
 
 
+def dijkstra_with_predecessors(
+    graph: Graph, sources: list[int]
+) -> tuple[list[int], list[int]]:
+    """Multi-source Dijkstra from ``sources`` at distance 0; returns the
+    distance array and the predecessor array, INF and -1 where unreachable.
+    pred[v] is the settled vertex that last lowered dist[v]."""
+    dist = [INF] * graph.n
+    pred = [-1] * graph.n
+    heap = []
+    for v in sources:
+        dist[v] = 0
+        heap.append((0, v))
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d != dist[u]:
+            continue
+        for v, c in graph.adj[u]:
+            if d + c < dist[v]:
+                dist[v] = d + c
+                pred[v] = u
+                heapq.heappush(heap, (d + c, v))
+    return dist, pred
+
+
 def reference_heuristic(
     instance: SteinerInstance, root_index: int
 ) -> tuple[int, list[tuple[int, int]]]:
@@ -80,7 +106,7 @@ def reference_heuristic(
     edges: list[tuple[int, int]] = []
     total = 0
     while remaining:
-        dist, pred = multi_source_dijkstra(graph, [(v, 0) for v in sorted(comp)])
+        dist, pred = dijkstra_with_predecessors(graph, sorted(comp))
         t = min(remaining, key=lambda x: (dist[x], x))
         if dist[t] >= INF:
             raise Infeasible(f"terminal {t} unreachable from the root component")

@@ -22,7 +22,7 @@ def test_single_terminal_is_zero():
 def test_two_terminals_is_shortest_path():
     inst = random_instance(5, k_range=(2, 2))
     cost, edges = solve_baseline(inst)
-    dist, _ = multi_source_dijkstra(inst.graph, [(inst.terminals[0], 0)])
+    dist = multi_source_dijkstra(inst.graph, [(inst.terminals[0], 0)])
     assert cost == dist[inst.terminals[1]]
     assert validate_tree(inst, edges) == cost
 
@@ -50,7 +50,7 @@ def test_smt_subset_trivia():
     t = inst.terminals
     assert oracle.smt_subset([t[0]]) == 0
     assert oracle.smt_subset([], extra_vertex=3) == 0
-    dist, _ = multi_source_dijkstra(inst.graph, [(t[0], 0)])
+    dist = multi_source_dijkstra(inst.graph, [(t[0], 0)])
     assert oracle.smt_subset([t[0], t[1]]) == dist[t[1]]
     assert oracle.smt_subset([t[0]], extra_vertex=t[1]) == dist[t[1]]
 

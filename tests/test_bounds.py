@@ -281,9 +281,11 @@ def test_tsp_insertion_matches_permutations(seed):
 
 
 def test_tsp_cap_enforced():
-    inst, root, oracle = setup(11, 6)
-    with pytest.raises(TspTableTooLarge):
-        TspBound(inst, oracle, root, cap=5)
+    # 21 terminals, one over the cap: refused before any table slot is built
+    inst = random_instance(11, n_range=(30, 30), k_range=(21, 21))
+    oracle = DistanceOracle(inst.graph, inst.terminals)
+    with pytest.raises(TspTableTooLarge, match="k=21"):
+        TspBound(inst, oracle, inst.k - 1)
 
 
 # --- max combination ---

@@ -3,8 +3,11 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -267,9 +270,10 @@ def test_hanan_random_seeded_counts(tmp_path, capsys):
                  "--seed", "9"]) == 0
     v, e, k = map(int, capsys.readouterr().out.split())
     from dsteiner import generate_random_points
-    from dsteiner.hanan import hanan_grid_size
-    ev, ee = hanan_grid_size(generate_random_points(3, 21, 999, 9))
-    assert (v, e) == (ev, ee)
+    pts = generate_random_points(3, 21, 999, 9).points
+    counts = [len({p[i] for p in pts}) for i in range(3)]
+    assert v == counts[0] * counts[1] * counts[2]
+    assert e == sum((c - 1) * (v // c) for c in counts)
     assert k <= 21
 
 
@@ -309,6 +313,33 @@ def test_bench_deterministic_and_parallel_invariant(tmp_path):
         rows = list(csv.DictReader(out.open()))
         outs.append([(r["instance"], r["opt"]) for r in rows])
     assert outs[0] == outs[1] == outs[2]
+
+
+REPRODUCE = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+
+
+def test_reproduce_tables_reports_missing_instances(tmp_path):
+    names = [ln.strip() for ln in (REPRODUCE.parent / "paper_manifests" / "desk_scale.txt")
+             .read_text().splitlines() if ln.strip() and not ln.startswith("#")]
+    data, tmpdir = tmp_path / "data", tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir))
+    run = [sys.executable, str(REPRODUCE), "--data-dir", str(data)]
+    # no instance at all: nothing to report
+    proc = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and "no corpus files found" in proc.stderr
+    (data / "steinlib").mkdir(parents=True)
+    inst, _ = write_instance(data / "steinlib", 5, names[0])
+    out = tmp_path / "rows.csv"
+    proc = subprocess.run(run + ["--out", str(out)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(out.open()))
+    assert [r["instance"] for r in rows] == names
+    assert rows[0]["error"] == ""
+    assert int(rows[0]["opt"]) == solve(inst).opt
+    assert all(r["error"].startswith("FileNotFoundError") for r in rows[1:])
+    assert not any(tmpdir.iterdir())  # the temporary manifest is gone
 
 
 @pytest.mark.parametrize("cpus, workers", [(64, [2]), (1, []), (None, [])])

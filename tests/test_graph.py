@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,39 +17,40 @@ from dsteiner import (
 from dsteiner.errors import ContainsCycle, MissingTerminal, NotConnected
 from dsteiner.graph import INF
 
-from gen import bellman_ford, random_instance
+from gen import bellman_ford, dijkstra_with_predecessors, random_instance
 
 
 def test_single_edge_distance():
     g = Graph(2, [(0, 1, 5)])
-    dist, _ = multi_source_dijkstra(g, [(0, 0)])
+    dist = multi_source_dijkstra(g, [(0, 0)])
     assert dist == [0, 5]
 
 
 def test_triangle_forces_relaxation():
     g = Graph(3, [(0, 1, 2), (1, 2, 2), (0, 2, 5)])
-    dist, _ = multi_source_dijkstra(g, [(0, 0)])
+    dist = multi_source_dijkstra(g, [(0, 0)])
     assert dist[2] == 4
 
 
 def test_unreachable_is_infinite():
     g = Graph(3, [(0, 1, 1)])
-    dist, pred = multi_source_dijkstra(g, [(0, 0)])
+    dist = multi_source_dijkstra(g, [(0, 0)])
     assert dist[2] == INF
-    assert pred[2] == -1
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_dijkstra_matches_bellman_ford(seed):
     inst = random_instance(seed, n_range=(20, 20))
-    dist, _ = multi_source_dijkstra(inst.graph, [(0, 0)])
+    dist = multi_source_dijkstra(inst.graph, [(0, 0)])
     assert dist == bellman_ford(inst.graph, 0)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_predecessors_reconstruct_shortest_paths(seed):
+    # the reference heuristic walks these predecessors back to its component
     inst = random_instance(seed)
-    dist, pred = multi_source_dijkstra(inst.graph, [(0, 0)])
+    dist, pred = dijkstra_with_predecessors(inst.graph, [0])
+    assert dist == multi_source_dijkstra(inst.graph, [(0, 0)])
     for v in range(inst.n):
         if dist[v] >= INF or v == 0:
             continue
@@ -63,7 +65,7 @@ def test_predecessors_reconstruct_shortest_paths(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_triangle_inequality_on_terminal_rows(seed):
     inst = random_instance(seed)
-    rows = [multi_source_dijkstra(inst.graph, [(t, 0)])[0] for t in inst.terminals]
+    rows = [multi_source_dijkstra(inst.graph, [(t, 0)]) for t in inst.terminals]
     for i, ti in enumerate(inst.terminals):
         for j in range(len(inst.terminals)):
             for v in range(inst.n):
@@ -72,10 +74,7 @@ def test_triangle_inequality_on_terminal_rows(seed):
 
 
 def test_parallel_edges_keep_cheaper():
-    g = Graph(2)
-    g.add_edge(0, 1, 9)
-    g.add_edge(0, 1, 4)
-    g.add_edge(1, 0, 7)
+    g = Graph(2, [(0, 1, 9), (0, 1, 4), (1, 0, 7)])
     assert g.m == 1
     assert g.edge_cost(0, 1) == 4
 
@@ -84,35 +83,39 @@ def test_parallel_edges_keep_cheaper():
 def test_dijkstra_horizon_caps_distances(seed):
     inst = random_instance(seed, zero_edges=2)
     seeds = [(inst.terminals[0], 0), (inst.terminals[-1], 7)]
-    full, _ = multi_source_dijkstra(inst.graph, seeds)
+    full = multi_source_dijkstra(inst.graph, seeds)
     finite = sorted({d for d in full if d < INF})
     for horizon in (0, 6, finite[len(finite) // 2], finite[-1]):
-        capped, pred = multi_source_dijkstra(inst.graph, seeds, horizon)
+        capped = multi_source_dijkstra(inst.graph, seeds, horizon)
         assert capped == [d if d <= horizon else INF for d in full], horizon
-        assert all(pred[v] == -1 for v in range(inst.n) if capped[v] == INF)
 
 
 # --- bulk construction ---
 
-def _add_edge_loop(n, edges):
-    g = Graph(n)
+def _assert_built_from(graph, n, edges):
+    """``graph`` is what inserting ``edges`` one at a time gives: the
+    cheapest cost per vertex pair, pairs in the order they first occur, and
+    each vertex listing its neighbours in that order."""
+    cheapest = {}
     for u, v, c in edges:
-        g.add_edge(u, v, c)
-    return g
-
-
-def _assert_same_graph(bulk, loop):
-    assert bulk.adj == loop.adj  # neighbours, costs and their order
-    assert bulk.edges() == loop.edges()  # costs, in first-occurrence order
-    assert bulk.m == loop.m
+        key = (min(u, v), max(u, v))
+        cheapest[key] = min(c, cheapest.get(key, c))
+    adj = [[] for _ in range(n)]
+    for (u, v), c in cheapest.items():
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+    assert graph.edges() == list(cheapest.items())
+    assert graph.adj == adj
+    assert graph.m == len(cheapest)
 
 
 def test_bulk_build_parallel_edges_in_both_cost_orders():
     for edges in ([(0, 1, 9), (1, 2, 3), (1, 0, 4)],
                   [(1, 0, 4), (1, 2, 3), (0, 1, 9)]):
         bulk = Graph(3, edges)
-        _assert_same_graph(bulk, _add_edge_loop(3, edges))
+        _assert_built_from(bulk, 3, edges)
         assert bulk.edge_cost(0, 1) == 4 and bulk.m == 2
+        assert bulk.adj[1] == [(0, 4), (2, 3)]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -127,7 +130,7 @@ def test_bulk_build_matches_add_edge_loop(seed):
     for u, v, c in rng.sample(edges, min(8, len(edges))):
         edges.insert(rng.randrange(len(edges) + 1),
                      (v, u, max(0, c + rng.choice((-2, -1, 1, 2)))))
-    _assert_same_graph(Graph(n, edges), _add_edge_loop(n, edges))
+    _assert_built_from(Graph(n, edges), n, edges)
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -140,8 +143,6 @@ def test_bulk_build_matches_add_edge_loop(seed):
 def test_bulk_build_rejects_bad_edges(edges, message):
     with pytest.raises(ValueError, match=message):
         Graph(3, edges)
-    with pytest.raises(ValueError, match=message):
-        _add_edge_loop(3, edges)
 
 
 # --- validate_tree ---
@@ -243,3 +244,20 @@ def test_contract_output_always_positive(seed):
     reduced_terms = set(reduced.terminals)
     for t in inst.terminals:
         assert cmap.old_to_new[t] in reduced_terms
+
+
+def test_contract_long_zero_components_in_linear_time():
+    # a zero path 0..L and a zero star around c, joined by one edge of cost 3
+    length, leaves = 50_000, 2_000
+    c = length + 1
+    path = [(i, i + 1, 0) for i in range(length)]
+    star = [(c, c + 1 + i, 0) for i in range(leaves)]
+    inst = SteinerInstance(graph=Graph(c + 1 + leaves, path + star + [(length, c, 3)]),
+                           terminals=[0, c + leaves])
+    start = time.perf_counter()
+    reduced, cmap = contract_zero_edges(inst)
+    assert time.perf_counter() - start < 1.0
+    assert (reduced.n, reduced.m, reduced.k) == (2, 1, 2)
+    lifted = cmap.lift_edges([(0, 1)], 0)
+    assert sorted(lifted) == sorted([(u, v) for u, v, _ in path + star] + [(length, c)])
+    assert validate_tree(inst, lifted) == 3

@@ -10,7 +10,7 @@ from dsteiner import (
     validate_tree,
 )
 from dsteiner.errors import GridTooLarge
-from dsteiner.hanan import hanan_grid_size, parse_points, write_points
+from dsteiner.hanan import parse_points
 
 from gen import rectilinear_smt_bruteforce
 
@@ -47,8 +47,7 @@ def test_counts_formula_with_repeats():
     pts = PointSet(3, [(0, 0, 0), (0, 1, 2), (1, 0, 2), (1, 1, 0)])
     inst, _ = build_hanan_grid(pts)
     v, e = grid_counts(pts)
-    assert (inst.n, inst.m) == (v, e)
-    assert (v, e) == hanan_grid_size(pts)
+    assert (inst.n, inst.m) == (v, e) == (8, 12)
 
 
 @given(
@@ -89,16 +88,17 @@ def test_random_points_deterministic():
 
 def test_random_points_grid_at_most_k_cubed():
     pts = generate_random_points(3, 40, 999, 5)
-    v, e = hanan_grid_size(pts)
+    v, _ = grid_counts(pts)
     assert v <= 40 ** 3
-    counts = [len({p[i] for p in pts.points}) for i in range(3)]
-    assert v == counts[0] * counts[1] * counts[2]
 
 
 def test_grid_too_large():
-    pts = generate_random_points(3, 30, 10 ** 6, 1)
+    # about 410^3 = 69M grid vertices, over the 2^26 cap, which is checked
+    # before any vertex is built
+    pts = generate_random_points(3, 410, 10 ** 6, 1)
+    assert grid_counts(pts)[0] > 1 << 26
     with pytest.raises(GridTooLarge):
-        build_hanan_grid(pts, vertex_cap=1000)
+        build_hanan_grid(pts)
 
 
 def test_dimension_must_be_at_least_two():
@@ -107,10 +107,12 @@ def test_dimension_must_be_at_least_two():
 
 
 def test_point_file_roundtrip():
-    pts = generate_random_points(4, 7, 99, 3)
-    again = parse_points(write_points(pts))
-    assert again.dimension == 4
-    assert again.points == pts.points
+    text = "4 2\n1 2 3 4\n-5 6 7 80\n"
+    pts = parse_points(text)
+    assert pts.dimension == 4
+    assert pts.points == [(1, 2, 3, 4), (-5, 6, 7, 80)]
+    lines = [f"4 {len(pts.points)}"] + [" ".join(map(str, p)) for p in pts.points]
+    assert "\n".join(lines) + "\n" == text
 
 
 def test_point_file_count_checked():

@@ -1,7 +1,9 @@
+import heapq
 import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,7 +52,7 @@ def test_single_terminal():
 def test_two_terminals_degenerates_to_dijkstra(seed):
     inst = random_instance(seed, k_range=(2, 2))
     rec = solve(inst)
-    dist, _ = multi_source_dijkstra(inst.graph, [(inst.terminals[0], 0)])
+    dist = multi_source_dijkstra(inst.graph, [(inst.terminals[0], 0)])
     assert rec.opt == dist[inst.terminals[1]]
     assert validate_tree(inst, rec.edges) == rec.opt
 
@@ -58,30 +60,37 @@ def test_two_terminals_degenerates_to_dijkstra(seed):
 def test_star_merges_at_center():
     g = Graph(4, [(0, 3, 2), (1, 3, 3), (2, 3, 4)])
     inst = SteinerInstance(graph=g, terminals=[0, 1, 2], name="star")
-    rec = solve(inst, record_permanents=True)
+    rec = solve(inst)
     assert rec.opt == 9
     assert sorted(rec.edges) == [(0, 3), (1, 3), (2, 3)]
-    # the center picks up a merged label covering both sources
-    assert any(v == 3 and mask.bit_count() == 2 and cost == 5
-               for v, mask, cost in rec.stats.permanent_events)
+
+
+def _permanent_labels(inst, bound, monkeypatch):
+    """Solve with prune off, check the optimum, and return (key, v, mask,
+    cost) of each label in the order it became permanent.
+
+    Prune off discards nothing at a pop, and a label's cheapest heap entry
+    pops first, so the first pop of each (v, mask) makes it permanent."""
+    pops = []
+
+    def heappop(heap):
+        pops.append(heapq.heappop(heap))
+        return pops[-1]
+
+    monkeypatch.setattr(solver, "heapq",
+                        SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    assert solve(inst, bound=bound, prune="off").opt == solve_baseline(inst)[0]
+    seen = set()
+    events = []
+    for key, cost, v, mask in pops:
+        if (v, mask) not in seen:
+            seen.add((v, mask))
+            events.append((key, v, mask, cost))
+    return events
 
 
 def _permanent_keys(inst, bound, monkeypatch):
-    """Solve with prune off, check the optimum, and return the key
-    2*l + 2*B(v, T - I) of each label in the order it became permanent."""
-    make, built = solver.make_bound, []
-
-    def capture(*args, **kwargs):
-        built.append((args[1], make(*args, **kwargs)))
-        return built[-1][1]
-
-    monkeypatch.setattr(solver, "make_bound", capture)
-    rec = solve(inst, bound=bound, prune="off", record_permanents=True)
-    assert rec.opt == solve_baseline(inst)[0]
-    (reduced, b), = built
-    full = (1 << reduced.k) - 1
-    return [2 * cost + b.value2(v, full ^ mask)
-            for v, mask, cost in rec.stats.permanent_events]
+    return [key for key, _, _, _ in _permanent_labels(inst, bound, monkeypatch)]
 
 
 @pytest.mark.parametrize("bound", BOUNDS + ["tsp"])
@@ -154,21 +163,18 @@ def _two_cluster_instance():
     # two tight terminal clusters joined by a long bridge: labels spanning a
     # whole cluster plus bridge cost exceed the per-set upper bound that the
     # witness terminals on the other side certify
-    g = Graph(12)
-    # cluster A: 0-1-2-3 around hub 4
-    for v, c in ((0, 2), (1, 3), (2, 2), (3, 3)):
-        g.add_edge(v, 4, c)
-    # cluster B: 6-7-8-9 around hub 10
-    for v, c in ((6, 2), (7, 3), (8, 2), (9, 3)):
-        g.add_edge(v, 10, c)
-    # bridge 4 - 5 - 10
-    g.add_edge(4, 5, 20)
-    g.add_edge(5, 10, 20)
-    # detour edges make expensive alternative labels possible
-    g.add_edge(0, 5, 30)
-    g.add_edge(6, 5, 30)
+    edges = (
+        # cluster A: 0-1-2-3 around hub 4
+        [(v, 4, c) for v, c in ((0, 2), (1, 3), (2, 2), (3, 3))]
+        # cluster B: 6-7-8-9 around hub 10
+        + [(v, 10, c) for v, c in ((6, 2), (7, 3), (8, 2), (9, 3))]
+        # bridge 4 - 5 - 10
+        + [(4, 5, 20), (5, 10, 20)]
+        # detour edges make expensive alternative labels possible
+        + [(0, 5, 30), (6, 5, 30)]
+    )
     return SteinerInstance(
-        graph=g, terminals=[0, 1, 2, 3, 6, 7, 8, 9], name="clusters"
+        graph=Graph(12, edges), terminals=[0, 1, 2, 3, 6, 7, 8, 9], name="clusters"
     )
 
 
@@ -200,21 +206,22 @@ def test_prune_tracker_update_rule():
     tracker = PruneTracker(oracle, full)
     mask = 0b00011
     v = inst.terminals[0]
-    assert tracker.bound_for(mask) == INF
+    assert tracker.upper.get(mask, INF) == INF
     tracker.on_pop(v, mask, 40)
     cut, _ = oracle.set_cut_distance(mask, full)
     vdist, _ = oracle.vertex_to_set_distance(v, full ^ mask)
-    assert tracker.bound_for(mask) == 40 + min(cut, vdist)
+    assert tracker.upper.get(mask, INF) == 40 + min(cut, vdist)
     assert tracker.witness[mask] & mask == 0
     # upper bounds only ever decrease
     tracker.on_pop(v, mask, 50)
-    assert tracker.bound_for(mask) == 40 + min(cut, vdist)
+    assert tracker.upper.get(mask, INF) == 40 + min(cut, vdist)
     tracker.on_pop(v, mask, 10)
-    assert tracker.bound_for(mask) == 10 + min(cut, vdist)
+    assert tracker.upper.get(mask, INF) == 10 + min(cut, vdist)
 
 
 def test_prune_tracker_merge_combination():
     from dsteiner import DistanceOracle
+    from dsteiner.graph import INF
     from dsteiner.solver import PruneTracker
 
     inst = random_instance(93, k_range=(6, 6))
@@ -227,7 +234,7 @@ def test_prune_tracker_merge_combination():
     tracker.witness[0b011000] = 0b000100
     tracker.on_merge(0b000011, 0b011000)
     union = 0b011011
-    assert tracker.bound_for(union) == 16
+    assert tracker.upper.get(union, INF) == 16
     assert tracker.witness[union] == 0b000100
     # witnesses inside the partner set block the combination
     tracker2 = PruneTracker(oracle, full)
@@ -236,19 +243,19 @@ def test_prune_tracker_merge_combination():
     tracker2.upper[0b011000] = 9
     tracker2.witness[0b011000] = 0b000001  # inside the other set
     tracker2.on_merge(0b000011, 0b011000)
-    assert tracker2.bound_for(union) > 16
+    assert tracker2.upper.get(union, INF) > 16
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_permanent_labels_are_partial_optima(seed):
+def test_permanent_labels_are_partial_optima(seed, monkeypatch):
     # every permanence event equals the independent oracle's optimum for
     # its vertex-plus-sources set
     inst = random_instance(seed + 500, n_range=(6, 15), k_range=(2, 5))
-    rec = solve(inst, bound="onetree", prune="off", record_permanents=True)
+    events = _permanent_labels(inst, "onetree", monkeypatch)
     oracle = BaselineOracle(inst)
     # contraction is the identity here (no zero edges), so label masks index
     # the instance terminal list directly
-    for v, mask, cost in rec.stats.permanent_events:
+    for _, v, mask, cost in events:
         assert cost == oracle.smt_mask(mask, v), (v, bin(mask), cost)
 
 
@@ -412,6 +419,9 @@ def test_time_limit_rejects_nan_and_nonpositive():
     for bad in (float("nan"), 0, -1.0):
         with pytest.raises(ValueError, match="time limit"):
             solve(inst, time_limit=bad)
+    for bad in (float("nan"), 0, -1):
+        with pytest.raises(ValueError, match="memory limit"):
+            solve(inst, mem_limit=bad)
 
 
 def test_time_limit_covers_distance_oracle(monkeypatch):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 
@@ -174,7 +176,7 @@ def _record():
 
 def test_solution_json_roundtrip():
     rec = _record()
-    again = read_solution(write_solution(rec, "json"), "json")
+    again = read_solution(write_solution(rec, "json"))
     rec.stats = None
     assert again == rec
 
@@ -188,39 +190,31 @@ def test_solution_csv_header_and_row():
 
 def test_solution_csv_roundtrip_summary_fields():
     rec = _record()
-    again = read_solution(write_solution(rec, "csv"), "csv")
-    assert (again.instance, again.n, again.m, again.k, again.opt) == (
-        "b01", 50, 63, 9, 82,
-    )
-    assert again.config == rec.config
-    assert again.labels == rec.labels
+    row, = csv.DictReader(io.StringIO(write_solution(rec, "csv")))
+    assert [row[f] for f in ("instance", "n", "m", "k", "opt")] == [
+        "b01", "50", "63", "9", "82",
+    ]
+    assert row["config"] == rec.config
+    assert int(row["labels"]) == rec.labels
 
 
-@pytest.mark.parametrize("fmt, field", [("json", "instance"), ("json", "opt"),
-                                         ("csv", "opt"), ("csv", "labels")])
+@pytest.mark.parametrize("fmt, field", [("json", "instance"), ("json", "opt")])
 def test_solution_missing_field_names_it(fmt, field):
-    text = write_solution(_record(), fmt)
-    if fmt == "json":
-        payload = json.loads(text)
-        del payload[field]
-        text = json.dumps(payload)
-    else:
-        header, row = (line.split(",") for line in text.strip().splitlines())
-        i = header.index(field)
-        text = ",".join(header[:i] + header[i + 1:]) + "\n" + ",".join(row[:i] + row[i + 1:])
+    payload = json.loads(write_solution(_record(), fmt))
+    del payload[field]
     with pytest.raises(ValueError, match=repr(field)):
-        read_solution(text, fmt)
+        read_solution(json.dumps(payload))
 
 
 @pytest.mark.parametrize("text", ["{}", "[]", "3"])
 def test_solution_not_a_record_is_value_error(text):
     with pytest.raises(ValueError):
-        read_solution(text, "json")
+        read_solution(text)
 
 
 def test_empty_edge_list_record_is_valid():
     rec = SolutionRecord(instance="one", n=1, m=0, k=1, opt=0)
-    again = read_solution(write_solution(rec, "json"), "json")
+    again = read_solution(write_solution(rec, "json"))
     assert again.opt == 0
     assert again.edges == []
 
