@@ -17,31 +17,55 @@ INF = (1 << 63) - 1
 
 
 class Graph:
-    """Undirected graph with integer edge costs, stored as adjacency lists."""
+    """Undirected graph with integer edge costs.
 
-    __slots__ = ("n", "m", "adj", "_edge_cost")
+    The cost dict, keyed by ``(u, v)`` with ``u < v``, is the one structure
+    built eagerly; the adjacency lists are built on first read of ``adj``.
+    """
+
+    __slots__ = ("n", "m", "_adj", "_edge_cost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         """Build from (u, v, cost) triples in one pass: parallel edges keep
-        the cheaper cost, and each vertex lists its neighbours in the order
-        their edges first occur."""
+        the cheaper cost, and pairs keep the order their edges first occur."""
         self.n = n
         cost: dict[tuple[int, int], int] = {}
         get = cost.get
         for u, v, c in edges:
-            key = (u, v) if u < v else (v, u)
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n or u == v or c < 0:
+                self._check_edge(u, v, c)
+            key = (u, v)
             old = get(key)
             if old is None or c < old:
                 cost[key] = c
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), c in cost.items():
-            if u < 0 or v >= n or u == v or c < 0:
-                self._check_edge(u, v, c)
-            adj[u].append((v, c))
-            adj[v].append((u, c))
-        self.adj = adj
         self._edge_cost = cost
         self.m = len(cost)
+        self._adj = None
+
+    @classmethod
+    def _from_costs(cls, n: int, cost: dict[tuple[int, int], int]) -> "Graph":
+        """Wrap a finished cost dict: keys ``(u, v)`` with ``0 <= u < v < n``,
+        costs nonnegative; the dict is taken over, not copied."""
+        graph = cls.__new__(cls)
+        graph.n = n
+        graph._edge_cost = cost
+        graph.m = len(cost)
+        graph._adj = None
+        return graph
+
+    @property
+    def adj(self) -> list[list[tuple[int, int]]]:
+        """Per vertex, its ``(neighbour, cost)`` pairs in edge order."""
+        adj = self._adj
+        if adj is None:
+            adj = [[] for _ in range(self.n)]
+            for (u, v), c in self._edge_cost.items():
+                adj[u].append((v, c))
+                adj[v].append((u, c))
+            self._adj = adj
+        return adj
 
     def _check_edge(self, u: int, v: int, cost: int) -> None:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -246,16 +270,16 @@ def contract_zero_edges(
     new_cost: dict[tuple[int, int], int] = {}
     edge_witness: dict[tuple[int, int], tuple[int, int]] = {}
     get = new_cost.get
-    for (u, v), c in g._edge_cost.items():
-        nu, nv = old_to_new[u], old_to_new[v]
+    for edge, c in g._edge_cost.items():
+        nu, nv = old_to_new[edge[0]], old_to_new[edge[1]]
         if nu == nv:
             continue
         key = (nu, nv) if nu < nv else (nv, nu)
         prev = get(key)
         if prev is None or c < prev:
             new_cost[key] = c
-            edge_witness[key] = (u, v)
-    new_graph = Graph(new_n, [(a, b, c) for (a, b), c in new_cost.items()])
+            edge_witness[key] = edge
+    new_graph = Graph._from_costs(new_n, new_cost)
 
     new_terminals: list[int] = []
     seen: set[int] = set()

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from .errors import GridTooLarge, TooManyTerminals
 from .graph import Graph, SteinerInstance
 
-MAX_GRID_VERTICES = 1 << 26
+# Bytes a built grid holds per vertex and per edge, measured with
+# tracemalloc on CPython 3.11 over d = 2..8: a vertex is its coordinate tuple
+# and list slot, an edge its cost-dict entry with key tuple and cost.  Per
+# item this read 135-178 B, while per vertex it grows with d (400 B at d=2,
+# 1.2 KB at d=8), so the cap counts vertices plus edges.
+GRID_ITEM_BYTES = 200
+# a grid at the cap fits the CLI's default 4 GiB memory limit
+MAX_GRID_ITEMS = (4 << 30) // GRID_ITEM_BYTES
 
 
 @dataclass
@@ -48,8 +55,14 @@ def build_hanan_grid(
     total = 1
     for c in counts:
         total *= c
-        if total > MAX_GRID_VERTICES:
-            raise GridTooLarge(f"grid would have more than {MAX_GRID_VERTICES} vertices")
+    items = total + sum((c - 1) * (total // c) for c in counts)
+    if items > MAX_GRID_ITEMS:
+        raise GridTooLarge(
+            f"grid would have {items} vertices and edges, over {MAX_GRID_ITEMS} "
+            f"(about {GRID_ITEM_BYTES} B each)")
+    distinct = len(set(points.points))
+    if distinct >= 64:
+        raise TooManyTerminals(f"{distinct} distinct points; at most 63 supported")
 
     # strides for row-major rank indexing: last axis varies fastest
     strides = [0] * d
@@ -63,9 +76,10 @@ def build_hanan_grid(
     def vertex_id(point: tuple[int, ...]) -> int:
         return sum(strides[i] * rank[i][point[i]] for i in range(d))
 
-    edges: list[tuple[int, int, int]] = []
-    # enumerate vertices by mixed-radix rank vector; connect each vertex to
-    # its successor along every axis
+    # each vertex joins its successor along every axis, so every pair is
+    # listed once, lower id first
+    cost: dict[tuple[int, int], int] = {}
+    # enumerate vertices by mixed-radix rank vector
     radix = [0] * d
     coords_list: list[tuple[int, ...]] = []
     for vid in range(total):
@@ -75,7 +89,7 @@ def build_hanan_grid(
             r = radix[i]
             if r + 1 < counts[i]:
                 step = axes[i][r + 1] - axes[i][r]
-                edges.append((vid, vid + strides[i], step))
+                cost[vid, vid + strides[i]] = step
         # increment mixed-radix counter
         for i in range(d - 1, -1, -1):
             radix[i] += 1
@@ -92,11 +106,9 @@ def build_hanan_grid(
         if vid not in seen:
             seen.add(vid)
             terminals.append(vid)
-    if len(terminals) >= 64:
-        raise TooManyTerminals(f"{len(terminals)} distinct points; at most 63 supported")
 
     instance = SteinerInstance(
-        graph=Graph(total, edges), terminals=terminals, coords=coords_list
+        graph=Graph._from_costs(total, cost), terminals=terminals, coords=coords_list
     )
     return instance, point_to_vertex
 

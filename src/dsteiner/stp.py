@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 from .errors import CountMismatch, NonIntegralCost, StpSyntaxError, TooManyTerminals
@@ -19,7 +19,8 @@ from .graph import Graph, SteinerInstance
 
 MAGIC = "33D32945 STP File, STP Format Version 1.0"
 
-# Graph(n) allocates n lists up front (over 0.5 GB here): refuse larger counts
+# a graph's adjacency and each distance row hold n entries (n lists alone
+# take over 0.5 GB here): refuse larger counts
 MAX_NODES = 10**7
 
 # Distances at or above graph.INF = 2^63 - 1 read as unreachable, and the
@@ -53,6 +54,16 @@ def _arg_token(tokens: list[str], line_no: int, what: str) -> int:
     return _int_token(tokens[1], line_no, what)
 
 
+def _keep_cheaper(cost: dict[tuple[int, int], int], u: int, v: int, c: int) -> None:
+    """Merge the 1-based edge (u, v) of cost c into ``cost``: a self-loop is
+    dropped, a repeated pair keeps the cheaper cost and its first place."""
+    if u != v:
+        key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+        old = cost.get(key)
+        if old is None or c < old:
+            cost[key] = c
+
+
 def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     """Parse an STP document into a SteinerInstance.
 
@@ -67,7 +78,17 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     n = None
     declared_edges = None
     declared_terminals = None
-    edge_lines: list[tuple[int, int, int]] = []
+    # cheapest cost per 0-based pair (u, v), u < v, in order of first occurrence
+    cost: dict[tuple[int, int], int] = {}
+    get = cost.get
+    edge_count = 0  # E lines, self-loops and repeats included
+    # E lines met before the Nodes line: (line number, u, v, cost), range
+    # checked and merged after the loop; once one is here, the rest follow
+    # it, so that pairs keep their file order
+    early_edges: list[tuple[int, int, int, int]] = []
+    # the node count while E lines take the fast path: in the Graph section,
+    # after Nodes, with no early edge; 0 otherwise
+    limit = 0
     term_lines: list[int] = []
     coord_lines: dict[int, tuple[int, ...]] = {}
     coord_dim = None
@@ -76,23 +97,45 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     saw_any = False
 
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
+        # fast path: a well-formed E line is counted and merged right here;
+        # a line that fails any check falls through to the general path,
+        # which raises the named error
+        if limit and len(tokens) == 4 and tokens[0] in ("E", "e"):
+            try:
+                u = int(tokens[1])
+                v = int(tokens[2])
+                c = int(tokens[3])
+            except ValueError:
+                pass
+            else:
+                if (0 < u <= limit and 0 < v <= limit and c >= 0
+                        and total_cost + c < MAX_TOTAL_COST):
+                    total_cost += c
+                    edge_count += 1
+                    if u != v:  # _keep_cheaper, inlined
+                        key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+                        old = get(key)
+                        if old is None or c < old:
+                            cost[key] = c
+                    continue
+        key = tokens[0].upper()
         if not saw_any:
             saw_any = True
-            if line.upper().startswith("33D32945"):
+            if key.startswith("33D32945"):
                 continue
             warnings.warn("missing STP magic line, parsing anyway", StpFormatWarning)
-        tokens = line.split()
-        key = tokens[0].upper()
         if key == "SECTION":
             if len(tokens) < 2:
                 raise StpSyntaxError(line_no, "SECTION without a name")
             section = tokens[1].upper()
+            limit = n if section == "GRAPH" and n and not early_edges else 0
             continue
         if key == "END":
             section = None
+            limit = 0
             continue
         if key == "EOF":
             break
@@ -100,9 +143,13 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
             continue
         if section == "GRAPH":
             if key == "NODES":
-                n = _arg_token(tokens, line_no, "node count")
-                if not 1 <= n <= MAX_NODES:
-                    raise StpSyntaxError(line_no, f"node count {n} outside 1..{MAX_NODES}")
+                count = _arg_token(tokens, line_no, "node count")
+                if not 1 <= count <= MAX_NODES:
+                    raise StpSyntaxError(line_no, f"node count {count} outside 1..{MAX_NODES}")
+                if n is not None and count != n:
+                    raise StpSyntaxError(line_no, f"node count {count} differs from the earlier {n}")
+                n = count
+                limit = 0 if early_edges else n
             elif key == "EDGES" or key == "ARCS":
                 declared_edges = _arg_token(tokens, line_no, "edge count")
             elif key == "E":
@@ -116,7 +163,11 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
                 total_cost += c
                 if total_cost >= MAX_TOTAL_COST:
                     raise StpSyntaxError(line_no, "edge costs sum to 2^60 or more")
-                edge_lines.append((u, v, c))
+                if n is not None and not (1 <= u <= n and 1 <= v <= n):
+                    raise StpSyntaxError(line_no, f"edge ({u}, {v}) outside 1..{n}")
+                edge_count += 1
+                early_edges.append((line_no, u, v, c))
+                limit = 0
             else:
                 raise StpSyntaxError(line_no, f"unexpected keyword {tokens[0]!r} in Graph section")
         elif section == "TERMINALS":
@@ -145,9 +196,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
 
     if n is None:
         raise StpSyntaxError(0, "no Nodes declaration found")
-    if declared_edges is not None and declared_edges != len(edge_lines):
+    if declared_edges is not None and declared_edges != edge_count:
         raise CountMismatch(
-            f"declared {declared_edges} edges but found {len(edge_lines)} E lines"
+            f"declared {declared_edges} edges but found {edge_count} E lines"
         )
     if declared_terminals is not None and declared_terminals != len(term_lines):
         raise CountMismatch(
@@ -156,13 +207,11 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     if not term_lines:
         raise StpSyntaxError(0, "no terminals")
 
-    edges = []
-    for u, v, c in edge_lines:
+    for line_no, u, v, c in early_edges:
         if not (1 <= u <= n and 1 <= v <= n):
-            raise StpSyntaxError(0, f"edge ({u}, {v}) outside 1..{n}")
-        if u != v:  # self-loops can never occur in a tree
-            edges.append((u - 1, v - 1, c))
-    graph = Graph(n, edges)
+            raise StpSyntaxError(line_no, f"edge ({u}, {v}) outside 1..{n}")
+        _keep_cheaper(cost, u, v, c)
+    graph = Graph._from_costs(n, cost)
 
     terminals = []
     seen = set()
@@ -244,7 +293,7 @@ class SolutionRecord:
     config: str = ""
     time_ms: float = 0.0
     labels: int = 0
-    stats: Optional[object] = None  # SolveStats; never serialized
+    stats: Optional[object] = None  # SolveStats; JSON only, never read back
 
     def summary_row(self) -> list[str]:
         return [
@@ -260,7 +309,9 @@ class SolutionRecord:
 
 
 def write_solution(record: SolutionRecord, format: str = "json") -> str:
-    """Serialize a record; field order is fixed for both formats."""
+    """Serialize a record; field order is fixed for both formats.  JSON adds
+    a ``stats`` object (the SolveStats counters and ``phase_ms``) when the
+    record has stats; the CSV row never carries them."""
     if format == "json":
         payload = {
             "instance": record.instance,
@@ -273,6 +324,8 @@ def write_solution(record: SolutionRecord, format: str = "json") -> str:
             "time_ms": record.time_ms,
             "labels": record.labels,
         }
+        if record.stats is not None:
+            payload["stats"] = asdict(record.stats)
         return json.dumps(payload, indent=2) + "\n"
     if format == "csv":
         buf = io.StringIO()

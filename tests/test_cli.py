@@ -37,6 +37,23 @@ def test_solve_json_roundtrips_through_validate(tmp_path, capsys):
     assert printed == str(payload["opt"])
 
 
+def test_solve_json_carries_stats(tmp_path, capsys):
+    inst, path = write_instance(tmp_path, 3, "s")
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "-o", str(out)]) == 0
+    stats = json.loads(out.read_text())["stats"]
+    expect = solve(inst).stats
+    phase_ms = stats.pop("phase_ms")
+    assert stats == {k: v for k, v in vars(expect).items() if k != "phase_ms"}
+    assert all(type(v) is int for v in stats.values())
+    assert stats["labels_created"] > 0 and stats["upper_bound"] > 0
+    assert set(phase_ms) == set(expect.phase_ms)
+    assert all(type(v) is float and v >= 0 for v in phase_ms.values())
+    assert main(["validate", str(path), str(out)]) == 0
+    assert main(["solve", str(path), "--format", "csv"]) == 0
+    assert "stats" not in capsys.readouterr().out
+
+
 def test_solve_csv_to_stdout(tmp_path, capsys):
     inst, path = write_instance(tmp_path, 2, "b")
     assert main(["solve", str(path), "--format", "csv"]) == 0

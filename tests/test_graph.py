@@ -118,19 +118,41 @@ def test_bulk_build_parallel_edges_in_both_cost_orders():
         assert bulk.adj[1] == [(0, 4), (2, 3)]
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_bulk_build_matches_add_edge_loop(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 12)
+def _random_edges(rng, n):
     edges = []
     for _ in range(rng.randint(0, 40)):
         u, v = rng.sample(range(n), 2)
         edges.append((u, v, rng.randint(0, 9)))
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_bulk_build_matches_add_edge_loop(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    edges = _random_edges(rng, n)
     # repeat pairs reversed, cheaper or dearer, before or after the original
     for u, v, c in rng.sample(edges, min(8, len(edges))):
         edges.insert(rng.randrange(len(edges) + 1),
                      (v, u, max(0, c + rng.choice((-2, -1, 1, 2)))))
     _assert_built_from(Graph(n, edges), n, edges)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_from_costs_and_lazy_adj_match_eager_build(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    edges = _random_edges(rng, n)
+    built = Graph(n, edges)
+    cheapest = {}
+    for u, v, c in edges:
+        key = (min(u, v), max(u, v))
+        cheapest[key] = min(c, cheapest.get(key, c))
+    wrapped = Graph._from_costs(n, cheapest)
+    for graph in (built, wrapped):
+        assert graph._adj is None  # nothing built before the first read
+        _assert_built_from(graph, n, edges)
+        assert graph.adj is graph.adj  # built once
 
 
 @pytest.mark.parametrize("edges, message", [

@@ -9,8 +9,9 @@ from dsteiner import (
     solve,
     validate_tree,
 )
-from dsteiner.errors import GridTooLarge
-from dsteiner.hanan import parse_points
+from dsteiner.cli import RunConfig
+from dsteiner.errors import GridTooLarge, TooManyTerminals
+from dsteiner.hanan import GRID_ITEM_BYTES, MAX_GRID_ITEMS, parse_points
 
 from gen import rectilinear_smt_bruteforce
 
@@ -93,12 +94,60 @@ def test_random_points_grid_at_most_k_cubed():
 
 
 def test_grid_too_large():
-    # about 410^3 = 69M grid vertices, over the 2^26 cap, which is checked
-    # before any vertex is built
+    # about 410^3 = 69M grid vertices, over the cap, which is checked before
+    # any vertex is built
     pts = generate_random_points(3, 410, 10 ** 6, 1)
-    assert grid_counts(pts)[0] > 1 << 26
+    assert sum(grid_counts(pts)) > MAX_GRID_ITEMS
     with pytest.raises(GridTooLarge):
         build_hanan_grid(pts)
+
+
+def _axis_points(counts):
+    """max(counts) points whose grid has counts[i] values on axis i."""
+    return PointSet(len(counts), [tuple(min(j, c - 1) for c in counts)
+                                  for j in range(max(counts))])
+
+
+def _refused_peak(pts, error):
+    """Traced peak bytes of a build_hanan_grid call that raises ``error``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            build_hanan_grid(pts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_just_over_the_cap_is_refused_before_building():
+    # a grid at the cap fits the CLI's default memory limit
+    assert MAX_GRID_ITEMS * GRID_ITEM_BYTES <= RunConfig().mem_limit
+    # 5D, 48 distinct points: 28 vertices and edges over the cap
+    pts = _axis_points((3, 18, 34, 44, 48))
+    assert sum(grid_counts(pts)) == MAX_GRID_ITEMS + 28
+    assert _refused_peak(pts, GridTooLarge) < 100_000
+
+
+def test_grid_item_bytes_tracks_measured_growth():
+    import tracemalloc
+
+    pts = generate_random_points(3, 20, 10 ** 6, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        inst, _ = build_hanan_grid(pts)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    items = inst.n + inst.m
+    assert items * GRID_ITEM_BYTES / 2 <= peak <= items * GRID_ITEM_BYTES
+
+
+def test_too_many_distinct_points_refused_before_building():
+    # 64^3 vertices would fit under the cap; the point count refuses them
+    assert _refused_peak(_axis_points((64, 64, 64)), TooManyTerminals) < 100_000
 
 
 def test_dimension_must_be_at_least_two():

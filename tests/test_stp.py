@@ -17,6 +17,7 @@ from dsteiner.errors import (
 )
 from dsteiner.stp import (
     CSV_HEADER,
+    MAGIC,
     SolutionRecord,
     StpFormatWarning,
     read_solution,
@@ -307,3 +308,75 @@ def test_edge_cost_sum_below_limit_parses():
         "Edges 1\nE 1 2 7", f"Edges 2\nE 1 2 {big}\nE 2 3 {big}")
     inst = parse_stp(text)
     assert inst.graph.edge_cost(0, 1) == big
+
+
+# --- E lines: the fast path and the general path give the same result ---
+
+def _graph_doc(edge_lines, nodes="before"):
+    """A three-node document whose Graph section holds ``edge_lines``, with
+    the Nodes line before them, after them, or between the first and the
+    rest."""
+    head = ["Nodes 3", f"Edges {len(edge_lines)}"]
+    if nodes == "before":
+        body = head + edge_lines
+    elif nodes == "after":
+        body = edge_lines + head
+    else:
+        body = edge_lines[:1] + head + edge_lines[1:]
+    return "\n".join([MAGIC, "SECTION Graph", *body, "END",
+                      "SECTION Terminals", "Terminals 2", "T 1", "T 3", "END", "EOF"])
+
+
+_2_59 = str(1 << 59)
+
+
+@pytest.mark.parametrize("nodes", ["before", "after", "between"])
+@pytest.mark.parametrize("edge_lines, expect", [
+    (["e 1 2 7", "E 2 3 1"], [((0, 1), 7), ((1, 2), 1)]),
+    (["\t E\t1  2\t7", "   E 2 3 1  "], [((0, 1), 7), ((1, 2), 1)]),
+    (["E 1 2 +5", "E 2 3 1"], [((0, 1), 5), ((1, 2), 1)]),
+    (["E 1 2 7", "E 2 3 1", "E 2 1 3"], [((0, 1), 3), ((1, 2), 1)]),
+    (["E 1 2 3", "E 2 3 1", "E 2 1 7"], [((0, 1), 3), ((1, 2), 1)]),
+    (["E 1 1 4", "E 1 2 7", "E 3 3 0", "E 2 3 1"], [((0, 1), 7), ((1, 2), 1)]),
+    (["E 1 2 2.5", "E 2 3 1"], (NonIntegralCost, 0)),
+    (["E 1 2 7", "E 2 3 -3"], (StpSyntaxError, 1)),
+    (["E 1 2", "E 2 3 1"], (StpSyntaxError, 0)),
+    (["E 1 2 7", "E 2 3 1 9"], (StpSyntaxError, 1)),
+    (["E 1 2 " + _2_59, "E 2 3 " + _2_59], (StpSyntaxError, 1)),
+    (["E 1 2 7", "E 2 4 1"], (StpSyntaxError, 1)),
+    (["E 0 2 7", "E 2 3 1"], (StpSyntaxError, 0)),
+])
+def test_edge_line_variants(edge_lines, expect, nodes):
+    text = _graph_doc(edge_lines, nodes)
+    if isinstance(expect, list):
+        assert parse_stp(text).graph.edges() == expect
+        return
+    error, bad = expect
+    with pytest.raises(error) as info:
+        parse_stp(text)
+    line_no = text.splitlines().index(edge_lines[bad]) + 1
+    assert str(info.value).startswith(f"line {line_no}:")
+
+
+def test_edge_outside_node_range_waits_for_a_later_nodes_line():
+    # before Nodes the range is unknown: the check runs after the loop, so
+    # an error on a later line is reported first
+    text = _graph_doc(["E 1 4 7", "E 2 3 1"], "after").replace("T 3", "T x")
+    with pytest.raises(StpSyntaxError, match="terminal id") as info:
+        parse_stp(text)
+    assert info.value.line_no == text.splitlines().index("T x") + 1
+    # with Nodes first, the edge's own line is reported at once
+    text = _graph_doc(["E 1 4 7", "E 2 3 1"], "before").replace("T 3", "T x")
+    with pytest.raises(StpSyntaxError, match="outside") as info:
+        parse_stp(text)
+    assert info.value.line_no == text.splitlines().index("E 1 4 7") + 1
+
+
+def test_conflicting_nodes_lines_are_refused():
+    text = _graph_doc(["E 1 2 7", "E 2 3 1"]).replace("END", "Nodes 2\nEND", 1)
+    with pytest.raises(StpSyntaxError, match="node count 2") as info:
+        parse_stp(text)
+    assert info.value.line_no == text.splitlines().index("Nodes 2") + 1
+    # repeating the same count is harmless
+    text = _graph_doc(["E 1 2 7", "E 2 3 1"]).replace("END", "Nodes 3\nEND", 1)
+    assert parse_stp(text).m == 2
