@@ -17,13 +17,12 @@ tour already in hand, and keeps it beside the set's per-vertex values.
 
 from __future__ import annotations
 
-import time
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .bitsets import iter_bits, iter_subsets_of_size_at_most
 from .distances import ROW_SLOT_BYTES, DistanceOracle
-from .errors import MemoryLimit, TimeLimit, TspTableTooLarge
+from .errors import NO_LIMITS, Limits, TspTableTooLarge
 from .graph import INF, SteinerInstance, multi_source_dijkstra
 
 MAX_TSP_TERMINALS = 20
@@ -134,16 +133,14 @@ class JTermBound(BoundOracle):
     exact wherever smt({v} | S) <= U, since every tree that cheap is built
     from parts no costlier, and INF elsewhere.  An INF entry makes the value
     INF: the true value 2*B(v, J) >= 2*smt({v} | S) > 2*U prunes the label
-    anyway.  The sizes of the arrays are checked against ``mem_limit``
-    (bytes) before the build and ``deadline`` (a ``time.perf_counter``
-    value) after each array's Dijkstra run.
+    anyway.  ``limits`` is checked for the sizes of the arrays before the
+    build and for time after each array's Dijkstra run.
     """
 
     name = "jterm"
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
-                 root_index: int, j: int, *, deadline: Optional[float] = None,
-                 mem_limit: Optional[int] = None):
+                 root_index: int, j: int, *, limits: Limits = NO_LIMITS):
         super().__init__()
         if j not in (1, 2, 3):
             raise ValueError(f"jterm bound supports j in 1..3, got {j}")
@@ -165,11 +162,7 @@ class JTermBound(BoundOracle):
         graph = instance.graph
         n = graph.n
         built = sum(1 for mask in family if mask & (mask - 1))
-        est = built * n * ROW_SLOT_BYTES
-        if mem_limit is not None and est > mem_limit:
-            raise MemoryLimit(
-                f"estimated jterm table memory {est} exceeds limit {mem_limit}"
-            )
+        limits.check_memory(built * n * ROW_SLOT_BYTES, "jterm table")
         horizon = oracle.horizon
         tables: dict[int, Sequence[int]] = {}
         for mask in family:
@@ -190,8 +183,7 @@ class JTermBound(BoundOracle):
                 sub = (sub - 1) & mask
             seeds = [(v, c) for v, c in enumerate(arr) if c < INF]
             tables[mask] = multi_source_dijkstra(graph, seeds, horizon)
-            if deadline is not None and time.perf_counter() > deadline:
-                raise TimeLimit("time limit exceeded while building the jterm tables")
+            limits.check_time("while building the jterm tables")
         self.tables = tables
 
     def _for_set(self, jmask):
@@ -231,36 +223,29 @@ class TspBound(BoundOracle):
     Preprocessing tabulates shortest Hamiltonian paths between every end
     pair for each terminal set holding the root, the only sets queries
     read; a query inserts v between every pair of potential tour neighbors
-    in O(|J|^2).  The table has 2^(k-1) * k^2 slots: its size is checked
-    against ``mem_limit`` before the build and ``deadline`` (a
-    ``time.perf_counter`` value) once per set size during it.  Over rows
-    capped at a horizon U, an end pair with an INF row drops out; if some
-    terminal t of J lies beyond U, every candidate left is still a tour
-    through v and t, so the value stays above 2*d(v,t) > 2*U and prunes.
+    in O(|J|^2).  The table has 2^(k-1) * k^2 slots: ``limits`` is checked
+    for its size before the build and for time once per set size during it.
+    Over rows capped at a horizon U, an end pair with an INF row drops out;
+    if some terminal t of J lies beyond U, every candidate left is still a
+    tour through v and t, so the value stays above 2*d(v,t) > 2*U and prunes.
     """
 
     name = "tsp"
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
-                 root_index: int, *,
-                 deadline: Optional[float] = None,
-                 mem_limit: Optional[int] = None):
+                 root_index: int, *, limits: Limits = NO_LIMITS):
         super().__init__()
         k = instance.k
         if k > MAX_TSP_TERMINALS:
             raise TspTableTooLarge(f"k={k} exceeds the TSP table cap {MAX_TSP_TERMINALS}")
-        est = (1 << (k - 1)) * k * k * TSP_SLOT_BYTES
-        if mem_limit is not None and est > mem_limit:
-            raise MemoryLimit(
-                f"estimated TSP table memory {est} exceeds limit {mem_limit}"
-            )
+        limits.check_memory((1 << (k - 1)) * k * k * TSP_SLOT_BYTES, "TSP table")
         self.oracle = oracle
         self.k = k
         self.root_bit = 1 << root_index
         self.terminals = instance.terminals
-        self.paths = self._build_paths(root_index, deadline)
+        self.paths = self._build_paths(root_index, limits)
 
-    def _build_paths(self, r: int, deadline: Optional[float]) -> dict[int, list[int]]:
+    def _build_paths(self, r: int, limits: Limits) -> dict[int, list[int]]:
         """paths[mask][a*k + b] = cheapest Hamiltonian path on terms(mask)
         from a to b, for every mask holding the root r and another terminal;
         INF on the diagonal and off the mask, and for values >= INF.
@@ -280,8 +265,7 @@ class TspBound(BoundOracle):
             row[r * k + b] = row[b * k + r] = pair[r][b]
             paths[root_bit | 1 << b] = row
         for size in range(2, k):
-            if deadline is not None and time.perf_counter() > deadline:
-                raise TimeLimit("time limit exceeded while building the TSP table")
+            limits.check_time("while building the TSP table")
             for combo in combinations(others, size):
                 mask = root_bit
                 for i in combo:
@@ -379,13 +363,11 @@ def _split_args(body: str) -> list[str]:
 
 
 def make_bound(spec: str, instance: SteinerInstance, root_index: int,
-               oracle: DistanceOracle, *, deadline: Optional[float] = None,
-               mem_limit: Optional[int] = None) -> BoundOracle:
+               oracle: DistanceOracle, *, limits: Limits = NO_LIMITS) -> BoundOracle:
     """Build a bound evaluator from its selection string.
 
-    ``deadline`` (a ``time.perf_counter`` value) and ``mem_limit`` (bytes)
-    bound the jterm and TSP table builds: they raise TimeLimit or
-    MemoryLimit.  The jterm tables stop at the oracle's horizon.
+    ``limits`` bounds the jterm and TSP table builds.  The jterm tables stop
+    at the oracle's horizon.
     """
     spec = spec.strip()
     low = spec.lower()
@@ -394,15 +376,12 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
     if low == "onetree":
         return OneTreeBound(oracle, 1 << root_index)
     if low == "tsp":
-        return TspBound(instance, oracle, root_index,
-                        deadline=deadline, mem_limit=mem_limit)
+        return TspBound(instance, oracle, root_index, limits=limits)
     if low.startswith("jterm"):
         j = 2 if ":" not in spec else int(spec.split(":", 1)[1])
-        return JTermBound(instance, oracle, root_index, j,
-                          deadline=deadline, mem_limit=mem_limit)
+        return JTermBound(instance, oracle, root_index, j, limits=limits)
     if low.startswith("max(") and spec.endswith(")"):
-        parts = [make_bound(p, instance, root_index, oracle,
-                            deadline=deadline, mem_limit=mem_limit)
+        parts = [make_bound(p, instance, root_index, oracle, limits=limits)
                  for p in _split_args(spec[4:-1])]
         return MaxBound(parts)
     raise ValueError(f"unknown bound spec {spec!r}")

@@ -13,12 +13,13 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .errors import (
+    DEFAULT_MEM_LIMIT,
     DsteinerError,
     Infeasible,
     InvalidTree,
+    Limits,
     MemoryLimit,
     StpError,
     TimeLimit,
@@ -28,6 +29,7 @@ from .hanan import build_hanan_grid, generate_random_points, parse_points
 from .solver import solve
 from .stp import (
     CSV_HEADER,
+    instance_name,
     parse_stp_file,
     read_solution,
     write_solution,
@@ -40,55 +42,22 @@ EXIT_TIMEOUT = 4
 EXIT_MEMORY = 5
 
 
-@dataclass
-class RunConfig:
-    bound: str = "onetree"
-    prune: str = "full"
-    root: str = "last"
-    time_limit: float = 7200.0
-    mem_limit: int = 4 << 30
-    format: str = "json"
-    parallel: int = 1
-
-    def __post_init__(self):
-        # written so that NaN fails too: no comparison with NaN is true
-        if not self.time_limit > 0:
-            raise ValueError("time limit must be positive")
-        if not self.mem_limit > 0:
-            raise ValueError("memory limit must be positive")
-
-
 def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}))
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        bound=args.bound,
-        prune=args.prune,
-        root=args.root,
-        time_limit=args.time_limit,
-        mem_limit=args.mem_limit,
-        format=getattr(args, "format", "json"),
-        parallel=getattr(args, "parallel", 1),
-    )
-
-
-def _solve_path(path: str, cfg: RunConfig):
-    return solve(
-        parse_stp_file(path),
-        bound=cfg.bound,
-        prune=cfg.prune,
-        root_rule=cfg.root,
-        time_limit=cfg.time_limit,
-        mem_limit=cfg.mem_limit,
-    )
+def _run_options(args) -> dict:
+    """solve()'s keywords from the run options; a bad limit is refused here,
+    before any file is read."""
+    Limits(args.time_limit, args.mem_limit)
+    return dict(bound=args.bound, prune=args.prune, root_rule=args.root,
+                time_limit=args.time_limit, mem_limit=args.mem_limit)
 
 
 def cmd_solve(args) -> int:
-    cfg = _config_from_args(args)
+    opts = _run_options(args)
     try:
-        record = _solve_path(args.stp, cfg)
+        record = solve(parse_stp_file(args.stp), **opts)
     except StpError as exc:
         _emit_error("parse", str(exc))
         return EXIT_PARSE
@@ -101,7 +70,7 @@ def cmd_solve(args) -> int:
     except MemoryLimit as exc:
         _emit_error("memory", str(exc))
         return EXIT_MEMORY
-    text = write_solution(record, cfg.format)
+    text = write_solution(record, args.format)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -118,36 +87,31 @@ def cmd_hanan(args) -> int:
         d, k, coord_max = args.random
         points = generate_random_points(d, k, coord_max, args.seed)
     instance, _ = build_hanan_grid(points)
-    name = args.out.rsplit("/", 1)[-1]
-    if name.endswith(".stp"):
-        name = name[:-4]
-    instance.name = name
+    instance.name = instance_name(args.out)
     with open(args.out, "w") as fh:
-        fh.write(write_stp(instance))
+        write_stp(instance, fh)
     print(f"{instance.n} {instance.m} {instance.k}")
     return 0
 
 
 def _bench_row(task):
-    path, cfg = task
-    name = path.rsplit("/", 1)[-1]
-    if name.endswith(".stp"):
-        name = name[:-4]
+    path, opts = task
     # ValueError: a root rule such as index:<i> that does not fit this row
     try:
-        return _solve_path(path, cfg).summary_row() + [""]
+        return solve(parse_stp_file(path), **opts).summary_row() + [""]
     except (DsteinerError, OSError, ValueError) as exc:
-        return [name] + [""] * (len(CSV_HEADER) - 1) + [f"{type(exc).__name__}: {exc}"]
+        return ([instance_name(path)] + [""] * (len(CSV_HEADER) - 1)
+                + [f"{type(exc).__name__}: {exc}"])
 
 
 def cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
+    opts = _run_options(args)
     with open(args.manifest) as fh:
         paths = [ln.strip() for ln in fh if ln.strip()]
-    tasks = [(p, cfg) for p in paths]
+    tasks = [(p, opts) for p in paths]
     # the pool starts all its workers at the first submit, so never ask for
     # more than there are tasks or CPUs
-    workers = min(cfg.parallel, len(tasks), os.cpu_count() or 1)
+    workers = min(args.parallel, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_row, tasks))
@@ -191,7 +155,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--root", default="last",
                    help="last | center | index:<i>")
     p.add_argument("--time-limit", type=float, default=7200.0, metavar="SECONDS")
-    p.add_argument("--mem-limit", type=int, default=4 << 30, metavar="BYTES")
+    p.add_argument("--mem-limit", type=int, default=DEFAULT_MEM_LIMIT, metavar="BYTES")
 
 
 def build_parser() -> argparse.ArgumentParser:

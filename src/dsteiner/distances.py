@@ -6,11 +6,10 @@ construction, the set-distance caches are single-writer.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 from .bitsets import iter_bits
-from .errors import MemoryLimit, TimeLimit
+from .errors import NO_LIMITS, Limits
 from .graph import INF, Graph, multi_source_dijkstra
 
 # Bytes per distance-row slot, for the memory-limit checks of the oracle and
@@ -25,28 +24,21 @@ class DistanceOracle:
     """Shortest-path distances from every terminal, plus terminal-set queries.
 
     Terminal sets are int masks over terminal indices 0..k-1 (file order).
-    Rows stop at ``horizon``: a farther vertex reads INF.  ``mem_limit``
-    (bytes) is checked against the size of k full rows before the build,
-    and ``deadline`` (a ``time.perf_counter`` value) after each of the k
-    Dijkstra runs; they raise MemoryLimit and TimeLimit.
+    Rows stop at ``horizon``: a farther vertex reads INF.  ``limits`` is
+    checked for the size of k full rows before the build and for time after
+    each of the k Dijkstra runs.
     """
 
     def __init__(self, graph: Graph, terminals: Sequence[int], *,
-                 horizon: int = INF, deadline: Optional[float] = None,
-                 mem_limit: Optional[int] = None):
+                 horizon: int = INF, limits: Limits = NO_LIMITS):
         self.terminals = list(terminals)
         self.k = len(self.terminals)
         self.horizon = horizon
-        est = self.k * graph.n * ROW_SLOT_BYTES
-        if mem_limit is not None and est > mem_limit:
-            raise MemoryLimit(
-                f"estimated distance-row memory {est} exceeds limit {mem_limit}"
-            )
+        limits.check_memory(self.k * graph.n * ROW_SLOT_BYTES, "distance-row")
         self.rows: list[list[int]] = []
         for t in self.terminals:
             self.rows.append(multi_source_dijkstra(graph, [(t, 0)], horizon))
-            if deadline is not None and time.perf_counter() > deadline:
-                raise TimeLimit("time limit exceeded while building the distance oracle")
+            limits.check_time("while building the distance oracle")
         # k x k matrix of pairwise terminal distances (metric closure on T)
         self.pair = [[self.rows[i][self.terminals[j]] for j in range(self.k)]
                      for i in range(self.k)]

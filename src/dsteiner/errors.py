@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the solve's limits."""
+
+import time
+from typing import Optional
+
+# the CLI's memory limit, and the size the largest Hanan grid is held to
+DEFAULT_MEM_LIMIT = 4 << 30
 
 
 class DsteinerError(Exception):
@@ -59,6 +65,42 @@ class TimeLimit(DsteinerError):
 
 class MemoryLimit(DsteinerError):
     pass
+
+
+class Limits:
+    """One solve's time and memory limits; the only raiser of TimeLimit and
+    MemoryLimit.
+
+    ``time_limit`` (seconds) starts counting at construction; ``mem_limit``
+    (bytes) is compared with the estimate a phase makes of what it is about
+    to hold.  None means no limit; NaN, zero and negative values are refused.
+    """
+
+    __slots__ = ("deadline", "mem_limit")
+
+    def __init__(self, time_limit: Optional[float] = None,
+                 mem_limit: Optional[int] = None):
+        # written so that NaN fails too: a NaN limit is never exceeded
+        if time_limit is not None and not time_limit > 0:
+            raise ValueError(f"time limit {time_limit} is not positive")
+        if mem_limit is not None and not mem_limit > 0:
+            raise ValueError(f"memory limit {mem_limit} is not positive")
+        self.deadline = None if time_limit is None else time.perf_counter() + time_limit
+        self.mem_limit = mem_limit
+
+    def check_time(self, where: str) -> None:
+        """Raise TimeLimit once the deadline has passed; ``where`` names the phase."""
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise TimeLimit(f"time limit exceeded {where}")
+
+    def check_memory(self, est: int, what: str) -> None:
+        """Raise MemoryLimit if ``est`` bytes of ``what`` exceed the limit."""
+        if self.mem_limit is not None and est > self.mem_limit:
+            raise MemoryLimit(
+                f"estimated {what} memory {est} exceeds limit {self.mem_limit}")
+
+
+NO_LIMITS = Limits()
 
 
 class TooManyTerminalsForOracle(DsteinerError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import GridTooLarge, TooManyTerminals
+from .errors import DEFAULT_MEM_LIMIT, GridTooLarge, TooManyTerminals
 from .graph import Graph, SteinerInstance
 
 # Bytes a built grid holds per vertex and per edge, measured with
@@ -21,7 +21,7 @@ from .graph import Graph, SteinerInstance
 # 1.2 KB at d=8), so the cap counts vertices plus edges.
 GRID_ITEM_BYTES = 200
 # a grid at the cap fits the CLI's default 4 GiB memory limit
-MAX_GRID_ITEMS = (4 << 30) // GRID_ITEM_BYTES
+MAX_GRID_ITEMS = DEFAULT_MEM_LIMIT // GRID_ITEM_BYTES
 
 
 @dataclass

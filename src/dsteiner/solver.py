@@ -19,14 +19,15 @@ from .bitsets import iter_bits
 from .bounds import BoundOracle, make_bound
 from .distances import DistanceOracle
 from .errors import (
+    NO_LIMITS,
     CenterRuleNeedsCoordinates,
     Infeasible,
     InternalError,
     InvalidTree,
-    MemoryLimit,
-    TimeLimit,
+    Limits,
 )
 from .graph import (
+    ADJ_EDGE_BYTES,
     INF,
     ContractionMap,
     SteinerInstance,
@@ -136,8 +137,7 @@ def choose_root(instance: SteinerInstance, rule: str = "last") -> int:
 
 
 def heuristic_upper_bound(
-    instance: SteinerInstance, root_index: int, *,
-    deadline: Optional[float] = None,
+    instance: SteinerInstance, root_index: int, *, limits: Limits = NO_LIMITS,
 ) -> tuple[int, list[tuple[int, int]]]:
     """Feasible tree by repeatedly attaching the nearest terminal via a
     shortest path to the component grown from the root.
@@ -149,8 +149,8 @@ def heuristic_upper_bound(
     do at most one Dijkstra's work.  Ties go to the smallest
     ``(distance, vertex)``: the nearest terminal, and along its path the
     tight neighbour a fresh multi-source Dijkstra would have settled first.
-    Instances with zero-cost edges are contracted first.  ``deadline`` (a
-    ``time.perf_counter`` value) is checked after each round.
+    Instances with zero-cost edges are contracted first.  ``limits`` is
+    checked for time after each round.
     """
     graph = instance.graph
     terminals = instance.terminals
@@ -159,7 +159,7 @@ def heuristic_upper_bound(
         reduced, cmap = contract_zero_edges(instance)
         new_root = cmap.old_to_new[root]
         total, edges = heuristic_upper_bound(
-            reduced, reduced.terminals.index(new_root), deadline=deadline)
+            reduced, reduced.terminals.index(new_root), limits=limits)
         return total, cmap.lift_edges(edges, new_root)
     remaining = set(terminals)
     remaining.discard(root)
@@ -201,8 +201,7 @@ def heuristic_upper_bound(
                 if nd < dist[v] and nd <= horizon:
                     dist[v] = nd
                     heappush(heap, (nd, v))
-        if deadline is not None and time.perf_counter() > deadline:
-            raise TimeLimit("time limit exceeded in the heuristic upper bound")
+        limits.check_time("in the heuristic upper bound")
         t = min(remaining, key=lambda x: (dist[x], x))
         if dist[t] >= INF:
             raise Infeasible(f"terminal {t} unreachable from the root component")
@@ -240,19 +239,14 @@ def solve(
     """
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune mode {prune!r} not one of {PRUNE_MODES}")
-    # written so that NaN fails too: a NaN limit is never exceeded
-    if time_limit is not None and not time_limit > 0:
-        raise ValueError(f"time limit {time_limit} is not positive")
-    if mem_limit is not None and not mem_limit > 0:
-        raise ValueError(f"memory limit {mem_limit} is not positive")
+    limits = Limits(time_limit, mem_limit)
     t_start = time.perf_counter()
     stats = SolveStats()
-    deadline = None if time_limit is None else t_start + time_limit
-    search = _prepare(instance, bound, prune, root_rule, stats, deadline, mem_limit)
+    search = _prepare(instance, bound, prune, root_rule, stats, limits)
     cost, back = 0, None
     t = time.perf_counter()
     if search.bound is not None:
-        cost, back = _label_loop(search, stats, deadline, mem_limit)
+        cost, back = _label_loop(search, stats, limits)
         t = _lap(stats, "loop", t)
     edges = _reconstruct(instance, search, cost, back)
     _lap(stats, "reconstruct", t)
@@ -292,7 +286,7 @@ def _lap(stats: SolveStats, phase: str, since: float) -> float:
 
 def _prepare(
     instance: SteinerInstance, bound: str, prune: str, root_rule: str,
-    stats: SolveStats, deadline: Optional[float], mem_limit: Optional[int],
+    stats: SolveStats, limits: Limits,
 ) -> _Search:
     """Root choice, zero-edge contraction, heuristic UB, distance oracle, bound.
 
@@ -308,6 +302,8 @@ def _prepare(
     t = time.perf_counter()
     root_vertex_orig = instance.terminals[choose_root(instance, root_rule)]
     reduced, cmap = contract_zero_edges(instance)
+    # checked before the heuristic or the oracle first reads ``adj``
+    limits.check_memory(reduced.m * ADJ_EDGE_BYTES, "adjacency")
     root = cmap.old_to_new[root_vertex_orig]
     root_idx = reduced.terminals.index(root)
     full_mask = (1 << reduced.k) - 1
@@ -318,19 +314,18 @@ def _prepare(
 
     horizon = INF
     if prune != "off":
-        horizon, _ = heuristic_upper_bound(reduced, root_idx, deadline=deadline)
+        horizon, _ = heuristic_upper_bound(reduced, root_idx, limits=limits)
         stats.upper_bound = horizon
         search.upper2 = 2 * horizon
         t = _lap(stats, "heuristic", t)
     oracle = DistanceOracle(reduced.graph, reduced.terminals, horizon=horizon,
-                            deadline=deadline, mem_limit=mem_limit)
+                            limits=limits)
     root_row = oracle.rows[root_idx]
     for v in reduced.terminals:
         if root_row[v] >= INF:
             raise Infeasible(f"terminal {v} unreachable from the root")
     t = _lap(stats, "oracle", t)
-    search.bound = make_bound(bound, reduced, root_idx, oracle,
-                              deadline=deadline, mem_limit=mem_limit)
+    search.bound = make_bound(bound, reduced, root_idx, oracle, limits=limits)
     if prune == "full":
         search.tracker = PruneTracker(oracle, full_mask)
     _lap(stats, "bound", t)
@@ -338,8 +333,7 @@ def _prepare(
 
 
 def _label_loop(
-    search: _Search, stats: SolveStats,
-    deadline: Optional[float], mem_limit: Optional[int],
+    search: _Search, stats: SolveStats, limits: Limits,
 ) -> tuple[int, list[dict[int, int]]]:
     """Run labels until the root label is permanent.
 
@@ -395,14 +389,9 @@ def _label_loop(
 
         ticks += 1
         if ticks % LIMIT_CHECK_INTERVAL == 0:
-            if deadline is not None and time.perf_counter() > deadline:
-                raise TimeLimit("time limit exceeded in the label loop")
-            if mem_limit is not None:
-                est = stats.labels_created * LABEL_BYTES + len(heap) * HEAP_ENTRY_BYTES
-                if est > mem_limit:
-                    raise MemoryLimit(
-                        f"estimated label memory {est} exceeds limit {mem_limit}"
-                    )
+            limits.check_time("in the label loop")
+            limits.check_memory(stats.labels_created * LABEL_BYTES
+                                + len(heap) * HEAP_ENTRY_BYTES, "label")
 
         # popped keys are nondecreasing for any consistent bound
         if key < last_key:

@@ -12,7 +12,7 @@ import io
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Union
+from typing import Optional, TextIO, Union
 
 from .errors import CountMismatch, NonIntegralCost, StpSyntaxError, TooManyTerminals
 from .graph import Graph, SteinerInstance
@@ -239,45 +239,40 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     return SteinerInstance(graph=graph, terminals=terminals, name=name, coords=coords)
 
 
+def instance_name(path) -> str:
+    """An instance's name: its file name without the ``.stp`` suffix."""
+    name = str(path).rsplit("/", 1)[-1]
+    return name[:-4] if name.endswith(".stp") else name
+
+
 def parse_stp_file(path) -> SteinerInstance:
     with open(path, "rb") as fh:
         data = fh.read()
-    name = str(path).rsplit("/", 1)[-1]
-    if name.endswith(".stp"):
-        name = name[:-4]
-    return parse_stp(data, name=name)
+    return parse_stp(data, name=instance_name(path))
 
 
-def write_stp(instance: SteinerInstance, comment_name: Optional[str] = None) -> str:
-    """Serialize an instance to STP text (always with the magic line)."""
-    out = [MAGIC, ""]
-    out.append("SECTION Comment")
-    out.append(f'Name    "{comment_name or instance.name or "unnamed"}"')
-    out.append("END")
-    out.append("")
-    out.append("SECTION Graph")
-    out.append(f"Nodes {instance.n}")
-    out.append(f"Edges {instance.m}")
-    for (u, v), c in instance.graph.edges():
-        out.append(f"E {u + 1} {v + 1} {c}")
-    out.append("END")
-    out.append("")
-    out.append("SECTION Terminals")
-    out.append(f"Terminals {instance.k}")
+def write_stp(instance: SteinerInstance, out: TextIO) -> None:
+    """Write an instance as STP text (always with the magic line) to a text
+    stream, each line as it is formed, so the text is never held whole."""
+    write = out.write
+    write(f'{MAGIC}\n\nSECTION Comment\nName    "{instance.name or "unnamed"}"\n'
+          f"END\n\nSECTION Graph\nNodes {instance.n}\nEdges {instance.m}\n")
+    # the cost dict is read in place: Graph.edges() would copy every pair
+    for (u, v), c in instance.graph._edge_cost.items():
+        write(f"E {u + 1} {v + 1} {c}\n")
+    write(f"END\n\nSECTION Terminals\nTerminals {instance.k}\n")
     for t in instance.terminals:
-        out.append(f"T {t + 1}")
-    out.append("END")
-    if instance.coords is not None and any(vec is not None for vec in instance.coords):
-        dim = len(next(vec for vec in instance.coords if vec is not None))
-        out.append("")
-        out.append("SECTION Coordinates")
-        for v, vec in enumerate(instance.coords):
+        write(f"T {t + 1}\n")
+    write("END\n")
+    coords = instance.coords
+    if coords is not None and any(vec is not None for vec in coords):
+        prefix = "D" * len(next(vec for vec in coords if vec is not None))
+        write("\nSECTION Coordinates\n")
+        for v, vec in enumerate(coords):
             if vec is not None:
-                out.append("D" * dim + f" {v + 1} " + " ".join(str(x) for x in vec))
-        out.append("END")
-    out.append("")
-    out.append("EOF")
-    return "\n".join(out) + "\n"
+                write(f"{prefix} {v + 1} " + " ".join(str(x) for x in vec) + "\n")
+        write("END\n")
+    write("\nEOF\n")
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dsteiner.bounds import (
     ZeroBound,
 )
 from dsteiner.distances import ROW_SLOT_BYTES
-from dsteiner.errors import MemoryLimit, TspTableTooLarge
+from dsteiner.errors import Limits, MemoryLimit, TspTableTooLarge
 
 from gen import (
     capped_cases,
@@ -428,6 +428,6 @@ def test_memory_limit_refuses_jterm_tables_before_building(monkeypatch):
     with pytest.raises(MemoryLimit, match="jterm"):
         monkeypatch.setattr(bounds, "multi_source_dijkstra",
                             lambda *a: pytest.fail("a table was built"))
-        make_bound("jterm:2", inst, inst.k - 1, oracle, mem_limit=est - 1)
+        make_bound("jterm:2", inst, inst.k - 1, oracle, limits=Limits(mem_limit=est - 1))
     monkeypatch.undo()
-    make_bound("jterm:2", inst, inst.k - 1, oracle, mem_limit=est)
+    make_bound("jterm:2", inst, inst.k - 1, oracle, limits=Limits(mem_limit=est))

@@ -19,10 +19,16 @@ from dsteiner.cli import main
 from gen import lattice_instance, random_instance
 
 
+def stp_text(inst) -> str:
+    buf = io.StringIO()
+    write_stp(inst, buf)
+    return buf.getvalue()
+
+
 def write_instance(tmp_path, seed, name):
     inst = random_instance(seed, name=name)
     path = tmp_path / f"{name}.stp"
-    path.write_text(write_stp(inst))
+    path.write_text(stp_text(inst))
     return inst, path
 
 
@@ -144,6 +150,20 @@ def test_nonpositive_or_nan_time_limit_is_refused(tmp_path, capsys, value):
     assert "time limit" in payload["message"]
 
 
+def test_bench_refuses_a_bad_limit_before_solving_any_row(tmp_path, capsys,
+                                                         monkeypatch):
+    _, path = write_instance(tmp_path, 7, "row")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{path}\n")
+    monkeypatch.setattr(cli, "parse_stp_file", lambda p: pytest.fail("a row was read"))
+    assert main(["bench", str(manifest), "--mem-limit", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload == {"error": "ValueError",
+                       "message": "memory limit 0 is not positive"}
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     text = (
         "33D32945 STP File, STP Format Version 1.0\n"
@@ -159,7 +179,7 @@ def test_infeasible_exit_code(tmp_path, capsys):
 def _write_big_instance(tmp_path, name):
     inst = random_instance(71, n_range=(25, 25), k_range=(7, 7), name=name)
     path = tmp_path / f"{name}.stp"
-    path.write_text(write_stp(inst))
+    path.write_text(stp_text(inst))
     return path
 
 
@@ -187,7 +207,7 @@ def test_memory_limit_refuses_preprocessing(tmp_path, capsys, monkeypatch, bound
     monkeypatch.setattr(dsteiner.solver, "_label_loop",
                         lambda *a: pytest.fail("the label loop started"))
     path = tmp_path / "lattice.stp"
-    path.write_text(write_stp(lattice_instance(72, 10, seed=1, window=12)))
+    path.write_text(stp_text(lattice_instance(72, 10, seed=1, window=12)))
     code = main(["solve", str(path), "--bound", bound, "--mem-limit", "1"])
     assert code == 5
     lines = capsys.readouterr().out.splitlines()
@@ -428,7 +448,7 @@ def test_bench_root_index_out_of_range_does_not_abort(tmp_path, capsys):
     for name, k in (("k7", 7), ("k6", 6)):
         inst = random_instance(40 + k, n_range=(10, 20), k_range=(k, k), name=name)
         path = tmp_path / f"{name}.stp"
-        path.write_text(write_stp(inst))
+        path.write_text(stp_text(inst))
         paths.append(str(path))
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("\n".join(paths) + "\n")
@@ -443,7 +463,7 @@ def test_bench_root_index_out_of_range_does_not_abort(tmp_path, capsys):
 # Mutated STP files for the exit-code property: the lines of a real file
 # (coordinates included, so the center root rule can apply) with lines
 # dropped, replaced and inserted.
-_CLI_DOC = write_stp(random_instance(20, n_range=(6, 12), k_range=(3, 5))).splitlines()
+_CLI_DOC = stp_text(random_instance(20, n_range=(6, 12), k_range=(3, 5))).splitlines()
 _CLI_DOC[-1:-1] = ["SECTION Coordinates"] + [
     f"DD {v} {3 * v % 7} {v * v % 5}" for v in range(1, 13)] + ["END"]
 _CLI_TOKENS = st.one_of(

@@ -2,7 +2,7 @@ import pytest
 
 from dsteiner import DistanceOracle
 from dsteiner.distances import ROW_SLOT_BYTES
-from dsteiner.errors import MemoryLimit
+from dsteiner.errors import Limits, MemoryLimit
 from dsteiner.graph import INF
 
 from gen import (
@@ -150,6 +150,6 @@ def test_memory_limit_refuses_rows_before_building(monkeypatch):
 
     monkeypatch.setattr(distances, "multi_source_dijkstra", dijkstra)
     with pytest.raises(MemoryLimit, match="distance-row"):
-        DistanceOracle(inst.graph, inst.terminals, mem_limit=est - 1)
+        DistanceOracle(inst.graph, inst.terminals, limits=Limits(mem_limit=est - 1))
     monkeypatch.undo()
-    DistanceOracle(inst.graph, inst.terminals, mem_limit=est)
+    DistanceOracle(inst.graph, inst.terminals, limits=Limits(mem_limit=est))

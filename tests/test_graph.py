@@ -15,9 +15,9 @@ from dsteiner import (
     validate_tree,
 )
 from dsteiner.errors import ContainsCycle, MissingTerminal, NotConnected
-from dsteiner.graph import INF
+from dsteiner.graph import ADJ_EDGE_BYTES, INF
 
-from gen import bellman_ford, dijkstra_with_predecessors, random_instance
+from gen import bellman_ford, dijkstra_with_predecessors, lattice_instance, random_instance
 
 
 def test_single_edge_distance():
@@ -153,6 +153,27 @@ def test_from_costs_and_lazy_adj_match_eager_build(seed):
         assert graph._adj is None  # nothing built before the first read
         _assert_built_from(graph, n, edges)
         assert graph.adj is graph.adj  # built once
+
+
+def test_adjacency_estimate_tracks_measured_growth():
+    # traced memory the adjacency lists add, against the estimate the
+    # memory limit is checked with before they are built
+    import tracemalloc
+
+    from dsteiner import build_hanan_grid, generate_random_points
+
+    grids = [lattice_instance(40, 5, seed=1),
+             build_hanan_grid(generate_random_points(3, 20, 10**6, 1))[0]]
+    for inst in grids:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            inst.graph.adj
+            growth = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        est = inst.m * ADJ_EDGE_BYTES
+        assert growth / 1.25 <= est <= 1.25 * growth, (inst.m, growth)
 
 
 @pytest.mark.parametrize("edges, message", [

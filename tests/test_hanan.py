@@ -9,8 +9,7 @@ from dsteiner import (
     solve,
     validate_tree,
 )
-from dsteiner.cli import RunConfig
-from dsteiner.errors import GridTooLarge, TooManyTerminals
+from dsteiner.errors import DEFAULT_MEM_LIMIT, GridTooLarge, TooManyTerminals
 from dsteiner.hanan import GRID_ITEM_BYTES, MAX_GRID_ITEMS, parse_points
 
 from gen import rectilinear_smt_bruteforce
@@ -123,7 +122,7 @@ def _refused_peak(pts, error):
 
 def test_grid_just_over_the_cap_is_refused_before_building():
     # a grid at the cap fits the CLI's default memory limit
-    assert MAX_GRID_ITEMS * GRID_ITEM_BYTES <= RunConfig().mem_limit
+    assert MAX_GRID_ITEMS * GRID_ITEM_BYTES <= DEFAULT_MEM_LIMIT
     # 5D, 48 distinct points: 28 vertices and edges over the cap
     pts = _axis_points((3, 18, 34, 44, 48))
     assert sum(grid_counts(pts)) == MAX_GRID_ITEMS + 28

@@ -28,10 +28,11 @@ from dsteiner.errors import (
     CenterRuleNeedsCoordinates,
     Infeasible,
     InternalError,
+    Limits,
     MemoryLimit,
     TimeLimit,
 )
-from dsteiner.graph import ContractionMap
+from dsteiner.graph import ADJ_EDGE_BYTES, ContractionMap, contract_zero_edges
 
 from gen import lattice_instance, random_instance, reference_heuristic
 
@@ -386,26 +387,37 @@ def test_memory_limit():
 
 @pytest.mark.parametrize("bound", ["onetree", "jterm:3"])
 def test_memory_limit_covers_preprocessing(monkeypatch, bound):
-    # the rows of a 72x72 lattice are refused before any is built, so the
-    # label loop's own check (every 1024 pops) is never reached
+    # the adjacency lists of a 72x72 lattice are refused before any is
+    # built, so the label loop's own check (every 1024 pops) is never reached
     inst = lattice_instance(72, 10, seed=4, window=12)
 
     def loop(*args):
         pytest.fail("the label loop started")
 
     monkeypatch.setattr(solver, "_label_loop", loop)
-    with pytest.raises(MemoryLimit, match="distance-row"):
+    with pytest.raises(MemoryLimit, match="adjacency"):
         solve(inst, bound=bound, mem_limit=1)
+
+
+def test_memory_limit_just_above_adjacency_refuses_rows(monkeypatch):
+    # here the adjacency lists cost less than the k distance rows, so a
+    # limit between the two passes the first check and stops at the second
+    inst = lattice_instance(72, 10, seed=4, window=12)
+    adjacency = contract_zero_edges(inst)[0].m * ADJ_EDGE_BYTES
+    monkeypatch.setattr(solver, "_label_loop", lambda *a: pytest.fail("loop"))
+    with pytest.raises(MemoryLimit, match="distance-row"):
+        solve(inst, mem_limit=adjacency + 1)
 
 
 def test_memory_limit_covers_jterm_tables(monkeypatch):
     from dsteiner.distances import ROW_SLOT_BYTES
 
     inst = lattice_instance(30, 6, seed=5)
-    rows = inst.k * inst.n * ROW_SLOT_BYTES
+    # enough for the adjacency lists and the rows, not for the jterm tables
+    fits = max(inst.k * inst.n * ROW_SLOT_BYTES, inst.m * ADJ_EDGE_BYTES)
     monkeypatch.setattr(solver, "_label_loop", lambda *a: pytest.fail("loop"))
     with pytest.raises(MemoryLimit, match="jterm"):
-        solve(inst, bound="jterm:3", mem_limit=rows)
+        solve(inst, bound="jterm:3", mem_limit=fits)
 
 
 def _tsp_k15_instance():
@@ -458,7 +470,7 @@ def test_time_limit_covers_jterm_tables():
     inst = lattice_instance(40, 6, seed=2)
     oracle = DistanceOracle(inst.graph, inst.terminals)
     with pytest.raises(TimeLimit, match="jterm tables"):
-        JTermBound(inst, oracle, inst.k - 1, 3, deadline=time.perf_counter())
+        JTermBound(inst, oracle, inst.k - 1, 3, limits=Limits(time_limit=1e-9))
 
 
 def test_time_limit_covers_tsp_table_build():

@@ -150,12 +150,36 @@ def test_three_dimensional_coordinates():
 @pytest.mark.parametrize("seed", range(10))
 def test_roundtrip_is_isomorphic(seed):
     inst = random_instance(seed, name=f"rt{seed}")
-    again = parse_stp(write_stp(inst), name=inst.name)
+    buf = io.StringIO()
+    write_stp(inst, buf)
+    again = parse_stp(buf.getvalue(), name=inst.name)
     assert (again.n, again.m, again.k) == (inst.n, inst.m, inst.k)
     assert again.terminals == inst.terminals
     assert sorted(c for _, c in again.graph.edges()) == sorted(
         c for _, c in inst.graph.edges()
     )
+    assert dict(again.graph.edges()) == dict(inst.graph.edges())
+
+
+def test_write_stp_streams_lines(tmp_path):
+    # each line goes to the stream as it is formed: the text is never held
+    # whole, so writing adds little to the traced peak beyond the grid
+    import tracemalloc
+
+    from dsteiner import build_hanan_grid, generate_random_points
+
+    inst, _ = build_hanan_grid(generate_random_points(3, 20, 10**6, 1))
+    assert inst.n == 8000
+    with open(tmp_path / "grid.stp", "w") as fh:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_stp(inst, fh)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peak < 100 * inst.n, peak
+    again = parse_stp((tmp_path / "grid.stp").read_bytes())
     assert dict(again.graph.edges()) == dict(inst.graph.edges())
 
 
