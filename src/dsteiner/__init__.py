@@ -1,6 +1,6 @@
 """Exact Steiner tree solving via goal-oriented dynamic programming."""
 
-from .baseline import BaselineOracle, solve_baseline
+from .baseline import solve_baseline
 from .bounds import make_bound
 from .distances import DistanceOracle
 from .graph import (
@@ -17,7 +17,6 @@ from .stp import SolutionRecord, parse_stp, parse_stp_file, write_solution, writ
 
 __all__ = [
     "INF",
-    "BaselineOracle",
     "DistanceOracle",
     "Graph",
     "PointSet",

@@ -112,54 +112,3 @@ def solve_baseline(instance: SteinerInstance, root_index: Optional[int] = None) 
         raise Infeasible("some terminal is unreachable from the root")
     return cost, _reconstruct(dec, sources, full, root_vertex)
 
-
-class BaselineOracle:
-    """smt() lookups over arbitrary root-containing terminal subsets.
-
-    Builds the full-terminal-set table once (cap k <= 16) and answers
-    smt(X | {v}) queries by table lookup.
-    """
-
-    def __init__(self, instance: SteinerInstance):
-        if instance.k > ORACLE_TERMINAL_CAP:
-            raise TooManyTerminalsForOracle(
-                f"k={instance.k} exceeds oracle cap {ORACLE_TERMINAL_CAP}"
-            )
-        self.instance = instance
-        self._dp = None
-        self._dec = None
-
-    def _tables(self):
-        if self._dp is None:
-            self._dp, self._dec = _emv_tables(
-                self.instance.graph, self.instance.terminals
-            )
-        return self._dp
-
-    def smt_mask(self, term_mask: int, extra_vertex: Optional[int] = None) -> int:
-        """smt over the terminals in ``term_mask`` plus an optional vertex."""
-        if term_mask == 0:
-            return 0
-        dp = self._tables()
-        if extra_vertex is None:
-            low = term_mask & -term_mask
-            anchor = self.instance.terminals[low.bit_length() - 1]
-            rest = term_mask ^ low
-            if rest == 0:
-                return 0
-            return dp[rest][anchor]
-        return dp[term_mask][extra_vertex]
-
-    def smt_subset(
-        self,
-        terminal_vertices: Sequence[int],
-        extra_vertex: Optional[int] = None,
-    ) -> int:
-        """smt for a set given by terminal vertex ids plus an optional vertex."""
-        index_of = {t: i for i, t in enumerate(self.instance.terminals)}
-        mask = 0
-        for t in terminal_vertices:
-            mask |= 1 << index_of[t]
-        if mask == 0 and extra_vertex is not None:
-            return 0
-        return self.smt_mask(mask, extra_vertex)

@@ -12,7 +12,9 @@ present for a nonzero value (sets without the root evaluate to 0).
 Work that depends only on the set is done once per set: on the first query
 of a set, ``BoundOracle.value2`` asks the bound's ``_for_set`` for an
 evaluator ``v -> 2*B(v, J)`` with the set's rows, spanning tree, tables or
-tour already in hand, and keeps it beside the set's per-vertex values.
+tour already in hand, and keeps it beside the set's per-vertex values.  An
+evaluator that reads distance rows first has the oracle settle a vertex it
+has not settled yet, so only cache misses pay for growing the rows.
 """
 
 from __future__ import annotations
@@ -96,12 +98,15 @@ class OneTreeBound(BoundOracle):
     def _for_set(self, jmask):
         if not jmask & self.root_bit:
             return _zero
-        rows = self.oracle.rows
-        set_rows = [rows[t] for t in iter_bits(jmask)]
+        oracle = self.oracle
+        set_rows = [oracle.rows[t] for t in iter_bits(jmask)]
         single = len(set_rows) == 1
-        mst = self.oracle.mst_cost(jmask)
+        mst = oracle.mst_cost(jmask)
+        settled, settle = oracle.settled, oracle.settle
 
         def evaluate(v):
+            if not settled[v]:
+                settle(v)
             best1 = best2 = INF
             for row in set_rows:
                 dv = row[v]
@@ -133,7 +138,8 @@ class JTermBound(BoundOracle):
     exact wherever smt({v} | S) <= U, since every tree that cheap is built
     from parts no costlier, and INF elsewhere.  An INF entry makes the value
     INF: the true value 2*B(v, J) >= 2*smt({v} | S) > 2*U prunes the label
-    anyway.  ``limits`` is checked for the sizes of the arrays before the
+    anyway.  The arrays read whole rows, so the oracle's rows are run out
+    first.  ``limits`` is checked for the sizes of the arrays before the
     build and for time after each array's Dijkstra run.
     """
 
@@ -163,6 +169,7 @@ class JTermBound(BoundOracle):
         n = graph.n
         built = sum(1 for mask in family if mask & (mask - 1))
         limits.check_memory(built * n * ROW_SLOT_BYTES, "jterm table")
+        oracle.complete()
         horizon = oracle.horizon
         tables: dict[int, Sequence[int]] = {}
         for mask in family:
@@ -308,15 +315,23 @@ class TspBound(BoundOracle):
         if not jmask & self.root_bit:
             return _zero
         rows = self.oracle.rows
+        settled, settle = self.oracle.settled, self.oracle.settle
         if not jmask & (jmask - 1):
             row = rows[jmask.bit_length() - 1]
-            # the root's own vertex reads 0, its (empty) tour
-            return lambda v: 2 * row[v] if row[v] < INF else INF
+
+            def single(v):
+                if not settled[v]:
+                    settle(v)
+                # the root's own vertex reads 0, its (empty) tour
+                return 2 * row[v] if row[v] < INF else INF
+            return single
         tour = self._tour(jmask)
         members = {self.terminals[i] for i in iter_bits(jmask)}
         ends = [(rows[a], rows[b], cost) for a, b, cost in self._end_pairs(jmask)]
 
         def evaluate(v):
+            if not settled[v]:
+                settle(v)
             if v in members:
                 return tour
             best = INF

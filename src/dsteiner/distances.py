@@ -1,16 +1,18 @@
 """Terminal-to-all shortest path rows and distance-graph spanning trees.
 
-One solver run owns one DistanceOracle: the rows are immutable after
-construction, the set-distance caches are single-writer.
+One solver run owns one DistanceOracle.  Its rows grow on demand: each is a
+resumable Dijkstra from one terminal, and an entry is read only at a vertex
+the oracle has settled, where every row's entry is exact.  The set-distance
+caches are single-writer.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .bitsets import iter_bits
 from .errors import NO_LIMITS, Limits
-from .graph import INF, Graph, multi_source_dijkstra
+from .graph import INF, Graph, ResumableDijkstra
 
 # Bytes per distance-row slot, for the memory-limit checks of the oracle and
 # the jterm tables: full rows and jterm tables on lattices and Hanan grids
@@ -18,33 +20,87 @@ from .graph import INF, Graph, multi_source_dijkstra
 # an 8 B list pointer plus a 32 B int object per distance.  Rows capped at a
 # horizon share one INF object beyond it, so the check errs high for them.
 ROW_SLOT_BYTES = 40
+# Bytes per entry of the frontiers the rows keep between growths, counted
+# once per vertex: a (distance, vertex) tuple and its heap slot grew 64 B
+# under tracemalloc on CPython 3.11, and a stale entry (21-31% of them at the
+# peak on lattices) also keeps its own 32 B int.  Summed over the rows, the
+# frontiers peaked at 0.11-0.94 entries per vertex over the 24 seed-1
+# lattice_cli solves and at 0.19-0.55 over 30 hanan3d solves.
+FRONTIER_ENTRY_BYTES = 72
+_GROWING = "while growing the distance oracle's rows"
 
 
 class DistanceOracle:
     """Shortest-path distances from every terminal, plus terminal-set queries.
 
     Terminal sets are int masks over terminal indices 0..k-1 (file order).
-    Rows stop at ``horizon``: a farther vertex reads INF.  ``limits`` is
-    checked for the size of k full rows before the build and for time after
-    each of the k Dijkstra runs.
+    Rows stop at ``horizon``: a farther vertex reads INF.  Row ``i`` is
+    ``rows[i]``, grown by one resumable Dijkstra from terminal ``i``; an
+    entry may be read where ``settled`` is set.  Construction settles the
+    terminals, which ``pair`` and ``mst_cost`` read; ``settle(v)`` grows the
+    rows as far as vertex ``v`` needs, and ``complete()`` runs them out.
+    ``started`` hands over searches already run partway from some
+    terminals (by index) with no horizon; they are capped at ``horizon``
+    and resumed.  ``limits`` is checked for the size of k full rows and
+    their frontiers before the build, and for time after every growth.
     """
 
     def __init__(self, graph: Graph, terminals: Sequence[int], *,
-                 horizon: int = INF, limits: Limits = NO_LIMITS):
+                 horizon: int = INF, limits: Limits = NO_LIMITS,
+                 started: Optional[Mapping[int, ResumableDijkstra]] = None):
         self.terminals = list(terminals)
         self.k = len(self.terminals)
         self.horizon = horizon
-        limits.check_memory(self.k * graph.n * ROW_SLOT_BYTES, "distance-row")
-        self.rows: list[list[int]] = []
+        n = graph.n
+        limits.check_memory((self.k * ROW_SLOT_BYTES + FRONTIER_ENTRY_BYTES) * n,
+                            "distance-row")
+        self._limits = limits
+        searches = []
+        for i, t in enumerate(self.terminals):
+            search = started.get(i) if started else None
+            if search is None:
+                search = ResumableDijkstra(graph, [(t, 0)], horizon)
+            else:
+                search.cap(horizon)
+            searches.append(search)
+        self.rows: list[list[int]] = [s.dist for s in searches]
+        self.settled = bytearray(n)
+        self._growing = searches
+        self._drop_finished()
         for t in self.terminals:
-            self.rows.append(multi_source_dijkstra(graph, [(t, 0)], horizon))
-            limits.check_time("while building the distance oracle")
+            self.settle(t)
         # k x k matrix of pairwise terminal distances (metric closure on T)
         self.pair = [[self.rows[i][self.terminals[j]] for j in range(self.k)]
                      for i in range(self.k)]
         self._cut_cache: dict[int, int] = {}
         # per vertex, built on first query: sorted reachable (distance, terminal)
-        self._nearest: list[Optional[list[tuple[int, int]]]] = [None] * graph.n
+        self._nearest: list[Optional[list[tuple[int, int]]]] = [None] * n
+
+    def settle(self, v: int) -> None:
+        """Grow every unfinished row until its entry at ``v`` is exact."""
+        grew = False
+        for search in self._growing:
+            # an unfinished row has a frontier; it may already reach v
+            if search.heap[0][0] < search.dist[v]:
+                search.settle(v)
+                grew = True
+        self.settled[v] = 1
+        if grew:
+            self._drop_finished()
+            self._limits.check_time(_GROWING)
+
+    def complete(self) -> None:
+        """Run every row out, so that every entry is exact."""
+        for search in self._growing:
+            search.drain()
+            self._limits.check_time(_GROWING)
+        self._drop_finished()
+
+    def _drop_finished(self) -> None:
+        growing = self._growing = [s for s in self._growing if s.heap]
+        if not growing:
+            settled = self.settled
+            settled[:] = b"\x01" * len(settled)
 
     def mst_cost(self, mask: int) -> int:
         """MST cost of the distance graph spanned by the terminals of ``mask``.
@@ -109,6 +165,8 @@ class DistanceOracle:
         """
         order = self._nearest[vertex]
         if order is None:
+            if not self.settled[vertex]:
+                self.settle(vertex)
             order = self._nearest[vertex] = sorted(
                 (row[vertex], y) for y, row in enumerate(self.rows)
                 if row[vertex] < INF

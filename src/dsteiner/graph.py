@@ -10,7 +10,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ContainsCycle, MissingTerminal, NotConnected
+from .errors import NO_LIMITS, ContainsCycle, Limits, MissingTerminal, NotConnected
 
 # Reserved "unreachable"/"unset" sentinel.
 INF = (1 << 63) - 1
@@ -19,6 +19,12 @@ INF = (1 << 63) - 1
 # edges grew 146-162 B per edge under tracemalloc on CPython 3.11 (two
 # (neighbour, cost) tuples and their list slots, plus the per-vertex lists).
 ADJ_EDGE_BYTES = 160
+# Bytes zero-edge contraction holds at its peak per input edge, for the
+# memory-limit check made before it allocates: lattices of 3,120 to 28,560
+# edges, 5-10% of them zero-cost, peaked at 202-257 B per edge under
+# tracemalloc on CPython 3.11 (the union-find array, the component maps and
+# the contracted cost and witness dicts); half-zero lattices peaked lower.
+CONTRACT_EDGE_BYTES = 256
 
 
 class Graph:
@@ -83,9 +89,6 @@ class Graph:
     def edge_cost(self, u: int, v: int) -> Optional[int]:
         return self._edge_cost.get((u, v) if u < v else (v, u))
 
-    def edges(self) -> list[tuple[tuple[int, int], int]]:
-        return list(self._edge_cost.items())
-
     def has_zero_edge(self) -> bool:
         return 0 in self._edge_cost.values()
 
@@ -125,40 +128,111 @@ class SteinerInstance:
         return len(self.terminals)
 
 
+class ResumableDijkstra:
+    """Dijkstra from seeded (vertex, initial cost) pairs that runs only as far
+    as its reader asks, and resumes from its frontier on the next request.
+
+    ``dist`` is the distance row and ``heap`` the frontier (a binary heap
+    with lazy deletion).  Every vertex starts at the row's ``limit``, one
+    beyond ``horizon`` (or INF), so the relaxation test caps the search with
+    no extra comparison.  An entry is exact once ``settle`` has returned for
+    its vertex; before that it is an upper bound.  When the frontier runs
+    empty the row is finished: entries still at the limit become INF, in
+    place, so readers may keep the list.
+    """
+
+    __slots__ = ("dist", "heap", "limit", "_adj")
+
+    def __init__(self, graph: Graph, seeds: Sequence[tuple[int, int]],
+                 horizon: int = INF):
+        limit = INF if horizon >= INF else horizon + 1
+        dist = [limit] * graph.n
+        heap = []
+        for v, d0 in seeds:
+            if d0 < dist[v]:
+                dist[v] = d0
+                heap.append((d0, v))
+        heapq.heapify(heap)
+        self.dist = dist
+        self.heap = heap
+        self.limit = limit
+        self._adj = graph.adj
+        if not heap:
+            self._finish()
+
+    def settle(self, target: int) -> None:
+        """Grow the row until its entry at ``target`` is exact."""
+        heap = self.heap
+        dist = self.dist
+        if not heap or heap[0][0] >= dist[target]:
+            return
+        adj = self._adj
+        heappush, heappop = heapq.heappush, heapq.heappop
+        while heap:
+            d, u = heappop(heap)
+            if d >= dist[target]:
+                # no key below dist[target] is left, so it is final
+                heappush(heap, (d, u))
+                return
+            if d != dist[u]:
+                continue
+            for v, c in adj[u]:
+                nd = d + c
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        self._finish()
+
+    def drain(self) -> list[int]:
+        """Run the search out; returns the finished row."""
+        heap = self.heap
+        dist = self.dist
+        adj = self._adj
+        heappush, heappop = heapq.heappush, heapq.heappop
+        while heap:
+            d, u = heappop(heap)
+            if d != dist[u]:
+                continue
+            for v, c in adj[u]:
+                nd = d + c
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        self._finish()
+        return dist
+
+    def cap(self, horizon: int) -> None:
+        """Lower the horizon to ``horizon``, which must not exceed the
+        current one: entries beyond it return to the limit and frontier keys
+        beyond it are dropped, the state a search started with ``horizon``
+        reaches after settling the same vertices."""
+        if horizon >= INF:
+            return
+        limit = self.limit = horizon + 1
+        dist = self.dist
+        dist[:] = [d if d <= horizon else limit for d in dist]
+        heap = self.heap = [e for e in self.heap if e[0] <= horizon]
+        heapq.heapify(heap)
+        if not heap:
+            self._finish()
+
+    def _finish(self) -> None:
+        limit = self.limit
+        if limit != INF:
+            dist = self.dist
+            dist[:] = [INF if d == limit else d for d in dist]
+            self.limit = INF
+
+
 def multi_source_dijkstra(
     graph: Graph, seeds: Sequence[tuple[int, int]], horizon: int = INF
 ) -> list[int]:
     """Dijkstra seeded with (vertex, initial cost) pairs; returns the
     distance array.
 
-    Binary heap with lazy deletion; unreachable vertices, and those farther
-    than ``horizon``, stay at INF.
+    Unreachable vertices, and those farther than ``horizon``, stay at INF.
     """
-    # start every vertex just beyond the horizon: the relaxation test then
-    # caps the search with no extra comparison, and the untouched entries
-    # become INF at the end
-    limit = INF if horizon >= INF else horizon + 1
-    dist = [limit] * graph.n
-    heap = []
-    for v, d0 in seeds:
-        if d0 < dist[v]:
-            dist[v] = d0
-            heap.append((d0, v))
-    heapq.heapify(heap)
-    adj = graph.adj
-    heappush, heappop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u = heappop(heap)
-        if d != dist[u]:
-            continue
-        for v, c in adj[u]:
-            nd = d + c
-            if nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    if limit != INF:
-        dist = [INF if d == limit else d for d in dist]
-    return dist
+    return ResumableDijkstra(graph, seeds, horizon).drain()
 
 
 def _find(parent, x: int) -> int:
@@ -233,7 +307,7 @@ class ContractionMap:
 
 
 def contract_zero_edges(
-    instance: SteinerInstance,
+    instance: SteinerInstance, *, limits: Limits = NO_LIMITS,
 ) -> tuple[SteinerInstance, ContractionMap]:
     """Contract all zero-cost edges; the result has strictly positive costs.
 
@@ -241,7 +315,8 @@ def contract_zero_edges(
     terminal order follows the first occurrence in the original order.  The
     returned map lifts any contracted tree back to an original tree of the
     same cost (zero edges re-inserted).  Without a zero-cost edge the
-    instance itself is returned, with an identity map.
+    instance itself is returned, with an identity map.  ``limits`` is
+    checked for memory before a contraction allocates.
     """
     g = instance.graph
     if not g.has_zero_edge():
@@ -250,6 +325,7 @@ def contract_zero_edges(
             component_edges=[[] for _ in range(g.n)],
             edge_witness={e: e for e in g._edge_cost},
         )
+    limits.check_memory(g.m * CONTRACT_EDGE_BYTES, "zero-edge contraction")
     parent = list(range(g.n))
     # the zero edges that merge two components span the merged ones
     zero_span: list[tuple[int, int]] = []

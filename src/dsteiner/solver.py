@@ -30,6 +30,7 @@ from .graph import (
     ADJ_EDGE_BYTES,
     INF,
     ContractionMap,
+    ResumableDijkstra,
     SteinerInstance,
     contract_zero_edges,
     validate_tree,
@@ -138,6 +139,7 @@ def choose_root(instance: SteinerInstance, rule: str = "last") -> int:
 
 def heuristic_upper_bound(
     instance: SteinerInstance, root_index: int, *, limits: Limits = NO_LIMITS,
+    root_search: Optional[ResumableDijkstra] = None,
 ) -> tuple[int, list[tuple[int, int]]]:
     """Feasible tree by repeatedly attaching the nearest terminal via a
     shortest path to the component grown from the root.
@@ -151,12 +153,18 @@ def heuristic_upper_bound(
     tight neighbour a fresh multi-source Dijkstra would have settled first.
     Instances with zero-cost edges are contracted first.  ``limits`` is
     checked for time after each round.
+
+    ``root_search``, if given, is an unstarted search from the root over
+    ``instance.graph`` with no horizon.  The first round runs in it and
+    leaves its whole frontier behind, so that the caller can resume it as
+    the root's distance row; later rounds work on a copy.  An instance with
+    zero-cost edges leaves it unstarted.
     """
     graph = instance.graph
     terminals = instance.terminals
     root = terminals[root_index]
     if graph.has_zero_edge():
-        reduced, cmap = contract_zero_edges(instance)
+        reduced, cmap = contract_zero_edges(instance, limits=limits)
         new_root = cmap.old_to_new[root]
         total, edges = heuristic_upper_bound(
             reduced, reduced.terminals.index(new_root), limits=limits)
@@ -167,11 +175,12 @@ def heuristic_upper_bound(
         return 0, []
     adj = graph.adj
     heappush, heappop = heapq.heappush, heapq.heappop
-    # with positive costs, dist[v] == 0 iff v is in the component
-    dist = [INF] * graph.n
+    search = root_search or ResumableDijkstra(graph, [(root, 0)])
+    # with positive costs, dist[v] == 0 iff v is in the component; the
+    # first round relaxes from the root alone
+    dist, heap = search.dist, search.heap
     edges: list[tuple[int, int]] = []
     total = 0
-    seeds = [root]
     horizon = INF
     while True:
         # relax from the vertices new to the component.  Distances only
@@ -181,14 +190,12 @@ def heuristic_upper_bound(
         # no farther than the last of them.  Beyond that radius dist holds
         # only upper bounds above it, which a walk back (reading distances
         # below the walked terminal's) never takes for tight.
-        for x in seeds:
-            dist[x] = 0
-        heap = [(0, x) for x in sorted(seeds)]
         todo = len(remaining)
         last = horizon
         while heap:
             d, u = heappop(heap)
             if d > last:
+                heappush(heap, (d, u))  # the frontier stays whole
                 break
             if d != dist[u]:
                 continue
@@ -218,7 +225,11 @@ def heuristic_upper_bound(
         if not remaining:
             return total, edges
         horizon = max(dist[x] for x in remaining)
-        seeds = path
+        if dist is search.dist:
+            dist = dist[:]
+        for x in path:
+            dist[x] = 0
+        heap = [(0, x) for x in sorted(path)]
 
 
 def solve(
@@ -297,11 +308,12 @@ def _prepare(
     value that prunes the label (see the bound classes).  Entries up to U
     are exact, and so is every terminal-to-terminal distance, since the
     heuristic tree joins each pair at cost <= U.  Prune "off" has no U and
-    keeps full rows.
+    keeps full rows.  The rows grow as the label loop reads them; the root's
+    starts where the heuristic's first round stopped.
     """
     t = time.perf_counter()
     root_vertex_orig = instance.terminals[choose_root(instance, root_rule)]
-    reduced, cmap = contract_zero_edges(instance)
+    reduced, cmap = contract_zero_edges(instance, limits=limits)
     # checked before the heuristic or the oracle first reads ``adj``
     limits.check_memory(reduced.m * ADJ_EDGE_BYTES, "adjacency")
     root = cmap.old_to_new[root_vertex_orig]
@@ -313,13 +325,18 @@ def _prepare(
         return search
 
     horizon = INF
+    started = {}
     if prune != "off":
-        horizon, _ = heuristic_upper_bound(reduced, root_idx, limits=limits)
+        # the heuristic's first round is the start of the root's row
+        root_search = ResumableDijkstra(reduced.graph, [(root, 0)])
+        horizon, _ = heuristic_upper_bound(reduced, root_idx, limits=limits,
+                                           root_search=root_search)
+        started[root_idx] = root_search
         stats.upper_bound = horizon
         search.upper2 = 2 * horizon
         t = _lap(stats, "heuristic", t)
     oracle = DistanceOracle(reduced.graph, reduced.terminals, horizon=horizon,
-                            limits=limits)
+                            limits=limits, started=started)
     root_row = oracle.rows[root_idx]
     for v in reduced.terminals:
         if root_row[v] >= INF:

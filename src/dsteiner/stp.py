@@ -257,7 +257,7 @@ def write_stp(instance: SteinerInstance, out: TextIO) -> None:
     write = out.write
     write(f'{MAGIC}\n\nSECTION Comment\nName    "{instance.name or "unnamed"}"\n'
           f"END\n\nSECTION Graph\nNodes {instance.n}\nEdges {instance.m}\n")
-    # the cost dict is read in place: Graph.edges() would copy every pair
+    # the cost dict is read in place, not copied
     for (u, v), c in instance.graph._edge_cost.items():
         write(f"E {u + 1} {v + 1} {c}\n")
     write(f"END\n\nSECTION Terminals\nTerminals {instance.k}\n")

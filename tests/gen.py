@@ -1,9 +1,10 @@
 """Shared instance generators and independent oracles for the test suite.
 
 The oracles here are deliberately naive (enumeration, Bellman-Ford,
-permutations) so they share no logic with the code under test.  The one
-exception is ``reference_heuristic``, the earlier construction heuristic,
-kept to pin the current one to the same trees.
+permutations) so they share no logic with the code under test.  The
+exceptions are ``reference_heuristic``, the earlier construction heuristic,
+kept to pin the current one to the same trees, and ``BaselineOracle``, which
+reads the tables of the reference subset DP in ``dsteiner.baseline``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from typing import Optional, Sequence
 
 from dsteiner import Graph, SteinerInstance, contract_zero_edges
-from dsteiner.errors import Infeasible
+from dsteiner.baseline import ORACLE_TERMINAL_CAP, _emv_tables
+from dsteiner.errors import Infeasible, TooManyTerminalsForOracle
 from dsteiner.graph import INF
+
+
+def edges_of(graph: Graph) -> list[tuple[tuple[int, int], int]]:
+    """The graph's ``((u, v), cost)`` pairs, ``u < v``, in edge order."""
+    return list(graph._edge_cost.items())
 
 
 def random_instance(
@@ -138,7 +146,7 @@ def capped_cases(zero_edges: int):
 def bellman_ford(graph: Graph, source: int) -> list[int]:
     dist = [INF] * graph.n
     dist[source] = 0
-    pairs = [(u, v, c) for (u, v), c in graph.edges()]
+    pairs = [(u, v, c) for (u, v), c in edges_of(graph)]
     for _ in range(graph.n - 1):
         changed = False
         for u, v, c in pairs:
@@ -225,7 +233,7 @@ def steiner_by_subtree_enumeration(graph: Graph, terminals: list[int]) -> int:
 
     Exponential in the edge count; only for graphs with a handful of edges.
     """
-    all_edges = [(u, v, c) for (u, v), c in graph.edges()]
+    all_edges = [(u, v, c) for (u, v), c in edges_of(graph)]
     assert len(all_edges) <= 18, "enumeration oracle limited to tiny graphs"
     best = None
     term_set = set(terminals)
@@ -302,3 +310,52 @@ def rectilinear_smt_bruteforce(points: list[tuple[int, int]]) -> int:
             if cost < best:
                 best = cost
     return best
+
+
+class BaselineOracle:
+    """smt() lookups over arbitrary root-containing terminal subsets.
+
+    Builds the full-terminal-set table once (cap k <= 16) and answers
+    smt(X | {v}) queries by table lookup.
+    """
+
+    def __init__(self, instance: SteinerInstance):
+        if instance.k > ORACLE_TERMINAL_CAP:
+            raise TooManyTerminalsForOracle(
+                f"k={instance.k} exceeds oracle cap {ORACLE_TERMINAL_CAP}"
+            )
+        self.instance = instance
+        self._dp = None
+
+    def _tables(self):
+        if self._dp is None:
+            self._dp = _emv_tables(self.instance.graph, self.instance.terminals)[0]
+        return self._dp
+
+    def smt_mask(self, term_mask: int, extra_vertex: Optional[int] = None) -> int:
+        """smt over the terminals in ``term_mask`` plus an optional vertex."""
+        if term_mask == 0:
+            return 0
+        dp = self._tables()
+        if extra_vertex is None:
+            low = term_mask & -term_mask
+            anchor = self.instance.terminals[low.bit_length() - 1]
+            rest = term_mask ^ low
+            if rest == 0:
+                return 0
+            return dp[rest][anchor]
+        return dp[term_mask][extra_vertex]
+
+    def smt_subset(
+        self,
+        terminal_vertices: Sequence[int],
+        extra_vertex: Optional[int] = None,
+    ) -> int:
+        """smt for a set given by terminal vertex ids plus an optional vertex."""
+        index_of = {t: i for i, t in enumerate(self.instance.terminals)}
+        mask = 0
+        for t in terminal_vertices:
+            mask |= 1 << index_of[t]
+        if mask == 0 and extra_vertex is not None:
+            return 0
+        return self.smt_mask(mask, extra_vertex)

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from dsteiner import (
-    BaselineOracle,
     DistanceOracle,
     build_hanan_grid,
     make_bound,
@@ -24,7 +23,7 @@ from dsteiner import (
 from dsteiner.hanan import parse_points
 
 from conftest import corpus_file
-from gen import random_instance, tsp_by_permutations
+from gen import BaselineOracle, edges_of, random_instance, tsp_by_permutations
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -162,7 +161,7 @@ def test_criterion_4_bound_soundness_suite():
             name: make_bound(name, inst, root, oracle)
             for name in SOUNDNESS_BOUNDS
         }
-        edges = inst.graph.edges()
+        edges = edges_of(inst.graph)
         for jmask in range(1, 1 << inst.k):
             if not jmask & root_bit or jmask.bit_count() > 6:
                 continue

@@ -1,7 +1,6 @@
 import pytest
 
 from dsteiner import (
-    BaselineOracle,
     Graph,
     SteinerInstance,
     multi_source_dijkstra,
@@ -10,7 +9,7 @@ from dsteiner import (
 )
 from dsteiner.errors import TooManyTerminalsForOracle
 
-from gen import random_instance, steiner_by_subtree_enumeration
+from gen import BaselineOracle, random_instance, steiner_by_subtree_enumeration
 
 
 def test_single_terminal_is_zero():

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from dsteiner import (
     INF,
-    BaselineOracle,
     DistanceOracle,
     Graph,
     SteinerInstance,
@@ -28,7 +27,9 @@ from dsteiner.distances import ROW_SLOT_BYTES
 from dsteiner.errors import Limits, MemoryLimit, TspTableTooLarge
 
 from gen import (
+    BaselineOracle,
     capped_cases,
+    edges_of,
     lattice_instance,
     path_by_permutations,
     random_instance,
@@ -112,7 +113,7 @@ def test_edge_consistency(seed):
     for jmask in range(1, 1 << inst.k):
         if not jmask & root_bit:
             continue
-        for (u, v), c in inst.graph.edges():
+        for (u, v), c in edges_of(inst.graph):
             for name, b in bounds.items():
                 bu = b.value2(u, jmask)
                 bv = b.value2(v, jmask)
@@ -274,10 +275,11 @@ def test_tsp_insertion_matches_permutations(seed):
     term_set = set(inst.terminals)
     outside = [v for v in range(inst.n) if v not in term_set][:3]
     for v in outside:
+        got = b.value2(v, jmask)  # settles v, so its row entries are exact
         ext = [row[:] + [oracle.rows[i][v]] for i, row in enumerate(oracle.pair)]
         ext.append([oracle.rows[i][v] for i in range(inst.k)] + [0])
         expected = tsp_by_permutations(ext, list(range(inst.k + 1)))
-        assert b.value2(v, jmask) == expected
+        assert got == expected
 
 
 def test_tsp_cap_enforced():

@@ -1,7 +1,7 @@
 import pytest
 
-from dsteiner import DistanceOracle
-from dsteiner.distances import ROW_SLOT_BYTES
+from dsteiner import DistanceOracle, multi_source_dijkstra, solve, solver
+from dsteiner.distances import FRONTIER_ENTRY_BYTES, ROW_SLOT_BYTES
 from dsteiner.errors import Limits, MemoryLimit
 from dsteiner.graph import INF
 
@@ -87,9 +87,10 @@ def test_vertex_to_set_distance_matches_brute_force(seed):
     oracle = DistanceOracle(inst.graph, inst.terminals)
     ties = 0
     for v in range(inst.n):
+        # the first query settles v, after which its row entries are exact
+        assert oracle.vertex_to_set_distance(v, 0) == (INF, -1)
         dists = [row[v] for row in oracle.rows]
         ties += len(dists) != len(set(dists))
-        assert oracle.vertex_to_set_distance(v, 0) == (INF, -1)
         for mask in range(1, 1 << oracle.k):
             assert oracle.vertex_to_set_distance(v, mask) == _brute_nearest(oracle, v, mask)
     assert ties
@@ -115,6 +116,8 @@ def test_capped_rows_are_full_rows_up_to_upper_bound(zero_edges):
     for inst, upper in capped_cases(zero_edges):
         full = DistanceOracle(inst.graph, inst.terminals)
         capped = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
+        full.complete()
+        capped.complete()
         for full_row, row in zip(full.rows, capped.rows):
             assert row == [d if d <= upper else INF for d in full_row]
             beyond += row.count(INF)
@@ -143,13 +146,95 @@ def test_memory_limit_refuses_rows_before_building(monkeypatch):
     import dsteiner.distances as distances
 
     inst = lattice_instance(20, 4, seed=1)
-    est = inst.k * inst.n * ROW_SLOT_BYTES
+    est = (inst.k * ROW_SLOT_BYTES + FRONTIER_ENTRY_BYTES) * inst.n
 
     def dijkstra(*args):
         pytest.fail("a row was built")
 
-    monkeypatch.setattr(distances, "multi_source_dijkstra", dijkstra)
+    monkeypatch.setattr(distances, "ResumableDijkstra", dijkstra)
     with pytest.raises(MemoryLimit, match="distance-row"):
         DistanceOracle(inst.graph, inst.terminals, limits=Limits(mem_limit=est - 1))
     monkeypatch.undo()
     DistanceOracle(inst.graph, inst.terminals, limits=Limits(mem_limit=est))
+
+
+# --- rows grown on demand ---
+
+def _solve_keeping_oracle(monkeypatch, inst, **kwargs):
+    """solve() plus the distance oracle it built, as the solve left it."""
+    built = []
+
+    def keep(*args, **kw):
+        built.append(DistanceOracle(*args, **kw))
+        return built[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "DistanceOracle", keep)
+        rec = solve(inst, **kwargs)
+    return rec, built[0]
+
+
+SPECS = ["zero", "jterm:1", "jterm:2", "jterm:3", "onetree", "tsp",
+         "max(jterm:2,onetree)"]
+
+
+@pytest.mark.parametrize("zero_edges", [0, 3])
+def test_settled_entries_equal_full_rows_capped_after_solves(monkeypatch, zero_edges):
+    cases = [random_instance(seed + 1500, zero_edges=zero_edges) for seed in range(10)]
+    cases += [lattice_instance(16, 5, seed, cost_range=(0 if zero_edges else 1, 9),
+                               window=5) for seed in range(3)]
+    checked = 0
+    for inst in cases:
+        for spec in SPECS:
+            for prune in ("bound", "full"):
+                rec, oracle = _solve_keeping_oracle(monkeypatch, inst, bound=spec,
+                                                    prune=prune)
+                graph = solver.contract_zero_edges(inst)[0].graph
+                upper = oracle.horizon
+                assert upper == rec.stats.upper_bound
+                for t, row in zip(oracle.terminals, oracle.rows):
+                    full = multi_source_dijkstra(graph, [(t, 0)])
+                    for v in range(graph.n):
+                        if oracle.settled[v]:
+                            assert row[v] == (full[v] if full[v] <= upper else INF), (
+                                spec, prune, v)
+                            checked += 1
+    assert checked
+
+
+def test_clustered_lattice_solve_leaves_most_entries_ungrown(monkeypatch):
+    # terminals in a 6x6 corner of a 48x48 lattice: the label loop settles
+    # only vertices near them, and the rows stay short of most of the grid
+    inst = lattice_instance(48, 8, seed=2, window=6)
+    rec, oracle = _solve_keeping_oracle(monkeypatch, inst)
+    limit = oracle.horizon + 1
+    ungrown = sum(row.count(limit) for row in oracle.rows)
+    assert ungrown > 0.5 * oracle.k * inst.n
+    assert sum(oracle.settled) < 0.5 * inst.n
+
+
+def test_row_and_frontier_estimate_tracks_measured_peak():
+    # traced peak while the oracle settles vertices outward from a terminal,
+    # as the label loop does, and then runs its rows out (rows capped at a
+    # horizon hold fewer distances, and the check errs high for them)
+    import tracemalloc
+
+    inst = lattice_instance(40, 6, seed=3, window=10)
+    inst.graph.adj  # built on first read; keep it out of the measured window
+    near = multi_source_dijkstra(inst.graph, [(inst.terminals[0], 0)])
+    order = sorted(range(inst.n), key=near.__getitem__)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        frontier = 0
+        for v in order[: inst.n // 4]:
+            oracle.settle(v)
+            frontier = max(frontier, sum(len(s.heap) for s in oracle._growing))
+        oracle.complete()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert frontier > inst.n // 8
+    est = (oracle.k * ROW_SLOT_BYTES + FRONTIER_ENTRY_BYTES) * inst.n
+    assert peak / 2 <= est <= 2 * peak, (peak, est)

@@ -14,10 +14,16 @@ from dsteiner import (
     solve_baseline,
     validate_tree,
 )
-from dsteiner.errors import ContainsCycle, MissingTerminal, NotConnected
-from dsteiner.graph import ADJ_EDGE_BYTES, INF
+from dsteiner.errors import ContainsCycle, Limits, MemoryLimit, MissingTerminal, NotConnected
+from dsteiner.graph import ADJ_EDGE_BYTES, CONTRACT_EDGE_BYTES, INF, ResumableDijkstra
 
-from gen import bellman_ford, dijkstra_with_predecessors, lattice_instance, random_instance
+from gen import (
+    bellman_ford,
+    dijkstra_with_predecessors,
+    edges_of,
+    lattice_instance,
+    random_instance,
+)
 
 
 def test_single_edge_distance():
@@ -90,6 +96,51 @@ def test_dijkstra_horizon_caps_distances(seed):
         assert capped == [d if d <= horizon else INF for d in full], horizon
 
 
+# --- resumable search ---
+
+@pytest.mark.parametrize("seed", range(8))
+def test_settled_entries_are_exact_and_the_search_resumes(seed):
+    # entries read right after settle() are final, in any settle order,
+    # and a drain afterwards yields the row a single run would
+    inst = random_instance(seed + 60, n_range=(15, 25), zero_edges=seed % 3)
+    source = inst.terminals[0]
+    full = multi_source_dijkstra(inst.graph, [(source, 0)])
+    finite = sorted(d for d in full if d < INF)
+    for horizon in (INF, finite[len(finite) // 2]):
+        want = [d if d <= horizon else INF for d in full]
+        search = ResumableDijkstra(inst.graph, [(source, 0)], horizon)
+        row = search.dist
+        order = list(range(inst.n))
+        random.Random(seed).shuffle(order)
+        for v in order[: inst.n // 2]:
+            search.settle(v)
+            assert row[v] == want[v], (horizon, v)
+        assert search.drain() is row
+        assert row == want and not search.heap
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_capped_partial_search_equals_search_started_capped(seed):
+    # a search run partway with no horizon, then capped, continues as one
+    # started with that horizon
+    inst = random_instance(seed + 80, n_range=(15, 25))
+    source = inst.terminals[0]
+    full = multi_source_dijkstra(inst.graph, [(source, 0)])
+    finite = sorted(d for d in full if d < INF)
+    for stop in (0, len(finite) // 3, len(finite) - 1):
+        for horizon in (finite[stop], finite[(stop + len(finite)) // 2]):
+            search = ResumableDijkstra(inst.graph, [(source, 0)])
+            search.settle(full.index(finite[stop]))
+            search.cap(horizon)
+            assert search.drain() == [d if d <= horizon else INF for d in full]
+
+
+def test_search_with_no_seed_within_the_horizon_is_finished():
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    search = ResumableDijkstra(g, [(0, 5)], horizon=4)
+    assert not search.heap and search.dist == [INF] * 3
+
+
 # --- bulk construction ---
 
 def _assert_built_from(graph, n, edges):
@@ -104,7 +155,7 @@ def _assert_built_from(graph, n, edges):
     for (u, v), c in cheapest.items():
         adj[u].append((v, c))
         adj[v].append((u, c))
-    assert graph.edges() == list(cheapest.items())
+    assert edges_of(graph) == list(cheapest.items())
     assert graph.adj == adj
     assert graph.m == len(cheapest)
 
@@ -254,7 +305,7 @@ def test_contract_without_zero_edges_returns_instance():
     inst = random_instance(4)
     reduced, cmap = contract_zero_edges(inst)
     assert reduced is inst and reduced.graph is inst.graph
-    edges = [e for e, _ in inst.graph.edges()]
+    edges = [e for e, _ in edges_of(inst.graph)]
     assert cmap.lift_edges(edges, inst.terminals[0]) == edges
     assert cmap.lift_edges([], inst.terminals[0]) == []
 
@@ -265,7 +316,7 @@ def test_contract_merges_zero_joined_terminals():
     reduced, _ = contract_zero_edges(inst)
     assert reduced.k == 2
     assert reduced.n == 2
-    assert all(c > 0 for _, c in reduced.graph.edges())
+    assert all(c > 0 for _, c in edges_of(reduced.graph))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -282,7 +333,7 @@ def test_contract_preserves_optimum(seed):
 def test_contract_output_always_positive(seed):
     inst = random_instance(seed % 97, zero_edges=4)
     reduced, cmap = contract_zero_edges(inst)
-    assert all(c > 0 for _, c in reduced.graph.edges())
+    assert all(c > 0 for _, c in edges_of(reduced.graph))
     # every original terminal lands on a reduced terminal
     reduced_terms = set(reduced.terminals)
     for t in inst.terminals:
@@ -304,3 +355,37 @@ def test_contract_long_zero_components_in_linear_time():
     lifted = cmap.lift_edges([(0, 1)], 0)
     assert sorted(lifted) == sorted([(u, v) for u, v, _ in path + star] + [(length, c)])
     assert validate_tree(inst, lifted) == 3
+
+
+def test_contraction_estimate_tracks_measured_peak():
+    # traced peak of a contraction, against the estimate the memory limit
+    # is checked with before it allocates
+    import tracemalloc
+
+    for inst in (lattice_instance(40, 5, seed=1, cost_range=(0, 20)),
+                 lattice_instance(80, 5, seed=2, cost_range=(0, 9))):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            reduced, cmap = contract_zero_edges(inst)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert reduced.n < inst.n
+        est = inst.m * CONTRACT_EDGE_BYTES
+        assert peak / 2 <= est <= 2 * peak, (inst.m, peak)
+
+
+def test_memory_limit_refuses_contraction_before_it_allocates(monkeypatch):
+    import dsteiner.graph as graph
+
+    inst = lattice_instance(20, 4, seed=3, cost_range=(0, 9))
+    est = inst.m * CONTRACT_EDGE_BYTES
+    with monkeypatch.context() as m:
+        m.setattr(graph, "_find", lambda *a: pytest.fail("contraction started"))
+        with pytest.raises(MemoryLimit, match="zero-edge contraction"):
+            contract_zero_edges(inst, limits=Limits(mem_limit=est - 1))
+    assert contract_zero_edges(inst, limits=Limits(mem_limit=est))[0].n < inst.n
+    # without a zero-cost edge nothing is contracted, so nothing is checked
+    positive = lattice_instance(20, 4, seed=3)
+    assert contract_zero_edges(positive, limits=Limits(mem_limit=1))[0] is positive

@@ -12,7 +12,7 @@ from dsteiner import (
 from dsteiner.errors import DEFAULT_MEM_LIMIT, GridTooLarge, TooManyTerminals
 from dsteiner.hanan import GRID_ITEM_BYTES, MAX_GRID_ITEMS, parse_points
 
-from gen import rectilinear_smt_bruteforce
+from gen import edges_of, rectilinear_smt_bruteforce
 
 
 def grid_counts(points: PointSet) -> tuple[int, int]:
@@ -174,5 +174,5 @@ def test_vertex_ids_row_major_deterministic():
     inst2, m2 = build_hanan_grid(PointSet(2, [(2, 1), (0, 0)]))
     # same geometry, same ids, terminal order follows input order
     assert m1 == m2
-    assert dict(inst1.graph.edges()) == dict(inst2.graph.edges())
+    assert dict(edges_of(inst1.graph)) == dict(edges_of(inst2.graph))
     assert inst1.terminals == list(reversed(inst2.terminals))

@@ -10,7 +10,6 @@ import pytest
 import dsteiner
 from dsteiner import solver
 from dsteiner import (
-    BaselineOracle,
     Graph,
     SteinerInstance,
     build_hanan_grid,
@@ -32,9 +31,15 @@ from dsteiner.errors import (
     MemoryLimit,
     TimeLimit,
 )
-from dsteiner.graph import ADJ_EDGE_BYTES, ContractionMap, contract_zero_edges
+from dsteiner.graph import (
+    ADJ_EDGE_BYTES,
+    CONTRACT_EDGE_BYTES,
+    ContractionMap,
+    ResumableDijkstra,
+    contract_zero_edges,
+)
 
-from gen import lattice_instance, random_instance, reference_heuristic
+from gen import BaselineOracle, lattice_instance, random_instance, reference_heuristic
 
 BOUNDS = ["zero", "jterm:2", "onetree", "max(jterm:2,onetree)"]
 PRUNES = ["off", "bound", "full"]
@@ -319,6 +324,27 @@ def test_heuristic_terminates_on_zero_edges(seed):
         assert validate_tree(inst, edges) == u
 
 
+@pytest.mark.parametrize("window", [4, None])
+def test_heuristic_first_round_resumes_as_the_root_row(window):
+    # the first round leaves the root's search whole: capped at the
+    # heuristic's cost U and run out, it is the root's row capped at U
+    left_behind = 0
+    for seed in range(12):
+        inst = lattice_instance(14, 5, seed, cost_range=(1, 3), window=window)
+        if seed % 2:
+            inst = random_instance(seed + 1700, cost_range=(1, 3))
+        for r in range(inst.k):
+            root = inst.terminals[r]
+            search = ResumableDijkstra(inst.graph, [(root, 0)])
+            got = heuristic_upper_bound(inst, r, root_search=search)
+            assert got == reference_heuristic(inst, r), (seed, r)
+            left_behind += len(search.heap)
+            search.cap(got[0])
+            assert search.drain() == multi_source_dijkstra(
+                inst.graph, [(root, 0)], got[0]), (seed, r)
+    assert left_behind
+
+
 # --- root rules ---
 
 def test_choose_root_last_and_index():
@@ -410,14 +436,23 @@ def test_memory_limit_just_above_adjacency_refuses_rows(monkeypatch):
 
 
 def test_memory_limit_covers_jterm_tables(monkeypatch):
-    from dsteiner.distances import ROW_SLOT_BYTES
+    from dsteiner.distances import FRONTIER_ENTRY_BYTES, ROW_SLOT_BYTES
 
     inst = lattice_instance(30, 6, seed=5)
-    # enough for the adjacency lists and the rows, not for the jterm tables
-    fits = max(inst.k * inst.n * ROW_SLOT_BYTES, inst.m * ADJ_EDGE_BYTES)
+    # enough for the adjacency lists and the rows with their frontiers, not
+    # for the jterm tables
+    rows = (inst.k * ROW_SLOT_BYTES + FRONTIER_ENTRY_BYTES) * inst.n
+    fits = max(rows, inst.m * ADJ_EDGE_BYTES)
     monkeypatch.setattr(solver, "_label_loop", lambda *a: pytest.fail("loop"))
     with pytest.raises(MemoryLimit, match="jterm"):
         solve(inst, bound="jterm:3", mem_limit=fits)
+
+
+def test_memory_limit_covers_zero_edge_contraction(monkeypatch):
+    inst = lattice_instance(30, 6, seed=5, cost_range=(0, 9))
+    monkeypatch.setattr(solver, "_label_loop", lambda *a: pytest.fail("loop"))
+    with pytest.raises(MemoryLimit, match="zero-edge contraction"):
+        solve(inst, mem_limit=inst.m * CONTRACT_EDGE_BYTES - 1)
 
 
 def _tsp_k15_instance():
