@@ -148,8 +148,8 @@ class JTermBound(BoundOracle):
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
                  root_index: int, j: int, *, limits: Limits = NO_LIMITS):
         super().__init__()
-        if j not in (1, 2, 3):
-            raise ValueError(f"jterm bound supports j in 1..3, got {j}")
+        if j not in (2, 3):
+            raise ValueError(f"jterm bound supports j in 2..3, got {j}")
         self.j = j
         self.oracle = oracle
         self.root_bit = 1 << root_index
@@ -272,8 +272,8 @@ class TspBound(BoundOracle):
             row[r * k + b] = row[b * k + r] = pair[r][b]
             paths[root_bit | 1 << b] = row
         for size in range(2, k):
-            limits.check_time("while building the TSP table")
             for combo in combinations(others, size):
+                limits.check_time("while building the TSP table")
                 mask = root_bit
                 for i in combo:
                     mask |= 1 << i
@@ -359,7 +359,7 @@ class MaxBound(BoundOracle):
         return lambda v: max(f(v) for f in parts)
 
 
-# --- bound selection grammar: zero | jterm:<j> | onetree | tsp | max(a,b,...) ---
+# --- bound selection grammar: zero | jterm[:2|:3] | onetree | tsp | max(a,b,...) ---
 
 def _split_args(body: str) -> list[str]:
     parts, depth, cur = [], 0, []
@@ -385,17 +385,16 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
     at the oracle's horizon.
     """
     spec = spec.strip()
-    low = spec.lower()
-    if low == "zero":
+    if spec == "zero":
         return ZeroBound()
-    if low == "onetree":
+    if spec == "onetree":
         return OneTreeBound(oracle, 1 << root_index)
-    if low == "tsp":
+    if spec == "tsp":
         return TspBound(instance, oracle, root_index, limits=limits)
-    if low.startswith("jterm"):
-        j = 2 if ":" not in spec else int(spec.split(":", 1)[1])
-        return JTermBound(instance, oracle, root_index, j, limits=limits)
-    if low.startswith("max(") and spec.endswith(")"):
+    if spec in ("jterm", "jterm:2", "jterm:3"):
+        return JTermBound(instance, oracle, root_index, int(spec[6:] or 2),
+                          limits=limits)
+    if spec.startswith("max(") and spec.endswith(")"):
         parts = [make_bound(p, instance, root_index, oracle, limits=limits)
                  for p in _split_args(spec[4:-1])]
         return MaxBound(parts)

@@ -150,7 +150,7 @@ def cmd_validate(args) -> int:
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", default="onetree",
-                   help="zero | jterm:<j> | onetree | tsp | max(b1,b2,...)")
+                   help="zero | jterm[:2|:3] | onetree | tsp | max(b1,b2,...)")
     p.add_argument("--prune", default="full", choices=["off", "bound", "full"])
     p.add_argument("--root", default="last",
                    help="last | center | index:<i>")

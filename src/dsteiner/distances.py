@@ -42,7 +42,7 @@ class DistanceOracle:
     ``started`` hands over searches already run partway from some
     terminals (by index) with no horizon; they are capped at ``horizon``
     and resumed.  ``limits`` is checked for the size of k full rows and
-    their frontiers before the build, and for time after every growth.
+    their frontiers before the build, and for time after each row's growth.
     """
 
     def __init__(self, graph: Graph, terminals: Sequence[int], *,
@@ -83,11 +83,11 @@ class DistanceOracle:
             # an unfinished row has a frontier; it may already reach v
             if search.heap[0][0] < search.dist[v]:
                 search.settle(v)
+                self._limits.check_time(_GROWING)
                 grew = True
         self.settled[v] = 1
         if grew:
             self._drop_finished()
-            self._limits.check_time(_GROWING)
 
     def complete(self) -> None:
         """Run every row out, so that every entry is exact."""

@@ -164,16 +164,11 @@ class ResumableDijkstra:
         """Grow the row until its entry at ``target`` is exact."""
         heap = self.heap
         dist = self.dist
-        if not heap or heap[0][0] >= dist[target]:
-            return
         adj = self._adj
         heappush, heappop = heapq.heappush, heapq.heappop
-        while heap:
+        # once no key below dist[target] is left, that entry is final
+        while heap and heap[0][0] < dist[target]:
             d, u = heappop(heap)
-            if d >= dist[target]:
-                # no key below dist[target] is left, so it is final
-                heappush(heap, (d, u))
-                return
             if d != dist[u]:
                 continue
             for v, c in adj[u]:
@@ -181,7 +176,23 @@ class ResumableDijkstra:
                 if nd < dist[v]:
                     dist[v] = nd
                     heappush(heap, (nd, v))
-        self._finish()
+        if not heap:
+            self._finish()
+
+    def joined(self, sources: Iterable[int]) -> "ResumableDijkstra":
+        """A copy of this search, which has no horizon, with ``sources``
+        added as seeds at distance 0; this search is left as it is.  Its
+        entries stay upper bounds that the copy's frontier can still lower,
+        so the copy settles as a search seeded with both would."""
+        other = ResumableDijkstra.__new__(ResumableDijkstra)
+        dist = other.dist = self.dist[:]
+        heap = other.heap = self.heap[:]
+        other.limit = self.limit
+        other._adj = self._adj
+        for v in sources:
+            dist[v] = 0
+            heapq.heappush(heap, (0, v))
+        return other
 
     def drain(self) -> list[int]:
         """Run the search out; returns the finished row."""
@@ -308,23 +319,19 @@ class ContractionMap:
 
 def contract_zero_edges(
     instance: SteinerInstance, *, limits: Limits = NO_LIMITS,
-) -> tuple[SteinerInstance, ContractionMap]:
+) -> tuple[SteinerInstance, Optional[ContractionMap]]:
     """Contract all zero-cost edges; the result has strictly positive costs.
 
     Merged vertices keep terminal status if any member was a terminal, and
     terminal order follows the first occurrence in the original order.  The
     returned map lifts any contracted tree back to an original tree of the
     same cost (zero edges re-inserted).  Without a zero-cost edge the
-    instance itself is returned, with an identity map.  ``limits`` is
-    checked for memory before a contraction allocates.
+    instance itself is returned, with no map.  ``limits`` is checked for
+    memory before a contraction allocates.
     """
     g = instance.graph
     if not g.has_zero_edge():
-        return instance, ContractionMap(
-            old_to_new=list(range(g.n)),
-            component_edges=[[] for _ in range(g.n)],
-            edge_witness={e: e for e in g._edge_cost},
-        )
+        return instance, None
     limits.check_memory(g.m * CONTRACT_EDGE_BYTES, "zero-edge contraction")
     parent = list(range(g.n))
     # the zero edges that merge two components span the merged ones

@@ -144,21 +144,15 @@ def heuristic_upper_bound(
     """Feasible tree by repeatedly attaching the nearest terminal via a
     shortest path to the component grown from the root.
 
-    One array holds every vertex's distance to the component, grown by one
-    incremental Dijkstra: the first round relaxes from the root, and each
-    attachment zeroes the new path vertices and relaxes from them.  A round
-    stops at the farthest terminal still to attach, so all rounds together
-    do at most one Dijkstra's work.  Ties go to the smallest
-    ``(distance, vertex)``: the nearest terminal, and along its path the
-    tight neighbour a fresh multi-source Dijkstra would have settled first.
-    Instances with zero-cost edges are contracted first.  ``limits`` is
-    checked for time after each round.
-
-    ``root_search``, if given, is an unstarted search from the root over
-    ``instance.graph`` with no horizon.  The first round runs in it and
-    leaves its whole frontier behind, so that the caller can resume it as
-    the root's distance row; later rounds work on a copy.  An instance with
-    zero-cost edges leaves it unstarted.
+    Each round settles every remaining terminal in a resumable Dijkstra from
+    the component: the first in ``root_search`` (an unstarted search from
+    the root with no horizon, which the caller may resume as the root's
+    row) or a new one, each later one in the last round's search joined
+    with the new path.  Ties go to the smallest ``(distance, vertex)``: the
+    nearest terminal, and along its path the tight neighbour a fresh
+    multi-source Dijkstra would have settled first.  Instances with
+    zero-cost edges are contracted first, leaving ``root_search``
+    unstarted.  ``limits`` is checked for time after each round.
     """
     graph = instance.graph
     terminals = instance.terminals
@@ -171,44 +165,18 @@ def heuristic_upper_bound(
         return total, cmap.lift_edges(edges, new_root)
     remaining = set(terminals)
     remaining.discard(root)
-    if not remaining:
-        return 0, []
     adj = graph.adj
-    heappush, heappop = heapq.heappush, heapq.heappop
     search = root_search or ResumableDijkstra(graph, [(root, 0)])
-    # with positive costs, dist[v] == 0 iff v is in the component; the
-    # first round relaxes from the root alone
-    dist, heap = search.dist, search.heap
     edges: list[tuple[int, int]] = []
     total = 0
-    horizon = INF
-    while True:
-        # relax from the vertices new to the component.  Distances only
-        # fall, so no round needs a vertex farther than the farthest
-        # remaining terminal: pushes stop at that horizon, and the round
-        # ends once every remaining terminal is settled, with every vertex
-        # no farther than the last of them.  Beyond that radius dist holds
-        # only upper bounds above it, which a walk back (reading distances
-        # below the walked terminal's) never takes for tight.
-        todo = len(remaining)
-        last = horizon
-        while heap:
-            d, u = heappop(heap)
-            if d > last:
-                heappush(heap, (d, u))  # the frontier stays whole
-                break
-            if d != dist[u]:
-                continue
-            if u in remaining:
-                todo -= 1
-                if not todo:
-                    last = d
-            for v, c in adj[u]:
-                nd = d + c
-                if nd < dist[v] and nd <= horizon:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        limits.check_time("in the heuristic upper bound")
+    while remaining:
+        for x in remaining:
+            search.settle(x)
+            limits.check_time("in the heuristic upper bound")
+        # with positive costs, dist[v] == 0 iff v is in the component.
+        # Entries below the farthest remaining terminal's are exact and no
+        # other entry is tight, so the walk back follows exact distances
+        dist = search.dist
         t = min(remaining, key=lambda x: (dist[x], x))
         if dist[t] >= INF:
             raise Infeasible(f"terminal {t} unreachable from the root component")
@@ -222,14 +190,9 @@ def heuristic_upper_bound(
             path.append(x)
             x = p
         remaining.difference_update(path)
-        if not remaining:
-            return total, edges
-        horizon = max(dist[x] for x in remaining)
-        if dist is search.dist:
-            dist = dist[:]
-        for x in path:
-            dist[x] = 0
-        heap = [(0, x) for x in sorted(path)]
+        if remaining:
+            search = search.joined(path)
+    return total, edges
 
 
 def solve(
@@ -280,7 +243,7 @@ class _Search:
     """The contracted instance and everything the label loop reads."""
 
     reduced: SteinerInstance
-    cmap: ContractionMap
+    cmap: Optional[ContractionMap]  # None when nothing was contracted
     root: int  # root vertex of ``reduced``
     sources_mask: int  # all terminal bits but the root's: the root label's set
     bound: Optional[BoundOracle] = None  # None when the root is the only terminal
@@ -308,15 +271,15 @@ def _prepare(
     value that prunes the label (see the bound classes).  Entries up to U
     are exact, and so is every terminal-to-terminal distance, since the
     heuristic tree joins each pair at cost <= U.  Prune "off" has no U and
-    keeps full rows.  The rows grow as the label loop reads them; the root's
-    starts where the heuristic's first round stopped.
+    keeps full rows.  The root's row is the heuristic's first search.
     """
     t = time.perf_counter()
-    root_vertex_orig = instance.terminals[choose_root(instance, root_rule)]
+    root = instance.terminals[choose_root(instance, root_rule)]
     reduced, cmap = contract_zero_edges(instance, limits=limits)
     # checked before the heuristic or the oracle first reads ``adj``
     limits.check_memory(reduced.m * ADJ_EDGE_BYTES, "adjacency")
-    root = cmap.old_to_new[root_vertex_orig]
+    if cmap is not None:
+        root = cmap.old_to_new[root]
     root_idx = reduced.terminals.index(root)
     full_mask = (1 << reduced.k) - 1
     search = _Search(reduced, cmap, root, full_mask ^ (1 << root_idx))
@@ -327,7 +290,6 @@ def _prepare(
     horizon = INF
     started = {}
     if prune != "off":
-        # the heuristic's first round is the start of the root's row
         root_search = ResumableDijkstra(reduced.graph, [(root, 0)])
         horizon, _ = heuristic_upper_bound(reduced, root_idx, limits=limits,
                                            root_search=root_search)
@@ -487,8 +449,9 @@ def _reconstruct(
 ) -> list[tuple[int, int]]:
     """Backtrack the root label, lift the tree to ``instance`` and validate it."""
     root = search.root
-    reduced_edges = [] if back is None else _backtrack(back, root, search.sources_mask)
-    edges = search.cmap.lift_edges(reduced_edges, root)
+    edges = [] if back is None else _backtrack(back, root, search.sources_mask)
+    if search.cmap is not None:
+        edges = search.cmap.lift_edges(edges, root)
     try:
         tree_cost = validate_tree(instance, edges)
     except (InvalidTree, ValueError) as exc:

@@ -36,7 +36,7 @@ from gen import (
     tsp_by_permutations,
 )
 
-ALL_SPECS = ["zero", "jterm:1", "jterm:2", "onetree", "tsp", "max(jterm:2,onetree)"]
+ALL_SPECS = ["zero", "jterm:2", "onetree", "tsp", "max(jterm:2,onetree)"]
 
 
 def setup(seed, k, kmax=None):
@@ -132,20 +132,6 @@ def test_cache_evaluates_each_argument_once():
 
 # --- j-terminal bound ---
 
-def test_jterm1_tables_reduce_to_root_row():
-    inst, root, oracle = setup(4, 5)
-    b = JTermBound(inst, oracle, root, 1)
-    assert b.tables[1 << root] is oracle.rows[root]
-
-
-def test_jterm1_at_root_only_complement_is_root_distance():
-    # querying J = {root} collapses to the plain goal-directed potential
-    inst, root, oracle = setup(5, 5)
-    b = JTermBound(inst, oracle, root, 1)
-    for v in range(inst.n):
-        assert b.value2(v, 1 << root) == 2 * oracle.rows[root][v]
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_jterm2_tables_match_baseline_three_terminal_optima(seed):
     inst, root, oracle = setup(seed + 10, 4)
@@ -162,8 +148,9 @@ def test_jterm2_tables_match_baseline_three_terminal_optima(seed):
 
 def test_jterm_rejects_large_j():
     inst, root, oracle = setup(6, 4)
-    with pytest.raises(ValueError):
-        JTermBound(inst, oracle, root, 4)
+    for j in (1, 4):
+        with pytest.raises(ValueError):
+            JTermBound(inst, oracle, root, j)
 
 
 # --- 1-tree bound ---
@@ -351,14 +338,14 @@ def test_bound_grammar():
     b = make_bound("max(jterm:2,onetree,zero)", inst, root, oracle)
     assert isinstance(b, MaxBound)
     assert len(b.parts) == 3
-    nested = make_bound("max(zero,max(onetree,jterm:1))", inst, root, oracle)
+    nested = make_bound("max(zero,max(onetree,jterm:3))", inst, root, oracle)
     assert isinstance(nested.parts[1], MaxBound)
     bare = make_bound("jterm", inst, root, oracle)
     assert isinstance(bare, JTermBound) and bare.j == 2  # default j
-    with pytest.raises(ValueError):
-        make_bound("bogus", inst, root, oracle)
-    with pytest.raises(ValueError):
-        make_bound("jterm:9", inst, root, oracle)
+    for bad in ("bogus", "jterm:9", "jterm:1", "jterm3", "jtermX", "JTERM", "jterm:",
+                "jterm:x", "ONETREE", "max(zero,jterm2)"):
+        with pytest.raises(ValueError, match="unknown bound spec"):
+            make_bound(bad, inst, root, oracle)
 
 
 # --- preprocessing capped at the heuristic's upper bound ---

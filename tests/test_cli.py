@@ -95,8 +95,10 @@ def test_bad_root_and_bound_report_cleanly(tmp_path, capsys):
     _, path = write_instance(tmp_path, 19, "cfg")
     assert main(["solve", str(path), "--root", "index:99"]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
-    assert main(["solve", str(path), "--bound", "nope"]) == 1
-    assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
+    for bound in ("nope", "jterm3", "jtermX", "JTERM", "jterm:1"):
+        assert main(["solve", str(path), "--bound", bound]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ValueError" and "unknown bound spec" in payload["message"]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

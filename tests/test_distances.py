@@ -174,8 +174,7 @@ def _solve_keeping_oracle(monkeypatch, inst, **kwargs):
     return rec, built[0]
 
 
-SPECS = ["zero", "jterm:1", "jterm:2", "jterm:3", "onetree", "tsp",
-         "max(jterm:2,onetree)"]
+SPECS = ["zero", "jterm:2", "jterm:3", "onetree", "tsp", "max(jterm:2,onetree)"]
 
 
 @pytest.mark.parametrize("zero_edges", [0, 3])

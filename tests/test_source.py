@@ -19,17 +19,20 @@ def test_package_has_no_assert_statements():
     assert list(SRC.rglob("*.py")) and not found, found
 
 
+def _inside(tree: ast.Module, name: str) -> set[int]:
+    """Ids of the nodes of the top-level class or function ``name``."""
+    return {id(n) for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+            for n in ast.walk(node)}
+
+
 def _limit_violations(src: Path) -> list[str]:
     """Places outside ``errors.Limits`` that construct TimeLimit or
     MemoryLimit or compare against ``perf_counter()``."""
     found = []
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        allowed: set[int] = set()
-        if path.name == "errors.py":
-            for node in tree.body:
-                if isinstance(node, ast.ClassDef) and node.name == "Limits":
-                    allowed = {id(n) for n in ast.walk(node)}
+        allowed = _inside(tree, "Limits") if path.name == "errors.py" else set()
         for node in ast.walk(tree):
             if id(node) in allowed:
                 continue
@@ -65,3 +68,43 @@ def test_limit_check_finds_a_hand_written_check(tmp_path):
     assert sorted(_limit_violations(tmp_path)) == [
         "phase.py:4 perf_counter() compare", "phase.py:5 TimeLimit(",
         "phase.py:7 MemoryLimit("]
+
+
+def _heap_loops(src: Path) -> list[str]:
+    """Places that name ``heappop`` outside graph.py (the one resumable
+    Dijkstra), baseline.py (the reference DP) and solver._label_loop."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name in ("graph.py", "baseline.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = _inside(tree, "_label_loop") if path.name == "solver.py" else set()
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "heappop":
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_shortest_paths_run_only_on_resumable_dijkstra():
+    # the heuristic, the oracle and the bound tables grow their distances
+    # through graph.ResumableDijkstra, so none keeps a Dijkstra of its own
+    assert _heap_loops(SRC) == []
+
+
+def test_heap_check_finds_a_hand_written_loop(tmp_path):
+    loop = ("    while heap:\n"
+            "        d, u = heapq.heappop(heap)\n"
+            "        for v, c in adj[u]:\n"
+            "            heapq.heappush(heap, (d + c, v))\n")
+    for name in ("graph.py", "baseline.py", "heuristic.py"):
+        (tmp_path / name).write_text(f"import heapq\ndef run(heap, adj):\n{loop}")
+    (tmp_path / "solver.py").write_text(
+        "from heapq import heappop\n"
+        f"def _label_loop(heap, adj):\n{loop}"
+        f"def heuristic_upper_bound(heap, adj):\n{loop}")
+    assert _heap_loops(tmp_path) == ["heuristic.py:4", "solver.py:1", "solver.py:9"]
