@@ -11,10 +11,11 @@ present for a nonzero value (sets without the root evaluate to 0).
 
 Work that depends only on the set is done once per set: on the first query
 of a set, ``BoundOracle.value2`` asks the bound's ``_for_set`` for an
-evaluator ``v -> 2*B(v, J)`` with the set's rows, spanning tree, tables or
-tour already in hand, and keeps it beside the set's per-vertex values.  An
-evaluator that reads distance rows first has the oracle settle a vertex it
-has not settled yet, so only cache misses pay for growing the rows.
+evaluator ``v -> 2*B(v, J)`` with the set's members, spanning tree, tables
+or tour already in hand, and keeps it beside the set's per-vertex values.
+An evaluator reads terminal distances as ``oracle.columns[v]``, one tuple
+per vertex indexed by terminal; the oracle grows its rows on the first
+read of a vertex, so only cache misses pay for that growth.
 """
 
 from __future__ import annotations
@@ -99,17 +100,16 @@ class OneTreeBound(BoundOracle):
         if not jmask & self.root_bit:
             return _zero
         oracle = self.oracle
-        set_rows = [oracle.rows[t] for t in iter_bits(jmask)]
-        single = len(set_rows) == 1
+        members = list(iter_bits(jmask))
+        single = len(members) == 1
         mst = oracle.mst_cost(jmask)
-        settled, settle = oracle.settled, oracle.settle
+        columns = oracle.columns
 
         def evaluate(v):
-            if not settled[v]:
-                settle(v)
+            col = columns[v]
             best1 = best2 = INF
-            for row in set_rows:
-                dv = row[v]
+            for i in members:
+                dv = col[i]
                 if dv < best1:
                     best2 = best1
                     best1 = dv
@@ -169,12 +169,12 @@ class JTermBound(BoundOracle):
         n = graph.n
         built = sum(1 for mask in family if mask & (mask - 1))
         limits.check_memory(built * n * ROW_SLOT_BYTES, "jterm table")
-        oracle.complete()
+        rows = oracle.complete()
         horizon = oracle.horizon
         tables: dict[int, Sequence[int]] = {}
         for mask in family:
             if mask & (mask - 1) == 0:
-                tables[mask] = oracle.rows[mask.bit_length() - 1]
+                tables[mask] = rows[mask.bit_length() - 1]
                 continue
             arr = [INF] * n
             low = mask & -mask
@@ -314,29 +314,26 @@ class TspBound(BoundOracle):
     def _for_set(self, jmask):
         if not jmask & self.root_bit:
             return _zero
-        rows = self.oracle.rows
-        settled, settle = self.oracle.settled, self.oracle.settle
+        columns = self.oracle.columns
         if not jmask & (jmask - 1):
-            row = rows[jmask.bit_length() - 1]
+            i = jmask.bit_length() - 1
 
             def single(v):
-                if not settled[v]:
-                    settle(v)
                 # the root's own vertex reads 0, its (empty) tour
-                return 2 * row[v] if row[v] < INF else INF
+                d = columns[v][i]
+                return 2 * d if d < INF else INF
             return single
         tour = self._tour(jmask)
         members = {self.terminals[i] for i in iter_bits(jmask)}
-        ends = [(rows[a], rows[b], cost) for a, b, cost in self._end_pairs(jmask)]
+        ends = self._end_pairs(jmask)
 
         def evaluate(v):
-            if not settled[v]:
-                settle(v)
+            col = columns[v]
             if v in members:
                 return tour
             best = INF
-            for row_a, row_b, cost in ends:
-                c = cost + row_a[v] + row_b[v]
+            for a, b, cost in ends:
+                c = cost + col[a] + col[b]
                 if c < best:
                     best = c
             return best
@@ -377,6 +374,17 @@ def _split_args(body: str) -> list[str]:
     return parts
 
 
+def parse_bound_spec(spec: str):
+    """A leaf spec with its blanks stripped, or for ``max(a,b,...)`` the
+    list of its parsed parts; ValueError for a spec outside the grammar."""
+    spec = spec.strip()
+    if spec in ("zero", "onetree", "tsp", "jterm", "jterm:2", "jterm:3"):
+        return spec
+    if spec.startswith("max(") and spec.endswith(")"):
+        return [parse_bound_spec(p) for p in _split_args(spec[4:-1])]
+    raise ValueError(f"unknown bound spec {spec!r}")
+
+
 def make_bound(spec: str, instance: SteinerInstance, root_index: int,
                oracle: DistanceOracle, *, limits: Limits = NO_LIMITS) -> BoundOracle:
     """Build a bound evaluator from its selection string.
@@ -384,18 +392,16 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
     ``limits`` bounds the jterm and TSP table builds.  The jterm tables stop
     at the oracle's horizon.
     """
-    spec = spec.strip()
-    if spec == "zero":
+    return _build(parse_bound_spec(spec), instance, root_index, oracle, limits)
+
+
+def _build(parsed, instance, root_index, oracle, limits) -> BoundOracle:
+    if isinstance(parsed, list):
+        return MaxBound([_build(p, instance, root_index, oracle, limits) for p in parsed])
+    if parsed == "zero":
         return ZeroBound()
-    if spec == "onetree":
+    if parsed == "onetree":
         return OneTreeBound(oracle, 1 << root_index)
-    if spec == "tsp":
+    if parsed == "tsp":
         return TspBound(instance, oracle, root_index, limits=limits)
-    if spec in ("jterm", "jterm:2", "jterm:3"):
-        return JTermBound(instance, oracle, root_index, int(spec[6:] or 2),
-                          limits=limits)
-    if spec.startswith("max(") and spec.endswith(")"):
-        parts = [make_bound(p, instance, root_index, oracle, limits=limits)
-                 for p in _split_args(spec[4:-1])]
-        return MaxBound(parts)
-    raise ValueError(f"unknown bound spec {spec!r}")
+    return JTermBound(instance, oracle, root_index, int(parsed[6:] or 2), limits=limits)

@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from .bounds import parse_bound_spec
 from .errors import (
     DEFAULT_MEM_LIMIT,
     DsteinerError,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .graph import validate_tree
 from .hanan import build_hanan_grid, generate_random_points, parse_points
-from .solver import solve
+from .solver import parse_root_rule, solve
 from .stp import (
     CSV_HEADER,
     instance_name,
@@ -47,9 +48,12 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def _run_options(args) -> dict:
-    """solve()'s keywords from the run options; a bad limit is refused here,
-    before any file is read."""
+    """solve()'s keywords from the run options; a bad limit, bound spec or
+    root rule is refused here, before any file is read.  A root index that
+    does not fit an instance's k is that instance's error."""
     Limits(args.time_limit, args.mem_limit)
+    parse_bound_spec(args.bound)
+    parse_root_rule(args.root)
     return dict(bound=args.bound, prune=args.prune, root_rule=args.root,
                 time_limit=args.time_limit, mem_limit=args.mem_limit)
 

@@ -1,9 +1,10 @@
 """Terminal-to-all shortest path rows and distance-graph spanning trees.
 
 One solver run owns one DistanceOracle.  Its rows grow on demand: each is a
-resumable Dijkstra from one terminal, and an entry is read only at a vertex
-the oracle has settled, where every row's entry is exact.  The set-distance
-caches are single-writer.
+resumable Dijkstra from one terminal.  Readers see them only through
+``columns``, one tuple of exact distances per vertex, which grows the rows
+as far as the vertex needs on its first read; only ``complete()`` hands out
+whole rows, run out.  The set-distance caches are single-writer.
 """
 
 from __future__ import annotations
@@ -27,22 +28,50 @@ ROW_SLOT_BYTES = 40
 # frontiers peaked at 0.11-0.94 entries per vertex over the 24 seed-1
 # lattice_cli solves and at 0.19-0.55 over 30 hanan3d solves.
 FRONTIER_ENTRY_BYTES = 72
+# Bytes a read column holds: on 2D-4D Hanan grids, k = 8..16, n = 64..20736,
+# tracemalloc (CPython 3.11) read 8 B per terminal (tuple slots) plus 58-106
+# B per vertex (tuple header, dict entry, int key) with every column read.
+COLUMN_SLOT_BYTES = 8
+COLUMN_BYTES = 104
 _GROWING = "while growing the distance oracle's rows"
+
+
+class _Columns(dict):
+    """Vertex -> tuple of the exact distances from every terminal, built on
+    first read by growing each row that is not yet exact at the vertex."""
+
+    def __init__(self, searches: list[ResumableDijkstra], limits: Limits):
+        self._searches = searches
+        self._limits = limits
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        col = []
+        for search in self._searches:
+            # an unfinished row may already reach v; an entry at the row's
+            # limit has frontier keys below it, so growth runs it out to INF
+            heap, dist = search.heap, search.dist
+            if heap and heap[0][0] < dist[v]:
+                search.settle(v)
+                self._limits.check_time(_GROWING)
+            col.append(dist[v])
+        col = self[v] = tuple(col)
+        return col
 
 
 class DistanceOracle:
     """Shortest-path distances from every terminal, plus terminal-set queries.
 
     Terminal sets are int masks over terminal indices 0..k-1 (file order).
-    Rows stop at ``horizon``: a farther vertex reads INF.  Row ``i`` is
-    ``rows[i]``, grown by one resumable Dijkstra from terminal ``i``; an
-    entry may be read where ``settled`` is set.  Construction settles the
-    terminals, which ``pair`` and ``mst_cost`` read; ``settle(v)`` grows the
-    rows as far as vertex ``v`` needs, and ``complete()`` runs them out.
-    ``started`` hands over searches already run partway from some
-    terminals (by index) with no horizon; they are capped at ``horizon``
-    and resumed.  ``limits`` is checked for the size of k full rows and
-    their frontiers before the build, and for time after each row's growth.
+    Rows stop at ``horizon``: a farther vertex reads INF.  ``columns[v]`` is
+    the tuple of distances from every terminal to vertex ``v``, indexed by
+    terminal; the first read of a vertex grows one resumable Dijkstra per
+    terminal as far as that vertex needs.  ``pair`` and ``mst_cost`` read
+    the terminals' columns, built at construction; ``complete()`` runs the
+    rows out and returns them.  ``started`` hands over searches already run
+    partway from some terminals (by index) with no horizon; they are capped
+    at ``horizon`` and resumed.  ``limits`` is checked for the size of k
+    full rows, their frontiers and the columns before the build, and for
+    time after each row's growth.
     """
 
     def __init__(self, graph: Graph, terminals: Sequence[int], *,
@@ -52,8 +81,9 @@ class DistanceOracle:
         self.k = len(self.terminals)
         self.horizon = horizon
         n = graph.n
-        limits.check_memory((self.k * ROW_SLOT_BYTES + FRONTIER_ENTRY_BYTES) * n,
-                            "distance-row")
+        limits.check_memory(
+            ((ROW_SLOT_BYTES + COLUMN_SLOT_BYTES) * self.k
+             + FRONTIER_ENTRY_BYTES + COLUMN_BYTES) * n, "distance-row")
         self._limits = limits
         searches = []
         for i, t in enumerate(self.terminals):
@@ -63,44 +93,21 @@ class DistanceOracle:
             else:
                 search.cap(horizon)
             searches.append(search)
-        self.rows: list[list[int]] = [s.dist for s in searches]
-        self.settled = bytearray(n)
-        self._growing = searches
-        self._drop_finished()
-        for t in self.terminals:
-            self.settle(t)
+        self._searches = searches
+        self.columns: Mapping[int, tuple[int, ...]] = _Columns(searches, limits)
         # k x k matrix of pairwise terminal distances (metric closure on T)
-        self.pair = [[self.rows[i][self.terminals[j]] for j in range(self.k)]
-                     for i in range(self.k)]
+        self.pair = [list(row) for row in
+                     zip(*[self.columns[t] for t in self.terminals])]
         self._cut_cache: dict[int, int] = {}
         # per vertex, built on first query: sorted reachable (distance, terminal)
         self._nearest: list[Optional[list[tuple[int, int]]]] = [None] * n
 
-    def settle(self, v: int) -> None:
-        """Grow every unfinished row until its entry at ``v`` is exact."""
-        grew = False
-        for search in self._growing:
-            # an unfinished row has a frontier; it may already reach v
-            if search.heap[0][0] < search.dist[v]:
-                search.settle(v)
-                self._limits.check_time(_GROWING)
-                grew = True
-        self.settled[v] = 1
-        if grew:
-            self._drop_finished()
-
-    def complete(self) -> None:
-        """Run every row out, so that every entry is exact."""
-        for search in self._growing:
+    def complete(self) -> list[list[int]]:
+        """Run every row out; returns the rows, indexed by terminal."""
+        for search in self._searches:
             search.drain()
             self._limits.check_time(_GROWING)
-        self._drop_finished()
-
-    def _drop_finished(self) -> None:
-        growing = self._growing = [s for s in self._growing if s.heap]
-        if not growing:
-            settled = self.settled
-            settled[:] = b"\x01" * len(settled)
+        return [s.dist for s in self._searches]
 
     def mst_cost(self, mask: int) -> int:
         """MST cost of the distance graph spanned by the terminals of ``mask``.
@@ -111,27 +118,19 @@ class DistanceOracle:
         if len(idx) <= 1:
             return 0
         pair = self.pair
-        in_tree = [False] * len(idx)
-        best = [INF] * len(idx)
-        best[0] = 0
+        # Prim: best[i] is terminal i's cheapest link into the tree so far
+        best = {i: pair[idx[0]][i] for i in idx[1:]}
         total = 0
-        for _ in range(len(idx)):
-            u = -1
-            ub = INF
-            for i in range(len(idx)):
-                if not in_tree[i] and best[i] < ub:
-                    ub = best[i]
-                    u = i
-            if u < 0:
+        while best:
+            u = min(best, key=best.get)
+            d = best.pop(u)
+            if d >= INF:
                 return INF  # some terminal unreachable
-            in_tree[u] = True
-            total += best[u]
-            row = pair[idx[u]]
-            for i in range(len(idx)):
-                if not in_tree[i]:
-                    duv = row[idx[i]]
-                    if duv < best[i]:
-                        best[i] = duv
+            total += d
+            row = pair[u]
+            for i in best:
+                if row[i] < best[i]:
+                    best[i] = row[i]
         return total
 
     def set_cut_distance(self, label_mask: int, full_mask: int) -> tuple[int, int]:
@@ -165,12 +164,8 @@ class DistanceOracle:
         """
         order = self._nearest[vertex]
         if order is None:
-            if not self.settled[vertex]:
-                self.settle(vertex)
             order = self._nearest[vertex] = sorted(
-                (row[vertex], y) for y, row in enumerate(self.rows)
-                if row[vertex] < INF
-            )
+                (d, y) for y, d in enumerate(self.columns[vertex]) if d < INF)
         for d, y in order:
             if term_mask >> y & 1:
                 return d, y

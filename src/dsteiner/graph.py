@@ -369,13 +369,7 @@ def contract_zero_edges(
             edge_witness[key] = edge
     new_graph = Graph._from_costs(new_n, new_cost)
 
-    new_terminals: list[int] = []
-    seen: set[int] = set()
-    for t in instance.terminals:
-        nt = old_to_new[t]
-        if nt not in seen:
-            seen.add(nt)
-            new_terminals.append(nt)
+    new_terminals = list(dict.fromkeys(old_to_new[t] for t in instance.terminals))
 
     component_edges = [[] for _ in range(new_n)]
     for u, v in zero_span:

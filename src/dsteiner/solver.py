@@ -105,36 +105,37 @@ class PruneTracker:
                 self.witness[union] = new_s
 
 
+def parse_root_rule(rule: str) -> Optional[int]:
+    """The i of an ``index:<i>`` rule, None for "last" and "center";
+    ValueError for any other spelling."""
+    if rule in ("last", "center"):
+        return None
+    if rule.startswith("index:") and rule[6:].isdecimal():
+        return int(rule[6:])
+    raise ValueError(f"unknown root rule {rule!r}")
+
+
 def choose_root(instance: SteinerInstance, rule: str = "last") -> int:
     """Pick the root terminal per rule; returns an index into the terminal list."""
-    k = instance.k
+    index = parse_root_rule(rule)
+    terminals = instance.terminals
+    k = len(terminals)
     if rule == "last":
         return k - 1
     if rule == "center":
         coords = instance.coords
-        if coords is None or any(coords[t] is None for t in instance.terminals):
+        if coords is None or any(coords[t] is None for t in terminals):
             raise CenterRuleNeedsCoordinates(
-                "root rule 'center' needs coordinates for every terminal"
-            )
-        dim = len(coords[instance.terminals[0]])
-        sums = [0] * dim
-        for t in instance.terminals:
-            for i in range(dim):
-                sums[i] += coords[t][i]
-        # compare k-scaled L1 distances to the coordinate mean exactly
-        best = None
-        for idx, t in enumerate(instance.terminals):
-            dist = sum(abs(k * coords[t][i] - sums[i]) for i in range(dim))
-            key = (dist, t)
-            if best is None or key < best[0]:
-                best = (key, idx)
-        return best[1]
-    if rule.startswith("index:"):
-        i = int(rule.split(":", 1)[1])
-        if not (0 <= i < k):
-            raise ValueError(f"root index {i} outside 0..{k - 1}")
-        return i
-    raise ValueError(f"unknown root rule {rule!r}")
+                "root rule 'center' needs coordinates for every terminal")
+        sums = [sum(axis) for axis in zip(*(coords[t] for t in terminals))]
+        # nearest to the coordinate mean in k-scaled L1 distance, exactly;
+        # ties go to the smaller vertex
+        return min(range(k), key=lambda i: (
+            sum(abs(k * x - s) for x, s in zip(coords[terminals[i]], sums)),
+            terminals[i]))
+    if index >= k:
+        raise ValueError(f"root index {index} outside 0..{k - 1}")
+    return index
 
 
 def heuristic_upper_bound(
@@ -299,9 +300,8 @@ def _prepare(
         t = _lap(stats, "heuristic", t)
     oracle = DistanceOracle(reduced.graph, reduced.terminals, horizon=horizon,
                             limits=limits, started=started)
-    root_row = oracle.rows[root_idx]
-    for v in reduced.terminals:
-        if root_row[v] >= INF:
+    for v, d in zip(reduced.terminals, oracle.pair[root_idx]):
+        if d >= INF:
             raise Infeasible(f"terminal {v} unreachable from the root")
     t = _lap(stats, "oracle", t)
     search.bound = make_bound(bound, reduced, root_idx, oracle, limits=limits)

@@ -159,7 +159,7 @@ def test_onetree_singleton_set_is_root_distance():
     inst, root, oracle = setup(7, 5)
     b = OneTreeBound(oracle, 1 << root)
     for v in range(inst.n):
-        assert b.value2(v, 1 << root) == 2 * oracle.rows[root][v]
+        assert b.value2(v, 1 << root) == 2 * oracle.columns[v][root]
 
 
 def test_onetree_hand_path_graph():
@@ -241,7 +241,7 @@ def test_tsp_singleton_complement_is_root_distance():
     for v in range(inst.n):
         if v == inst.terminals[root]:
             continue
-        assert b.value2(v, 1 << root) == 2 * oracle.rows[root][v]
+        assert b.value2(v, 1 << root) == 2 * oracle.columns[v][root]
 
 
 def test_tsp_absorbs_vertex_already_in_set():
@@ -262,9 +262,10 @@ def test_tsp_insertion_matches_permutations(seed):
     term_set = set(inst.terminals)
     outside = [v for v in range(inst.n) if v not in term_set][:3]
     for v in outside:
-        got = b.value2(v, jmask)  # settles v, so its row entries are exact
-        ext = [row[:] + [oracle.rows[i][v]] for i, row in enumerate(oracle.pair)]
-        ext.append([oracle.rows[i][v] for i in range(inst.k)] + [0])
+        got = b.value2(v, jmask)
+        col = oracle.columns[v]
+        ext = [row[:] + [col[i]] for i, row in enumerate(oracle.pair)]
+        ext.append(list(col) + [0])
         expected = tsp_by_permutations(ext, list(range(inst.k + 1)))
         assert got == expected
 

@@ -166,6 +166,22 @@ def test_bench_refuses_a_bad_limit_before_solving_any_row(tmp_path, capsys,
                        "message": "memory limit 0 is not positive"}
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--bound", "bogus"], "unknown bound spec 'bogus'"),
+    (["--bound", "max(onetree,jterm4)"], "unknown bound spec 'jterm4'"),
+    (["--root", "centre"], "unknown root rule 'centre'"),
+    (["--root", "index:x"], "unknown root rule 'index:x'"),
+])
+@pytest.mark.parametrize("command", ["bench", "solve"])
+def test_misspelled_bound_or_root_is_refused_before_reading(tmp_path, capsys,
+                                                            option, message, command):
+    # the input does not exist: reading it first would report an OSError
+    assert main([command, str(tmp_path / "absent.txt"), *option]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     text = (
         "33D32945 STP File, STP Format Version 1.0\n"

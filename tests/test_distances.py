@@ -1,7 +1,14 @@
+import random
+
 import pytest
 
 from dsteiner import DistanceOracle, multi_source_dijkstra, solve, solver
-from dsteiner.distances import FRONTIER_ENTRY_BYTES, ROW_SLOT_BYTES
+from dsteiner.distances import (
+    COLUMN_BYTES,
+    COLUMN_SLOT_BYTES,
+    FRONTIER_ENTRY_BYTES,
+    ROW_SLOT_BYTES,
+)
 from dsteiner.errors import Limits, MemoryLimit
 from dsteiner.graph import INF
 
@@ -74,8 +81,8 @@ def test_set_cut_distance_reports_witness():
 def _brute_nearest(oracle, v, mask):
     best = (INF, -1)
     for y in range(oracle.k):
-        if mask >> y & 1 and oracle.rows[y][v] < INF:
-            best = min(best, (oracle.rows[y][v], y))
+        if mask >> y & 1 and oracle.columns[v][y] < INF:
+            best = min(best, (oracle.columns[v][y], y))
     return best
 
 
@@ -87,9 +94,8 @@ def test_vertex_to_set_distance_matches_brute_force(seed):
     oracle = DistanceOracle(inst.graph, inst.terminals)
     ties = 0
     for v in range(inst.n):
-        # the first query settles v, after which its row entries are exact
         assert oracle.vertex_to_set_distance(v, 0) == (INF, -1)
-        dists = [row[v] for row in oracle.rows]
+        dists = oracle.columns[v]
         ties += len(dists) != len(set(dists))
         for mask in range(1, 1 << oracle.k):
             assert oracle.vertex_to_set_distance(v, mask) == _brute_nearest(oracle, v, mask)
@@ -116,14 +122,33 @@ def test_capped_rows_are_full_rows_up_to_upper_bound(zero_edges):
     for inst, upper in capped_cases(zero_edges):
         full = DistanceOracle(inst.graph, inst.terminals)
         capped = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
-        full.complete()
-        capped.complete()
-        for full_row, row in zip(full.rows, capped.rows):
+        for full_row, row in zip(full.complete(), capped.complete()):
             assert row == [d if d <= upper else INF for d in full_row]
             beyond += row.count(INF)
         # the heuristic tree joins every terminal pair at cost <= U
         assert capped.pair == full.pair
     assert beyond > 0
+
+
+@pytest.mark.parametrize("zero_edges", [0, 3])
+def test_columns_read_before_completion_are_final(zero_edges):
+    # a column read while the capped rows are still growing already holds
+    # the finished rows' entries, and never the rows' limit (horizon + 1)
+    rng = random.Random(zero_edges)
+    read = 0
+    for inst, upper in capped_cases(zero_edges):
+        oracle = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
+        order = rng.sample(range(inst.n), inst.n // 2)
+        early = {v: oracle.columns[v] for v in order}
+        rows = oracle.complete()
+        for v in range(inst.n):
+            col = oracle.columns[v]
+            assert col == tuple(row[v] for row in rows), v
+            assert upper + 1 not in col, v
+            if v in early:
+                assert early[v] == col, v
+        read += len(early)
+    assert read
 
 
 def test_row_estimate_tracks_measured_growth():
@@ -138,15 +163,22 @@ def test_row_estimate_tracks_measured_growth():
         growth = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    est = len(oracle.rows) * inst.n * ROW_SLOT_BYTES
+    est = oracle.k * inst.n * ROW_SLOT_BYTES
     assert growth / 2 <= est <= 2 * growth
+
+
+def _oracle_estimate(k, n):
+    """What the oracle's memory check counts: k full rows, their frontiers
+    and every column."""
+    return ((ROW_SLOT_BYTES + COLUMN_SLOT_BYTES) * k + FRONTIER_ENTRY_BYTES
+            + COLUMN_BYTES) * n
 
 
 def test_memory_limit_refuses_rows_before_building(monkeypatch):
     import dsteiner.distances as distances
 
     inst = lattice_instance(20, 4, seed=1)
-    est = (inst.k * ROW_SLOT_BYTES + FRONTIER_ENTRY_BYTES) * inst.n
+    est = _oracle_estimate(inst.k, inst.n)
 
     def dijkstra(*args):
         pytest.fail("a row was built")
@@ -191,31 +223,58 @@ def test_settled_entries_equal_full_rows_capped_after_solves(monkeypatch, zero_e
                 graph = solver.contract_zero_edges(inst)[0].graph
                 upper = oracle.horizon
                 assert upper == rec.stats.upper_bound
-                for t, row in zip(oracle.terminals, oracle.rows):
+                for i, t in enumerate(oracle.terminals):
                     full = multi_source_dijkstra(graph, [(t, 0)])
-                    for v in range(graph.n):
-                        if oracle.settled[v]:
-                            assert row[v] == (full[v] if full[v] <= upper else INF), (
-                                spec, prune, v)
-                            checked += 1
+                    for v, col in oracle.columns.items():
+                        assert col[i] == (full[v] if full[v] <= upper else INF), (
+                            spec, prune, v)
+                        checked += 1
     assert checked
 
 
+def test_solve_frees_its_oracle_without_the_cycle_collector(monkeypatch):
+    # nothing a solve builds refers back to itself, so the oracle with its
+    # rows and columns goes when the solve returns, not at a later gc pass
+    import gc
+    import weakref
+
+    refs = []
+
+    def keep(*args, **kw):
+        oracle = DistanceOracle(*args, **kw)
+        refs.append(weakref.ref(oracle))
+        return oracle
+
+    inst = lattice_instance(16, 5, seed=1, window=5)
+    monkeypatch.setattr(solver, "DistanceOracle", keep)
+    gc.disable()
+    try:
+        for spec in SPECS:
+            solve(inst, bound=spec)
+        # read before gc is back on: its first pass would free a cycle
+        alive = [r for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) == len(SPECS) and not alive
+
+
 def test_clustered_lattice_solve_leaves_most_entries_ungrown(monkeypatch):
-    # terminals in a 6x6 corner of a 48x48 lattice: the label loop settles
-    # only vertices near them, and the rows stay short of most of the grid
+    # terminals in a 6x6 corner of a 48x48 lattice: the label loop reads
+    # the columns of only vertices near them, and the rows stay short of
+    # most of the grid
     inst = lattice_instance(48, 8, seed=2, window=6)
     rec, oracle = _solve_keeping_oracle(monkeypatch, inst)
     limit = oracle.horizon + 1
-    ungrown = sum(row.count(limit) for row in oracle.rows)
+    ungrown = sum(s.dist.count(limit) for s in oracle._searches)
     assert ungrown > 0.5 * oracle.k * inst.n
-    assert sum(oracle.settled) < 0.5 * inst.n
+    assert len(oracle.columns) < 0.5 * inst.n
 
 
 def test_row_and_frontier_estimate_tracks_measured_peak():
-    # traced peak while the oracle settles vertices outward from a terminal,
-    # as the label loop does, and then runs its rows out (rows capped at a
-    # horizon hold fewer distances, and the check errs high for them)
+    # traced peak while columns are read outward from a terminal, as the
+    # label loop does, and after the rows are run out and every column is
+    # read (rows capped at a horizon hold fewer distances, and the check
+    # errs high for them)
     import tracemalloc
 
     inst = lattice_instance(40, 6, seed=3, window=10)
@@ -228,12 +287,14 @@ def test_row_and_frontier_estimate_tracks_measured_peak():
         oracle = DistanceOracle(inst.graph, inst.terminals)
         frontier = 0
         for v in order[: inst.n // 4]:
-            oracle.settle(v)
-            frontier = max(frontier, sum(len(s.heap) for s in oracle._growing))
+            oracle.columns[v]
+            frontier = max(frontier, sum(len(s.heap) for s in oracle._searches))
         oracle.complete()
+        for v in order:
+            oracle.columns[v]
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert frontier > inst.n // 8
-    est = (oracle.k * ROW_SLOT_BYTES + FRONTIER_ENTRY_BYTES) * inst.n
+    est = _oracle_estimate(oracle.k, inst.n)
     assert peak / 2 <= est <= 2 * peak, (peak, est)

@@ -436,12 +436,18 @@ def test_memory_limit_just_above_adjacency_refuses_rows(monkeypatch):
 
 
 def test_memory_limit_covers_jterm_tables(monkeypatch):
-    from dsteiner.distances import FRONTIER_ENTRY_BYTES, ROW_SLOT_BYTES
+    from dsteiner.distances import (
+        COLUMN_BYTES,
+        COLUMN_SLOT_BYTES,
+        FRONTIER_ENTRY_BYTES,
+        ROW_SLOT_BYTES,
+    )
 
     inst = lattice_instance(30, 6, seed=5)
-    # enough for the adjacency lists and the rows with their frontiers, not
-    # for the jterm tables
-    rows = (inst.k * ROW_SLOT_BYTES + FRONTIER_ENTRY_BYTES) * inst.n
+    # enough for the adjacency lists and the rows with their frontiers and
+    # columns, not for the jterm tables
+    rows = ((ROW_SLOT_BYTES + COLUMN_SLOT_BYTES) * inst.k + FRONTIER_ENTRY_BYTES
+            + COLUMN_BYTES) * inst.n
     fits = max(rows, inst.m * ADJ_EDGE_BYTES)
     monkeypatch.setattr(solver, "_label_loop", lambda *a: pytest.fail("loop"))
     with pytest.raises(MemoryLimit, match="jterm"):

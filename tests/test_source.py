@@ -108,3 +108,57 @@ def test_heap_check_finds_a_hand_written_loop(tmp_path):
         f"def _label_loop(heap, adj):\n{loop}"
         f"def heuristic_upper_bound(heap, adj):\n{loop}")
     assert _heap_loops(tmp_path) == ["heuristic.py:4", "solver.py:1", "solver.py:9"]
+
+
+def _row_readers(src: Path) -> list[str]:
+    """Places that name a search's growth attributes (settle, drain, cap,
+    heap, dist) outside graph.py, distances.py and
+    solver.heuristic_upper_bound, and places anywhere that name the
+    oracle's former ``settled`` or ``rows``."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = path.name in ("graph.py", "distances.py")
+        allowed = (_inside(tree, "heuristic_upper_bound")
+                   if path.name == "solver.py" else set())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr in ("settled", "rows") or (
+                    node.attr in ("settle", "drain", "cap", "heap", "dist")
+                    and not owner and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    return found
+
+
+def test_distance_rows_grow_only_inside_the_oracle():
+    # bounds and the solver read terminal distances as oracle.columns[v],
+    # which is exact wherever it is read, so none of them tests or grows a
+    # row itself; the heuristic owns its own search
+    assert _row_readers(SRC) == []
+
+
+def test_row_check_finds_hand_written_reads(tmp_path):
+    (tmp_path / "graph.py").write_text(
+        "def settle(search, v):\n"
+        "    search.settle(v)\n"
+        "    return search.dist[v], search.heap\n")
+    (tmp_path / "distances.py").write_text(
+        "def complete(self):\n"
+        "    self.search.drain()\n"
+        "    return self.rows\n")
+    (tmp_path / "bounds.py").write_text(
+        "def evaluate(oracle, v):\n"
+        "    if not oracle.settled[v]:\n"
+        "        oracle.settle(v)\n"
+        "    return oracle.rows[0][v]\n")
+    (tmp_path / "solver.py").write_text(
+        "def heuristic_upper_bound(search, x):\n"
+        "    search.settle(x)\n"
+        "    return search.dist[x]\n"
+        "def _prepare(search):\n"
+        "    search.cap(3)\n"
+        "    return search.heap\n")
+    assert sorted(_row_readers(tmp_path)) == [
+        "bounds.py:2 .settled", "bounds.py:3 .settle", "bounds.py:4 .rows",
+        "distances.py:3 .rows", "solver.py:5 .cap", "solver.py:6 .heap"]
