@@ -2,11 +2,12 @@
 
 Terminals of an instance are numbered 0..k-1 in file order; a terminal set
 is the int with those bits set.  Label sets never contain the root's bit.
-Masks fit in 63 bits (instances are capped below 64 terminals).
+Masks fit in 63 bits (instances hold at most ``graph.MAX_TERMINALS``).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator
 
 
@@ -19,14 +20,9 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def iter_subsets_of_size_at_most(mask: int, limit: int) -> Iterator[int]:
-    """Yield subsets of ``mask`` (including 0) with at most ``limit`` bits."""
-    bits = list(iter_bits(mask))
-
-    def rec(prefix: int, start: int, left: int) -> Iterator[int]:
-        yield prefix
-        if left == 0:
-            return
-        for i in range(start, len(bits)):
-            yield from rec(prefix | (1 << bits[i]), i + 1, left - 1)
-
-    yield from rec(0, 0, limit)
+    """Yield subsets of ``mask`` (including 0) with at most ``limit`` bits,
+    by increasing size."""
+    singles = [1 << b for b in iter_bits(mask)]
+    for size in range(min(limit, len(singles)) + 1):
+        for combo in combinations(singles, size):
+            yield sum(combo)

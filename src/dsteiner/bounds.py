@@ -101,7 +101,8 @@ class OneTreeBound(BoundOracle):
             return _zero
         oracle = self.oracle
         members = list(iter_bits(jmask))
-        single = len(members) == 1
+        if len(members) == 1:
+            members *= 2
         mst = oracle.mst_cost(jmask)
         columns = oracle.columns
 
@@ -115,10 +116,7 @@ class OneTreeBound(BoundOracle):
                     best1 = dv
                 elif dv < best2:
                     best2 = dv
-            if single:
-                pair_sum = best1 + best1 if best1 < INF else INF
-            else:
-                pair_sum = best1 + best2 if best2 < INF else INF
+            pair_sum = best1 + best2 if best2 < INF else INF
             if pair_sum >= INF or mst >= INF:
                 return INF
             return pair_sum + mst
@@ -230,8 +228,12 @@ class TspBound(BoundOracle):
     Preprocessing tabulates shortest Hamiltonian paths between every end
     pair for each terminal set holding the root, the only sets queries
     read; a query inserts v between every pair of potential tour neighbors
-    in O(|J|^2).  The table has 2^(k-1) * k^2 slots: ``limits`` is checked
-    for its size before the build and for time once per set size during it.
+    in O(|J|^2).  At a vertex of J's own terminal i the insertion is the
+    optimum tour: d(v,i) = 0, so the pairs ending at i close the paths into
+    every tour, and any other pair closes a walk through J, no shorter by
+    the triangle inequality.  The root alone is the end pair (r, r) of an
+    empty path.  The table has 2^(k-1) * k^2 slots: ``limits`` is checked
+    for its size before the build and for time once per set during it.
     Over rows capped at a horizon U, an end pair with an INF row drops out;
     if some terminal t of J lies beyond U, every candidate left is still a
     tour through v and t, so the value stays above 2*d(v,t) > 2*U and prunes.
@@ -249,7 +251,6 @@ class TspBound(BoundOracle):
         self.oracle = oracle
         self.k = k
         self.root_bit = 1 << root_index
-        self.terminals = instance.terminals
         self.paths = self._build_paths(root_index, limits)
 
     def _build_paths(self, r: int, limits: Limits) -> dict[int, list[int]]:
@@ -291,46 +292,20 @@ class TspBound(BoundOracle):
                 paths[mask] = row
         return paths
 
-    def _end_pairs(self, mask: int) -> list[tuple[int, int, int]]:
-        """(a, b, path cost) for every end pair a < b of a mask with >= 2 members."""
-        k = self.k
-        row = self.paths[mask]
-        bits = list(iter_bits(mask))
-        return [(a, b, row[a * k + b])
-                for i, a in enumerate(bits) for b in bits[i + 1:]]
-
-    def _tour(self, mask: int) -> int:
-        """Exact optimum tour cost on the terminals of a root-holding ``mask``."""
-        if not mask & (mask - 1):
-            return 0
-        pair = self.oracle.pair
-        best = INF
-        for a, b, cost in self._end_pairs(mask):
-            c = cost + pair[a][b]
-            if c < best:
-                best = c
-        return best
-
     def _for_set(self, jmask):
         if not jmask & self.root_bit:
             return _zero
+        k = self.k
+        bits = list(iter_bits(jmask))
+        if len(bits) == 1:
+            ends = [(bits[0], bits[0], 0)]
+        else:
+            row = self.paths[jmask]
+            ends = [(a, b, row[a * k + b]) for i, a in enumerate(bits) for b in bits[i + 1:]]
         columns = self.oracle.columns
-        if not jmask & (jmask - 1):
-            i = jmask.bit_length() - 1
-
-            def single(v):
-                # the root's own vertex reads 0, its (empty) tour
-                d = columns[v][i]
-                return 2 * d if d < INF else INF
-            return single
-        tour = self._tour(jmask)
-        members = {self.terminals[i] for i in iter_bits(jmask)}
-        ends = self._end_pairs(jmask)
 
         def evaluate(v):
             col = columns[v]
-            if v in members:
-                return tour
             best = INF
             for a, b, cost in ends:
                 c = cost + col[a] + col[b]

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DEFAULT_MEM_LIMIT, GridTooLarge, TooManyTerminals
-from .graph import Graph, SteinerInstance
+from .graph import MAX_TERMINALS, Graph, SteinerInstance
 
 # Bytes a built grid holds per vertex and per edge, measured with
 # tracemalloc on CPython 3.11 over d = 2..8: a vertex is its coordinate tuple
@@ -61,8 +61,8 @@ def build_hanan_grid(
             f"grid would have {items} vertices and edges, over {MAX_GRID_ITEMS} "
             f"(about {GRID_ITEM_BYTES} B each)")
     distinct = len(set(points.points))
-    if distinct >= 64:
-        raise TooManyTerminals(f"{distinct} distinct points; at most 63 supported")
+    if distinct > MAX_TERMINALS:
+        raise TooManyTerminals(f"{distinct} distinct points; at most {MAX_TERMINALS} supported")
 
     # strides for row-major rank indexing: last axis varies fastest
     strides = [0] * d

@@ -361,9 +361,9 @@ def _label_loop(
         key, cost, v, mask = heappop(heap)
         perm_v = perm[v]
         cost_v = cost_of[v]
-        # each (v, mask) is pushed only at strictly lower cost, so a cost
-        # mismatch marks a stale entry
-        if mask in perm_v or cost_v[mask] != cost:
+        # each (v, mask) is pushed only at strictly lower cost, and never
+        # once permanent, so a cost mismatch marks every stale entry
+        if cost_v[mask] != cost:
             continue
 
         ticks += 1

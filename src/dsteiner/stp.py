@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, TextIO, Union
 
 from .errors import CountMismatch, NonIntegralCost, StpSyntaxError, TooManyTerminals
-from .graph import Graph, SteinerInstance
+from .graph import MAX_TERMINALS, Graph, SteinerInstance
 
 MAGIC = "33D32945 STP File, STP Format Version 1.0"
 
@@ -54,16 +54,6 @@ def _arg_token(tokens: list[str], line_no: int, what: str) -> int:
     return _int_token(tokens[1], line_no, what)
 
 
-def _keep_cheaper(cost: dict[tuple[int, int], int], u: int, v: int, c: int) -> None:
-    """Merge the 1-based edge (u, v) of cost c into ``cost``: a self-loop is
-    dropped, a repeated pair keeps the cheaper cost and its first place."""
-    if u != v:
-        key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-        old = cost.get(key)
-        if old is None or c < old:
-            cost[key] = c
-
-
 def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     """Parse an STP document into a SteinerInstance.
 
@@ -82,13 +72,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     cost: dict[tuple[int, int], int] = {}
     get = cost.get
     edge_count = 0  # E lines, self-loops and repeats included
-    # E lines met before the Nodes line: (line number, u, v, cost), range
-    # checked and merged after the loop; once one is here, the rest follow
-    # it, so that pairs keep their file order
-    early_edges: list[tuple[int, int, int, int]] = []
-    # the node count while E lines take the fast path: in the Graph section,
-    # after Nodes, with no early edge; 0 otherwise
-    limit = 0
+    # E lines met before the Nodes line: (line number, u, v), range checked
+    # after the loop
+    unranged: list[tuple[int, int, int]] = []
     term_lines: list[int] = []
     coord_lines: dict[int, tuple[int, ...]] = {}
     coord_dim = None
@@ -100,27 +86,32 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
         tokens = raw.split()
         if not tokens:
             continue
-        # fast path: a well-formed E line is counted and merged right here;
-        # a line that fails any check falls through to the general path,
-        # which raises the named error
-        if limit and len(tokens) == 4 and tokens[0] in ("E", "e"):
+        if section == "GRAPH" and tokens[0] in ("E", "e"):
+            if len(tokens) != 4:
+                raise StpSyntaxError(line_no, f"E line needs 3 fields, got {len(tokens) - 1}")
             try:
-                u = int(tokens[1])
-                v = int(tokens[2])
-                c = int(tokens[3])
+                u, v, c = int(tokens[1]), int(tokens[2]), int(tokens[3])
             except ValueError:
-                pass
-            else:
-                if (0 < u <= limit and 0 < v <= limit and c >= 0
-                        and total_cost + c < MAX_TOTAL_COST):
-                    total_cost += c
-                    edge_count += 1
-                    if u != v:  # _keep_cheaper, inlined
-                        key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-                        old = get(key)
-                        if old is None or c < old:
-                            cost[key] = c
-                    continue
+                # the same conversions again, now raising the named error
+                u = _int_token(tokens[1], line_no, "node id")
+                v = _int_token(tokens[2], line_no, "node id")
+                c = _int_token(tokens[3], line_no, "edge cost")
+            if c < 0:
+                raise StpSyntaxError(line_no, f"negative edge cost {c}")
+            total_cost += c
+            if total_cost >= MAX_TOTAL_COST:
+                raise StpSyntaxError(line_no, "edge costs sum to 2^60 or more")
+            if n is None:
+                unranged.append((line_no, u, v))
+            elif not (0 < u <= n and 0 < v <= n):
+                raise StpSyntaxError(line_no, f"edge ({u}, {v}) outside 1..{n}")
+            edge_count += 1
+            if u != v:
+                pair = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+                old = get(pair)
+                if old is None or c < old:
+                    cost[pair] = c
+            continue
         key = tokens[0].upper()
         if not saw_any:
             saw_any = True
@@ -131,11 +122,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
             if len(tokens) < 2:
                 raise StpSyntaxError(line_no, "SECTION without a name")
             section = tokens[1].upper()
-            limit = n if section == "GRAPH" and n and not early_edges else 0
             continue
         if key == "END":
             section = None
-            limit = 0
             continue
         if key == "EOF":
             break
@@ -149,25 +138,8 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
                 if n is not None and count != n:
                     raise StpSyntaxError(line_no, f"node count {count} differs from the earlier {n}")
                 n = count
-                limit = 0 if early_edges else n
             elif key == "EDGES" or key == "ARCS":
                 declared_edges = _arg_token(tokens, line_no, "edge count")
-            elif key == "E":
-                if len(tokens) != 4:
-                    raise StpSyntaxError(line_no, f"E line needs 3 fields, got {len(tokens) - 1}")
-                u = _int_token(tokens[1], line_no, "node id")
-                v = _int_token(tokens[2], line_no, "node id")
-                c = _int_token(tokens[3], line_no, "edge cost")
-                if c < 0:
-                    raise StpSyntaxError(line_no, f"negative edge cost {c}")
-                total_cost += c
-                if total_cost >= MAX_TOTAL_COST:
-                    raise StpSyntaxError(line_no, "edge costs sum to 2^60 or more")
-                if n is not None and not (1 <= u <= n and 1 <= v <= n):
-                    raise StpSyntaxError(line_no, f"edge ({u}, {v}) outside 1..{n}")
-                edge_count += 1
-                early_edges.append((line_no, u, v, c))
-                limit = 0
             else:
                 raise StpSyntaxError(line_no, f"unexpected keyword {tokens[0]!r} in Graph section")
         elif section == "TERMINALS":
@@ -207,10 +179,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     if not term_lines:
         raise StpSyntaxError(0, "no terminals")
 
-    for line_no, u, v, c in early_edges:
+    for line_no, u, v in unranged:
         if not (1 <= u <= n and 1 <= v <= n):
             raise StpSyntaxError(line_no, f"edge ({u}, {v}) outside 1..{n}")
-        _keep_cheaper(cost, u, v, c)
     graph = Graph._from_costs(n, cost)
 
     terminals = []
@@ -221,8 +192,8 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
         if t - 1 not in seen:
             seen.add(t - 1)
             terminals.append(t - 1)
-    if len(terminals) >= 64:
-        raise TooManyTerminals(f"{len(terminals)} terminals; the solver supports at most 63")
+    if len(terminals) > MAX_TERMINALS:
+        raise TooManyTerminals(f"{len(terminals)} terminals; the solver supports at most {MAX_TERMINALS}")
 
     coords = None
     if coord_lines:

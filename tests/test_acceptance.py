@@ -190,7 +190,8 @@ def test_criterion_5_tsp_table_exact_on_k7():
         oracle = DistanceOracle(inst.graph, inst.terminals)
         bound = make_bound("tsp", inst, 6, oracle)
         expected = tsp_by_permutations(oracle.pair, list(range(7)))
-        assert bound._tour((1 << 7) - 1) == expected
+        # at a terminal's own vertex the bound reads the whole table's tour
+        assert bound.value2(inst.terminals[0], (1 << 7) - 1) == expected
         count += 1
     report(5, "Held-Karp table equals 6! brute force on 20 instances")
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from dsteiner import (
     solve_baseline,
 )
 from dsteiner import solver
-from dsteiner.bitsets import iter_bits
+from dsteiner.bitsets import iter_bits, iter_subsets_of_size_at_most
 from dsteiner.bounds import (
     TSP_SLOT_BYTES,
     JTermBound,
@@ -58,6 +60,28 @@ def test_iter_bits_roundtrip(mask):
     bits = list(iter_bits(mask))
     assert sum(1 << b for b in bits) == mask
     assert bits == sorted(bits)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 10) - 1), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_subsets_of_size_at_most_are_each_yielded_once(mask, limit):
+    got = list(iter_subsets_of_size_at_most(mask, limit))
+    assert sorted(got) == [s for s in range(mask + 1)
+                           if s & mask == s and s.bit_count() <= limit]
+
+
+def test_subset_walk_leaves_nothing_for_the_cycle_collector():
+    # the jterm bound walks subsets once per set it meets; a walk that
+    # built a reference cycle would leave work for every later gc pass
+    gc.collect()
+    gc.disable()
+    try:
+        for limit in range(4):
+            for _ in iter_subsets_of_size_at_most(0b1101101, limit):
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- zero bound ---
@@ -232,7 +256,10 @@ def test_tsp_full_tour_matches_permutations(seed):
     inst, root, oracle = setup(seed + 30, 7)
     b = TspBound(inst, oracle, root)
     full = (1 << 7) - 1
-    assert b._tour(full) == tsp_by_permutations(oracle.pair, list(range(7)))
+    # at a terminal's own vertex the bound is the tour through the set
+    expected = tsp_by_permutations(oracle.pair, list(range(7)))
+    for t in inst.terminals:
+        assert b.value2(t, full) == expected
 
 
 def test_tsp_singleton_complement_is_root_distance():
@@ -248,8 +275,9 @@ def test_tsp_absorbs_vertex_already_in_set():
     inst, root, oracle = setup(10, 6)
     b = TspBound(inst, oracle, root)
     jmask = (1 << inst.k) - 1
+    tour = tsp_by_permutations(oracle.pair, list(range(inst.k)))
     for i in range(inst.k):
-        assert b.value2(inst.terminals[i], jmask) == b._tour(jmask)
+        assert b.value2(inst.terminals[i], jmask) == tour
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -162,3 +162,53 @@ def test_row_check_finds_hand_written_reads(tmp_path):
     assert sorted(_row_readers(tmp_path)) == [
         "bounds.py:2 .settled", "bounds.py:3 .settle", "bounds.py:4 .rows",
         "distances.py:3 .rows", "solver.py:5 .cap", "solver.py:6 .heap"]
+
+
+def _self_referring_closures(src: Path) -> list[str]:
+    """Functions nested in a function that name themselves: each call of
+    the outer function then builds a function and a cell that refer to
+    each other, a cycle that only the cycle collector frees."""
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if (inner is not outer
+                        and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and any(isinstance(n, ast.Name) and n.id == inner.name
+                                and isinstance(n.ctx, ast.Load) for n in ast.walk(inner))):
+                    found[id(inner)] = f"{path.name}:{inner.lineno} {inner.name}"
+    return sorted(found.values())
+
+
+def test_no_nested_function_refers_to_itself():
+    # a solve's objects must be freed by reference counting alone: a
+    # recursive closure, built per call, lived until a gc pass and slowed
+    # the solves that followed
+    assert _self_referring_closures(SRC) == []
+
+
+def test_closure_check_finds_a_recursive_inner_function(tmp_path):
+    (tmp_path / "walk.py").write_text(
+        "def walk(bits):\n"
+        "    def rec(prefix, start):\n"
+        "        yield prefix\n"
+        "        for i in range(start, len(bits)):\n"
+        "            yield from rec(prefix | bits[i], i + 1)\n"
+        "    return rec(0, 0)\n"
+        "def depth(tree):\n"
+        "    return 1 + max(map(depth, tree), default=0)\n"
+        "class Node:\n"
+        "    def size(self):\n"
+        "        def one(child):\n"
+        "            return child.size()\n"
+        "        return 1 + sum(map(one, self.children))\n"
+        "def build(spec):\n"
+        "    def part(p):\n"
+        "        def sub(q):\n"
+        "            return [sub(x) for x in q]\n"
+        "        return sub(p)\n"
+        "    return part(spec)\n")
+    assert _self_referring_closures(tmp_path) == ["walk.py:16 sub", "walk.py:2 rec"]

@@ -334,7 +334,7 @@ def test_edge_cost_sum_below_limit_parses():
     assert inst.graph.edge_cost(0, 1) == big
 
 
-# --- E lines: the fast path and the general path give the same result ---
+# --- E lines: one handler, wherever the Nodes line stands ---
 
 def _graph_doc(edge_lines, nodes="before"):
     """A three-node document whose Graph section holds ``edge_lines``, with
