@@ -6,16 +6,17 @@ which makes the labeling algorithm's goal-oriented selection exact.
 
 All values are handled doubled (2*B) so the halved 1-tree and TSP bounds
 stay in exact integer arithmetic; the solver compares 2*l + 2*L uniformly.
-Terminal sets are int masks over terminal indices; the root's bit must be
-present for a nonzero value (sets without the root evaluate to 0).
+Terminal sets are int masks over terminal indices, and every queried set J
+holds the root's bit: the solver asks only for the complement of a label's
+source set, which never holds the root.
 
 Work that depends only on the set is done once per set: on the first query
 of a set, ``BoundOracle.value2`` asks the bound's ``_for_set`` for an
 evaluator ``v -> 2*B(v, J)`` with the set's members, spanning tree, tables
-or tour already in hand, and keeps it beside the set's per-vertex values.
+or tour already in hand, and keeps it for the set's later queries.
 An evaluator reads terminal distances as ``oracle.columns[v]``, one tuple
 per vertex indexed by terminal; the oracle grows its rows on the first
-read of a vertex, so only cache misses pay for that growth.
+read of a vertex.
 """
 
 from __future__ import annotations
@@ -44,27 +45,20 @@ def _zero(v: int) -> int:
 
 
 class BoundOracle:
-    """Base class: per-set evaluators and values, and the doubled-value contract."""
-
-    name = "bound"
+    """Base class: per-set evaluators, and the doubled-value contract."""
 
     def __init__(self):
-        # jmask -> (v -> value, the set's evaluator)
-        self._cache: dict[int, tuple[dict[int, int], Evaluator]] = {}
+        # jmask -> the set's evaluator
+        self._cache: dict[int, Evaluator] = {}
         self.evaluations = 0
 
     def value2(self, v: int, jmask: int) -> int:
-        """2 * B(v, set(jmask)); cached so each argument is computed once."""
-        entry = self._cache.get(jmask)
-        if entry is None:
-            entry = self._cache[jmask] = ({}, self._for_set(jmask))
-        by_vertex, evaluate = entry
-        cached = by_vertex.get(v)
-        if cached is not None:
-            return cached
+        """2 * B(v, set(jmask)) for a set holding the root; counts the query."""
+        evaluate = self._cache.get(jmask)
+        if evaluate is None:
+            evaluate = self._cache[jmask] = self._for_set(jmask)
         self.evaluations += 1
-        val = by_vertex[v] = evaluate(v)
-        return val
+        return evaluate(v)
 
     def _for_set(self, jmask: int) -> Evaluator:
         """The evaluator v -> 2 * B(v, set(jmask)), built once per set."""
@@ -72,8 +66,6 @@ class BoundOracle:
 
 
 class ZeroBound(BoundOracle):
-    name = "zero"
-
     def _for_set(self, jmask):
         return _zero
 
@@ -89,16 +81,11 @@ class OneTreeBound(BoundOracle):
     prunes the label just the same.
     """
 
-    name = "onetree"
-
-    def __init__(self, oracle: DistanceOracle, root_bit: int):
+    def __init__(self, oracle: DistanceOracle):
         super().__init__()
         self.oracle = oracle
-        self.root_bit = root_bit
 
     def _for_set(self, jmask):
-        if not jmask & self.root_bit:
-            return _zero
         oracle = self.oracle
         members = list(iter_bits(jmask))
         if len(members) == 1:
@@ -140,8 +127,6 @@ class JTermBound(BoundOracle):
     first.  ``limits`` is checked for the sizes of the arrays before the
     build and for time after each array's Dijkstra run.
     """
-
-    name = "jterm"
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
                  root_index: int, j: int, *, limits: Limits = NO_LIMITS):
@@ -192,8 +177,6 @@ class JTermBound(BoundOracle):
         self.tables = tables
 
     def _for_set(self, jmask):
-        if not jmask & self.root_bit:
-            return _zero
         src_part = jmask & ~self.root_bit
         scan = [self.tables[s | self.root_bit]
                 for s in iter_subsets_of_size_at_most(src_part, self.j - 1)]
@@ -239,8 +222,6 @@ class TspBound(BoundOracle):
     tour through v and t, so the value stays above 2*d(v,t) > 2*U and prunes.
     """
 
-    name = "tsp"
-
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
                  root_index: int, *, limits: Limits = NO_LIMITS):
         super().__init__()
@@ -250,7 +231,6 @@ class TspBound(BoundOracle):
         limits.check_memory((1 << (k - 1)) * k * k * TSP_SLOT_BYTES, "TSP table")
         self.oracle = oracle
         self.k = k
-        self.root_bit = 1 << root_index
         self.paths = self._build_paths(root_index, limits)
 
     def _build_paths(self, r: int, limits: Limits) -> dict[int, list[int]]:
@@ -265,7 +245,7 @@ class TspBound(BoundOracle):
         k = self.k
         kk = k * k
         pair = self.oracle.pair
-        root_bit = self.root_bit
+        root_bit = 1 << r
         others = [i for i in range(k) if i != r]
         paths: dict[int, list[int]] = {}
         for b in others:
@@ -293,8 +273,6 @@ class TspBound(BoundOracle):
         return paths
 
     def _for_set(self, jmask):
-        if not jmask & self.root_bit:
-            return _zero
         k = self.k
         bits = list(iter_bits(jmask))
         if len(bits) == 1:
@@ -316,48 +294,37 @@ class TspBound(BoundOracle):
 
 
 class MaxBound(BoundOracle):
-    name = "max"
-
     def __init__(self, parts: list[BoundOracle]):
         super().__init__()
-        if not parts:
-            raise ValueError("max bound needs at least one component")
         self.parts = parts
 
     def _for_set(self, jmask):
-        # this bound's own cache answers repeats, so the parts' caches never
-        # would: combine their evaluators directly
+        # the parts' evaluators are called directly, so a query counts once,
+        # here, and the parts keep no evaluators
         parts = [p._for_set(jmask) for p in self.parts]
         return lambda v: max(f(v) for f in parts)
 
 
-# --- bound selection grammar: zero | jterm[:2|:3] | onetree | tsp | max(a,b,...) ---
+# --- bound selection grammar: <leaf> | max(<leaf>,<leaf>,...) ---
 
-def _split_args(body: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+LEAF_SPECS = ("zero", "onetree", "tsp", "jterm", "jterm:2", "jterm:3")
 
 
 def parse_bound_spec(spec: str):
     """A leaf spec with its blanks stripped, or for ``max(a,b,...)`` the
-    list of its parsed parts; ValueError for a spec outside the grammar."""
+    list of its leaf specs; ValueError for a spec outside the grammar,
+    nested ``max`` included (max is associative, so a flat list says all)."""
     spec = spec.strip()
-    if spec in ("zero", "onetree", "tsp", "jterm", "jterm:2", "jterm:3"):
-        return spec
     if spec.startswith("max(") and spec.endswith(")"):
-        return [parse_bound_spec(p) for p in _split_args(spec[4:-1])]
-    raise ValueError(f"unknown bound spec {spec!r}")
+        return [_leaf(part) for part in spec[4:-1].split(",")]
+    return _leaf(spec)
+
+
+def _leaf(spec: str) -> str:
+    spec = spec.strip()
+    if spec not in LEAF_SPECS:
+        raise ValueError(f"unknown bound spec {spec!r}")
+    return spec
 
 
 def make_bound(spec: str, instance: SteinerInstance, root_index: int,
@@ -367,16 +334,18 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
     ``limits`` bounds the jterm and TSP table builds.  The jterm tables stop
     at the oracle's horizon.
     """
-    return _build(parse_bound_spec(spec), instance, root_index, oracle, limits)
-
-
-def _build(parsed, instance, root_index, oracle, limits) -> BoundOracle:
+    parsed = parse_bound_spec(spec)
     if isinstance(parsed, list):
-        return MaxBound([_build(p, instance, root_index, oracle, limits) for p in parsed])
-    if parsed == "zero":
+        return MaxBound([_build(leaf, instance, root_index, oracle, limits)
+                         for leaf in parsed])
+    return _build(parsed, instance, root_index, oracle, limits)
+
+
+def _build(leaf, instance, root_index, oracle, limits) -> BoundOracle:
+    if leaf == "zero":
         return ZeroBound()
-    if parsed == "onetree":
-        return OneTreeBound(oracle, 1 << root_index)
-    if parsed == "tsp":
+    if leaf == "onetree":
+        return OneTreeBound(oracle)
+    if leaf == "tsp":
         return TspBound(instance, oracle, root_index, limits=limits)
-    return JTermBound(instance, oracle, root_index, int(parsed[6:] or 2), limits=limits)
+    return JTermBound(instance, oracle, root_index, int(leaf[6:] or 2), limits=limits)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bitsets import iter_bits
-from .bounds import BoundOracle, make_bound
+from .bounds import BoundOracle, make_bound, parse_bound_spec
 from .distances import DistanceOracle
 from .errors import (
     NO_LIMITS,
@@ -39,9 +39,10 @@ from .stp import SolutionRecord
 
 # Memory-limit footprints, measured with tracemalloc on CPython 3.11: a heap
 # of 10^5 (key, cost, v, mask) tuples of fresh large ints grew 160 B per entry;
-# the largest 3D Hanan benchmark solve (k=8, onetree/full) grew 3.75 MB across
-# the label loop for 12,381 labels and 4,432 heap entries, so about 250 B per
-# label for the three label maps, the bound cache and the prune tracker.
+# less that for the heap left at its end, the label loop grew 168-591 B per
+# label (median 248) on 40 3D Hanan grids with k=8 (onetree/full), and
+# 207-349 B (median 287) on 12 2D grids with k=12 under onetree and tsp, for
+# the three label maps, the prune tracker and the rows grown on demand.
 LABEL_BYTES = 250
 HEAP_ENTRY_BYTES = 160
 LIMIT_CHECK_INTERVAL = 1024
@@ -151,19 +152,17 @@ def heuristic_upper_bound(
     row) or a new one, each later one in the last round's search joined
     with the new path.  Ties go to the smallest ``(distance, vertex)``: the
     nearest terminal, and along its path the tight neighbour a fresh
-    multi-source Dijkstra would have settled first.  Instances with
-    zero-cost edges are contracted first, leaving ``root_search``
-    unstarted.  ``limits`` is checked for time after each round.
+    multi-source Dijkstra would have settled first.  The walk back along
+    a path needs positive costs, so a zero-cost edge is a ValueError:
+    ``contract_zero_edges`` removes them first, as ``solve`` does.
+    ``limits`` is checked for time after each round.
     """
     graph = instance.graph
+    if graph.has_zero_edge():
+        raise ValueError("the heuristic needs positive edge costs; "
+                         "contract the zero-cost edges first")
     terminals = instance.terminals
     root = terminals[root_index]
-    if graph.has_zero_edge():
-        reduced, cmap = contract_zero_edges(instance, limits=limits)
-        new_root = cmap.old_to_new[root]
-        total, edges = heuristic_upper_bound(
-            reduced, reduced.terminals.index(new_root), limits=limits)
-        return total, cmap.lift_edges(edges, new_root)
     remaining = set(terminals)
     remaining.discard(root)
     adj = graph.adj
@@ -214,6 +213,7 @@ def solve(
     """
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune mode {prune!r} not one of {PRUNE_MODES}")
+    parse_bound_spec(bound)
     limits = Limits(time_limit, mem_limit)
     t_start = time.perf_counter()
     stats = SolveStats()

@@ -365,7 +365,8 @@ def test_bench_deterministic_and_parallel_invariant(tmp_path):
         out = tmp_path / f"bench{par}_{len(outs)}.csv"
         assert main(["bench", str(manifest), "--parallel", par,
                      "-o", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         outs.append([(r["instance"], r["opt"]) for r in rows])
     assert outs[0] == outs[1] == outs[2]
 
@@ -389,7 +390,8 @@ def test_reproduce_tables_reports_missing_instances(tmp_path):
     proc = subprocess.run(run + ["--out", str(out)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["instance"] for r in rows] == names
     assert rows[0]["error"] == ""
     assert int(rows[0]["opt"]) == solve(inst).opt
@@ -422,7 +424,8 @@ def test_bench_caps_workers_at_tasks_and_cpus(tmp_path, monkeypatch, cpus, worke
     out = tmp_path / "bench.csv"
     assert main(["bench", str(manifest), "--parallel", "1000", "-o", str(out)]) == 0
     assert seen == workers
-    assert [r["error"] for r in csv.DictReader(out.open())] == ["", ""]
+    with out.open() as fh:
+        assert [r["error"] for r in csv.DictReader(fh)] == ["", ""]
 
 
 def test_bench_bad_row_does_not_abort(tmp_path, capsys):

@@ -317,11 +317,16 @@ def test_heuristic_matches_reference_on_lattices(window):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_heuristic_terminates_on_zero_edges(seed):
+    # the walk back along a path assumes positive costs, so the heuristic
+    # runs on the contracted instance and refuses a zero-cost edge
     inst = random_instance(seed + 950, zero_edges=3)
     assert inst.graph.has_zero_edge()
-    for r in range(inst.k):
-        u, edges = heuristic_upper_bound(inst, r)
-        assert validate_tree(inst, edges) == u
+    reduced, _ = contract_zero_edges(inst)
+    for r in range(reduced.k):
+        u, edges = heuristic_upper_bound(reduced, r)
+        assert validate_tree(reduced, edges) == u
+    with pytest.raises(ValueError, match="positive edge costs"):
+        heuristic_upper_bound(inst, inst.k - 1)
 
 
 @pytest.mark.parametrize("window", [4, None])
@@ -397,6 +402,19 @@ def test_infeasible_when_terminal_unreachable():
     inst = SteinerInstance(graph=g, terminals=[0, 3])
     with pytest.raises(Infeasible):
         solve(inst)
+
+
+def test_unknown_bound_is_refused_before_any_phase(monkeypatch):
+    # one terminal needs no bound, and the phases of a larger instance run
+    # before the bound is built: the spec is checked before either
+    one = SteinerInstance(graph=Graph(2, [(0, 1, 1)]), terminals=[1])
+    with pytest.raises(ValueError, match="unknown bound spec 'bogus'"):
+        solve(one, bound="bogus")
+    monkeypatch.setattr(solver, "contract_zero_edges",
+                        lambda *a, **kw: pytest.fail("contraction ran"))
+    for spec in ("onetre", "max(zero,max(onetree))"):
+        with pytest.raises(ValueError, match="unknown bound spec"):
+            solve(random_instance(75), bound=spec)
 
 
 def test_time_limit():
@@ -633,9 +651,10 @@ def test_pinned_counters(seed, bound):
 
 
 # (seed, bound, prune) -> (opt, labels_created, pops, heap_pushes,
-# pruned_at_creation, pruned_at_pop, bound_evaluations) on the instances of
-# PINNED_COUNTERS, under both pruning modes that read the bound; recorded
-# before the label store became per-vertex maps.
+# pruned_at_creation, pruned_at_pop, distinct (v, J) bound queries) on the
+# instances of PINNED_COUNTERS, under both pruning modes that read the
+# bound; recorded before the label store became per-vertex maps, when a
+# per-vertex cache made bound_evaluations count the distinct queries.
 PINNED_COUNTERS_ALL_MODES = {
     (300, "zero", "bound"): (91, 1411, 1397, 2304, 2829, 0, 1411),
     (300, "zero", "full"): (91, 121, 121, 150, 241, 0, 121),
@@ -676,20 +695,35 @@ PINNED_COUNTERS_ALL_MODES = {
 }
 
 
-@pytest.mark.parametrize("seed, bound, prune", list(PINNED_COUNTERS_ALL_MODES))
-def test_pinned_counters_all_modes(seed, bound, prune):
-    inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
-    rec = solve(inst, bound=bound, prune=prune)
+def _pinned_outcome(monkeypatch, inst, **kwargs):
+    """The counters of the pinned tables; their last column counts the
+    distinct (v, J) bound queries, which a wrapper on value2 records."""
+    queries = []
+    value2 = BoundOracle.value2
+
+    def recorded(self, v, jmask):
+        queries.append((v, jmask))
+        return value2(self, v, jmask)
+
+    monkeypatch.setattr(BoundOracle, "value2", recorded)
+    rec = solve(inst, **kwargs)
     st = rec.stats
-    got = (rec.opt, st.labels_created, st.pops, st.heap_pushes,
-           st.pruned_at_creation, st.pruned_at_pop, st.bound_evaluations)
+    assert st.bound_evaluations == len(queries)
+    return (rec.opt, st.labels_created, st.pops, st.heap_pushes,
+            st.pruned_at_creation, st.pruned_at_pop, len(set(queries)))
+
+
+@pytest.mark.parametrize("seed, bound, prune", list(PINNED_COUNTERS_ALL_MODES))
+def test_pinned_counters_all_modes(seed, bound, prune, monkeypatch):
+    inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
+    got = _pinned_outcome(monkeypatch, inst, bound=bound, prune=prune)
     assert got == PINNED_COUNTERS_ALL_MODES[seed, bound, prune]
 
 
 # (seed, prune) -> (opt, labels_created, pops, heap_pushes, pruned_at_creation,
-# pruned_at_pop, bound_evaluations) under the tsp bound on the instances of
-# PINNED_COUNTERS; recorded before the TSP path table became a root-anchored
-# pull recurrence over flat lists.
+# pruned_at_pop, distinct (v, J) bound queries) under the tsp bound on the
+# instances of PINNED_COUNTERS; recorded before the TSP path table became a
+# root-anchored pull recurrence over flat lists.
 PINNED_COUNTERS_TSP = {
     (300, "bound"): (91, 41, 41, 42, 114, 0, 139),
     (300, "full"): (91, 37, 37, 38, 103, 0, 58),
@@ -707,12 +741,9 @@ PINNED_COUNTERS_TSP = {
 
 
 @pytest.mark.parametrize("seed, prune", list(PINNED_COUNTERS_TSP))
-def test_pinned_counters_tsp(seed, prune):
+def test_pinned_counters_tsp(seed, prune, monkeypatch):
     inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
-    rec = solve(inst, bound="tsp", prune=prune)
-    st = rec.stats
-    got = (rec.opt, st.labels_created, st.pops, st.heap_pushes,
-           st.pruned_at_creation, st.pruned_at_pop, st.bound_evaluations)
+    got = _pinned_outcome(monkeypatch, inst, bound="tsp", prune=prune)
     assert got == PINNED_COUNTERS_TSP[seed, prune]
 
 
