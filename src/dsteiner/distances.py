@@ -4,12 +4,13 @@ One solver run owns one DistanceOracle.  Its rows grow on demand: each is a
 resumable Dijkstra from one terminal.  Readers see them only through
 ``columns``, one tuple of exact distances per vertex, which grows the rows
 as far as the vertex needs on its first read; only ``complete()`` hands out
-whole rows, run out.  The set-distance caches are single-writer.
+whole rows, run out, and ``root_search`` one search for the heuristic to
+copy.  The per-set caches are single-writer.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .bitsets import iter_bits
 from .errors import NO_LIMITS, Limits
@@ -62,45 +63,45 @@ class DistanceOracle:
     """Shortest-path distances from every terminal, plus terminal-set queries.
 
     Terminal sets are int masks over terminal indices 0..k-1 (file order).
-    Rows stop at ``horizon``: a farther vertex reads INF.  ``columns[v]`` is
-    the tuple of distances from every terminal to vertex ``v``, indexed by
-    terminal; the first read of a vertex grows one resumable Dijkstra per
-    terminal as far as that vertex needs.  ``pair`` and ``mst_cost`` read
-    the terminals' columns, built at construction; ``complete()`` runs the
-    rows out and returns them.  ``started`` hands over searches already run
-    partway from some terminals (by index) with no horizon; they are capped
-    at ``horizon`` and resumed.  ``limits`` is checked for the size of k
-    full rows, their frontiers and the columns before the build, and for
-    time after each row's growth.
+    ``columns[v]`` is the tuple of distances from every terminal to vertex
+    ``v``, indexed by terminal; its first read grows one resumable Dijkstra
+    per terminal as far as ``v`` needs.  ``pair`` and ``mst_cost`` read the
+    terminals' columns, built at construction, so each row starts settled
+    up to the terminals, with no horizon until ``cap_rows`` sets one;
+    ``root_search(i)`` hands terminal i's search to the heuristic, and
+    ``complete()`` runs the rows out.  ``limits`` is checked for the size
+    of k full rows, their frontiers and the columns before the build, and
+    for time after each row's growth.
     """
 
     def __init__(self, graph: Graph, terminals: Sequence[int], *,
-                 horizon: int = INF, limits: Limits = NO_LIMITS,
-                 started: Optional[Mapping[int, ResumableDijkstra]] = None):
+                 limits: Limits = NO_LIMITS):
         self.terminals = list(terminals)
         self.k = len(self.terminals)
-        self.horizon = horizon
-        n = graph.n
+        self.horizon = INF
         limits.check_memory(
             ((ROW_SLOT_BYTES + COLUMN_SLOT_BYTES) * self.k
-             + FRONTIER_ENTRY_BYTES + COLUMN_BYTES) * n, "distance-row")
+             + FRONTIER_ENTRY_BYTES + COLUMN_BYTES) * graph.n, "distance-row")
         self._limits = limits
-        searches = []
-        for i, t in enumerate(self.terminals):
-            search = started.get(i) if started else None
-            if search is None:
-                search = ResumableDijkstra(graph, [(t, 0)], horizon)
-            else:
-                search.cap(horizon)
-            searches.append(search)
-        self._searches = searches
-        self.columns: Mapping[int, tuple[int, ...]] = _Columns(searches, limits)
+        self._searches = [ResumableDijkstra(graph, [(t, 0)]) for t in self.terminals]
+        self.columns: Mapping[int, tuple[int, ...]] = _Columns(self._searches, limits)
         # k x k matrix of pairwise terminal distances (metric closure on T)
         self.pair = [list(row) for row in
                      zip(*[self.columns[t] for t in self.terminals])]
-        self._cut_cache: dict[int, int] = {}
-        # per vertex, built on first query: sorted reachable (distance, terminal)
-        self._nearest: list[Optional[list[tuple[int, int]]]] = [None] * n
+        self._cut_cache: dict[int, tuple[int, int]] = {}
+        # per queried terminal set, its terminals in increasing order
+        self._set_bits: dict[int, tuple[int, ...]] = {}
+
+    def root_search(self, i: int) -> ResumableDijkstra:
+        """Terminal i's search, for the heuristic to copy with ``joined``."""
+        return self._searches[i]
+
+    def cap_rows(self, horizon: int) -> None:
+        """Stop every row at ``horizon``, which is at least every pair
+        distance, so no column read so far holds an entry beyond it."""
+        self.horizon = horizon
+        for search in self._searches:
+            search.cap(horizon)
 
     def complete(self) -> list[list[int]]:
         """Run every row out; returns the rows, indexed by terminal."""
@@ -162,11 +163,12 @@ class DistanceOracle:
         Ties go to the smallest terminal index; (INF, -1) when no terminal
         of the set is reachable.
         """
-        order = self._nearest[vertex]
-        if order is None:
-            order = self._nearest[vertex] = sorted(
-                (d, y) for y, d in enumerate(self.columns[vertex]) if d < INF)
-        for d, y in order:
-            if term_mask >> y & 1:
-                return d, y
-        return INF, -1
+        bits = self._set_bits.get(term_mask)
+        if bits is None:
+            bits = self._set_bits[term_mask] = tuple(iter_bits(term_mask))
+        col = self.columns[vertex]
+        best, best_y = INF, -1
+        for y in bits:
+            if col[y] < best:
+                best, best_y = col[y], y
+        return best, best_y

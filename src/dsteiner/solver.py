@@ -49,7 +49,7 @@ LIMIT_CHECK_INTERVAL = 1024
 
 PRUNE_MODES = ("off", "bound", "full")
 # solve() phases, in run order, timed into SolveStats.phase_ms
-PHASES = ("contract", "heuristic", "oracle", "bound", "loop", "reconstruct")
+PHASES = ("contract", "oracle", "heuristic", "bound", "loop", "reconstruct")
 
 
 @dataclass
@@ -147,15 +147,16 @@ def heuristic_upper_bound(
     shortest path to the component grown from the root.
 
     Each round settles every remaining terminal in a resumable Dijkstra from
-    the component: the first in ``root_search`` (an unstarted search from
-    the root with no horizon, which the caller may resume as the root's
-    row) or a new one, each later one in the last round's search joined
-    with the new path.  Ties go to the smallest ``(distance, vertex)``: the
-    nearest terminal, and along its path the tight neighbour a fresh
+    the component: the first in ``root_search``, a search from the root with
+    no horizon (in ``solve`` the oracle's root row, already settled up to
+    every terminal), or a new one; each later one in a copy of the last
+    round's search joined with the new path, so only the first round can
+    grow ``root_search``.  Ties go to the smallest ``(distance, vertex)``:
+    the nearest terminal, and along its path the tight neighbour a fresh
     multi-source Dijkstra would have settled first.  The walk back along
     a path needs positive costs, so a zero-cost edge is a ValueError:
     ``contract_zero_edges`` removes them first, as ``solve`` does.
-    ``limits`` is checked for time after each round.
+    ``limits`` is checked for time after each terminal settled.
     """
     graph = instance.graph
     if graph.has_zero_edge():
@@ -263,21 +264,22 @@ def _prepare(
     instance: SteinerInstance, bound: str, prune: str, root_rule: str,
     stats: SolveStats, limits: Limits,
 ) -> _Search:
-    """Root choice, zero-edge contraction, heuristic UB, distance oracle, bound.
+    """Root choice, zero-edge contraction, distance oracle, heuristic UB, bound.
 
-    The heuristic's cost U caps the preprocessing.  A vertex farther than U
-    from some terminal lies in no tree of cost <= U, so no label there can
-    be part of a tree the search still needs: the oracle rows and the jterm
-    tables stop at distance U, and every bound reads an INF entry as a
-    value that prunes the label (see the bound classes).  Entries up to U
-    are exact, and so is every terminal-to-terminal distance, since the
-    heuristic tree joins each pair at cost <= U.  Prune "off" has no U and
-    keeps full rows.  The root's row is the heuristic's first search.
+    The oracle's rows start with no horizon, settled up to the terminals, so
+    the root's row is the heuristic's first round.  The heuristic's cost U
+    then caps the rows.  A vertex farther than U from some terminal lies in
+    no tree of cost <= U, so no label there can be part of a tree the search
+    still needs: the oracle rows and the jterm tables stop at distance U,
+    and every bound reads an INF entry as a value that prunes the label
+    (see the bound classes).  Entries up to U are exact, and so is every
+    terminal-to-terminal distance, since the heuristic tree joins each pair
+    at cost <= U.  Prune "off" has no U and keeps full rows.
     """
     t = time.perf_counter()
     root = instance.terminals[choose_root(instance, root_rule)]
     reduced, cmap = contract_zero_edges(instance, limits=limits)
-    # checked before the heuristic or the oracle first reads ``adj``
+    # checked before the oracle first reads ``adj``
     limits.check_memory(reduced.m * ADJ_EDGE_BYTES, "adjacency")
     if cmap is not None:
         root = cmap.old_to_new[root]
@@ -288,22 +290,18 @@ def _prepare(
     if not search.sources_mask:
         return search
 
-    horizon = INF
-    started = {}
-    if prune != "off":
-        root_search = ResumableDijkstra(reduced.graph, [(root, 0)])
-        horizon, _ = heuristic_upper_bound(reduced, root_idx, limits=limits,
-                                           root_search=root_search)
-        started[root_idx] = root_search
-        stats.upper_bound = horizon
-        search.upper2 = 2 * horizon
-        t = _lap(stats, "heuristic", t)
-    oracle = DistanceOracle(reduced.graph, reduced.terminals, horizon=horizon,
-                            limits=limits, started=started)
+    oracle = DistanceOracle(reduced.graph, reduced.terminals, limits=limits)
     for v, d in zip(reduced.terminals, oracle.pair[root_idx]):
         if d >= INF:
             raise Infeasible(f"terminal {v} unreachable from the root")
     t = _lap(stats, "oracle", t)
+    if prune != "off":
+        upper, _ = heuristic_upper_bound(reduced, root_idx, limits=limits,
+                                         root_search=oracle.root_search(root_idx))
+        oracle.cap_rows(upper)
+        stats.upper_bound = upper
+        search.upper2 = 2 * upper
+        t = _lap(stats, "heuristic", t)
     search.bound = make_bound(bound, reduced, root_idx, oracle, limits=limits)
     if prune == "full":
         search.tracker = PruneTracker(oracle, full_mask)

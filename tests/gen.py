@@ -234,7 +234,8 @@ def steiner_by_subtree_enumeration(graph: Graph, terminals: list[int]) -> int:
     Exponential in the edge count; only for graphs with a handful of edges.
     """
     all_edges = [(u, v, c) for (u, v), c in edges_of(graph)]
-    assert len(all_edges) <= 18, "enumeration oracle limited to tiny graphs"
+    if len(all_edges) > 18:
+        raise ValueError("enumeration oracle limited to tiny graphs")
     best = None
     term_set = set(terminals)
     if len(term_set) == 1:

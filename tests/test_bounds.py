@@ -373,7 +373,8 @@ def test_capped_jterm_tables_are_full_tables_up_to_upper_bound(zero_edges):
     beyond = 0
     for inst, upper in capped_cases(zero_edges):
         full_oracle = DistanceOracle(inst.graph, inst.terminals)
-        oracle = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        oracle.cap_rows(upper)
         for j in (2, 3):
             full = JTermBound(inst, full_oracle, inst.k - 1, j)
             capped = JTermBound(inst, oracle, inst.k - 1, j)
@@ -394,7 +395,8 @@ def test_capped_bounds_prune_exactly_as_full_bounds(zero_edges):
     for inst, upper in capped_cases(zero_edges):
         root = inst.k - 1
         full_oracle = DistanceOracle(inst.graph, inst.terminals)
-        oracle = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        oracle.cap_rows(upper)
         for spec in specs:
             full = make_bound(spec, inst, root, full_oracle)
             capped = make_bound(spec, inst, root, oracle)

@@ -1,0 +1,49 @@
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "counters.py"
+
+
+def _counters():
+    spec = importlib.util.spec_from_file_location("counters", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _diff(a, b):
+    return subprocess.run([sys.executable, str(SCRIPT), "diff", str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_counter_diff_names_each_differing_unit_and_field(tmp_path):
+    counters = _counters()
+    units = counters.units()
+    assert len(units) == 512
+    # the first unit of each workload
+    picked = [next(u for u in units if u[0] == name)
+              for name in ("hanan3d", "hanan2d_bounds", "lattice_cli")]
+    dumped = tmp_path / "a.json"
+    assert counters.dump(str(dumped), picked) == 0
+    records = json.loads(dumped.read_text())
+    assert len(records) == 3
+    for rec in records.values():
+        assert rec["opt"] > 0 and rec["edges"] == sorted(rec["edges"])
+        assert rec["pops"] > 0 and rec["upper_bound"] >= rec["opt"]
+    same = _diff(dumped, dumped)
+    assert same.returncode == 0, same.stdout
+
+    hanan, _, lattice = map(counters.unit_key, picked)
+    records[hanan]["pops"] += 1
+    records[lattice]["edges"] = records[lattice]["edges"][1:]
+    edited = tmp_path / "b.json"
+    edited.write_text(json.dumps(records))
+    changed = _diff(dumped, edited)
+    assert changed.returncode == 1
+    assert changed.stdout.splitlines() == [
+        f"{hanan} pops: {records[hanan]['pops'] - 1} != {records[hanan]['pops']}",
+        f"{lattice} edges: the trees differ",
+        "2 of 3 units differ"]

@@ -121,7 +121,8 @@ def test_capped_rows_are_full_rows_up_to_upper_bound(zero_edges):
     beyond = 0
     for inst, upper in capped_cases(zero_edges):
         full = DistanceOracle(inst.graph, inst.terminals)
-        capped = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
+        capped = DistanceOracle(inst.graph, inst.terminals)
+        capped.cap_rows(upper)
         for full_row, row in zip(full.complete(), capped.complete()):
             assert row == [d if d <= upper else INF for d in full_row]
             beyond += row.count(INF)
@@ -137,7 +138,8 @@ def test_columns_read_before_completion_are_final(zero_edges):
     rng = random.Random(zero_edges)
     read = 0
     for inst, upper in capped_cases(zero_edges):
-        oracle = DistanceOracle(inst.graph, inst.terminals, horizon=upper)
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        oracle.cap_rows(upper)
         order = rng.sample(range(inst.n), inst.n // 2)
         early = {v: oracle.columns[v] for v in order}
         rows = oracle.complete()

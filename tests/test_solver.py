@@ -35,7 +35,6 @@ from dsteiner.graph import (
     ADJ_EDGE_BYTES,
     CONTRACT_EDGE_BYTES,
     ContractionMap,
-    ResumableDijkstra,
     contract_zero_edges,
 )
 
@@ -330,23 +329,25 @@ def test_heuristic_terminates_on_zero_edges(seed):
 
 
 @pytest.mark.parametrize("window", [4, None])
-def test_heuristic_first_round_resumes_as_the_root_row(window):
-    # the first round leaves the root's search whole: capped at the
-    # heuristic's cost U and run out, it is the root's row capped at U
+def test_heuristic_leaves_the_oracle_rows_as_they_were(window):
+    # the oracle's root row is the heuristic's first round: its terminals
+    # are settled, so the heuristic grows no row and works on copies after
     left_behind = 0
     for seed in range(12):
         inst = lattice_instance(14, 5, seed, cost_range=(1, 3), window=window)
         if seed % 2:
             inst = random_instance(seed + 1700, cost_range=(1, 3))
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        searches = [oracle.root_search(i) for i in range(inst.k)]
+        before = [(s.dist[:], s.heap[:], s.limit) for s in searches]
+        columns = dict(oracle.columns)
+        pair = [row[:] for row in oracle.pair]
         for r in range(inst.k):
-            root = inst.terminals[r]
-            search = ResumableDijkstra(inst.graph, [(root, 0)])
-            got = heuristic_upper_bound(inst, r, root_search=search)
+            got = heuristic_upper_bound(inst, r, root_search=searches[r])
             assert got == reference_heuristic(inst, r), (seed, r)
-            left_behind += len(search.heap)
-            search.cap(got[0])
-            assert search.drain() == multi_source_dijkstra(
-                inst.graph, [(root, 0)], got[0]), (seed, r)
+        assert [(s.dist, s.heap, s.limit) for s in searches] == before, seed
+        assert oracle.columns == columns and oracle.pair == pair, seed
+        left_behind += sum(len(s.heap) for s in searches)
     assert left_behind
 
 
@@ -497,32 +498,42 @@ def test_time_limit_rejects_nan_and_nonpositive():
 
 def test_time_limit_covers_distance_oracle(monkeypatch):
     # one Dijkstra on this lattice takes tens of milliseconds, so the
-    # deadline passes during the oracle's first run; prune "off" runs no
-    # heuristic, so the oracle's rows are the first Dijkstra
+    # deadline passes while the oracle's rows grow to the terminals, and
+    # the heuristic, which runs after the oracle, never starts
     inst = lattice_instance(150, 8, seed=1)
 
-    def loop(*args):
-        pytest.fail("the label loop started")
+    def fail(*args, **kwargs):
+        pytest.fail("the heuristic or the label loop started")
 
-    monkeypatch.setattr(solver, "_label_loop", loop)
-    t0 = time.perf_counter()
-    with pytest.raises(TimeLimit, match="distance oracle"):
-        solve(inst, bound="jterm:2", prune="off", time_limit=1e-3)
-    assert time.perf_counter() - t0 < 1.0
+    monkeypatch.setattr(solver, "heuristic_upper_bound", fail)
+    monkeypatch.setattr(solver, "_label_loop", fail)
+    for prune in ("off", "full"):
+        t0 = time.perf_counter()
+        with pytest.raises(TimeLimit, match="distance oracle"):
+            solve(inst, bound="jterm:2", prune=prune, time_limit=1e-3)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_time_limit_covers_heuristic(monkeypatch):
-    # spread terminals make the heuristic's first Dijkstra cover the lattice
+    # an oracle built without the deadline outlasts it, so the heuristic's
+    # own check, after its first settle, is the one that stops the solve
     inst = lattice_instance(150, 8, seed=1)
+    unlimited = DistanceOracle
+    built = []
 
-    def oracle(*args, **kwargs):
-        pytest.fail("the distance oracle started")
+    def oracle(graph, terminals, *, limits):
+        result = unlimited(graph, terminals)
+        built.append(time.perf_counter())
+        return result
+
+    def bound(*args, **kwargs):
+        pytest.fail("the bound build started")
 
     monkeypatch.setattr(solver, "DistanceOracle", oracle)
-    t0 = time.perf_counter()
+    monkeypatch.setattr(solver, "make_bound", bound)
     with pytest.raises(TimeLimit, match="heuristic"):
         solve(inst, time_limit=1e-3)
-    assert time.perf_counter() - t0 < 1.0
+    assert time.perf_counter() - built[0] < 1.0
 
 
 def test_time_limit_covers_jterm_tables():
@@ -782,12 +793,9 @@ def test_memory_estimate_tracks_measured_growth():
 
 
 def _solve_with_full_rows(monkeypatch, inst, **kwargs):
-    """solve() with the distance oracle forced to ignore the horizon."""
-    def full_rows(graph, terminals, *, horizon, **kw):
-        return DistanceOracle(graph, terminals, **kw)
-
+    """solve() with the distance oracle's rows never capped."""
     with monkeypatch.context() as m:
-        m.setattr(solver, "DistanceOracle", full_rows)
+        m.setattr(DistanceOracle, "cap_rows", lambda self, horizon: None)
         return solve(inst, **kwargs)
 
 
@@ -815,7 +823,8 @@ def test_phase_times_cover_the_solve():
     inst = lattice_instance(20, 5, seed=6, cost_range=(0, 9))
     rec = solve(inst, bound="jterm:2")
     phases = rec.stats.phase_ms
-    assert tuple(phases) == solver.PHASES
+    assert tuple(phases) == solver.PHASES == (
+        "contract", "oracle", "heuristic", "bound", "loop", "reconstruct")
     assert all(ms > 0 for ms in phases.values())
     assert sum(phases.values()) <= rec.time_ms
     # prune "off" runs no heuristic; one terminal needs no search at all

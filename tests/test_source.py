@@ -134,7 +134,8 @@ def _row_readers(src: Path) -> list[str]:
 def test_distance_rows_grow_only_inside_the_oracle():
     # bounds and the solver read terminal distances as oracle.columns[v],
     # which is exact wherever it is read, so none of them tests or grows a
-    # row itself; the heuristic owns its own search
+    # row itself; the heuristic settles its own searches, the first being
+    # the oracle's root row, whose terminals are already settled
     assert _row_readers(SRC) == []
 
 
