@@ -123,9 +123,10 @@ class JTermBound(BoundOracle):
     exact wherever smt({v} | S) <= U, since every tree that cheap is built
     from parts no costlier, and INF elsewhere.  An INF entry makes the value
     INF: the true value 2*B(v, J) >= 2*smt({v} | S) > 2*U prunes the label
-    anyway.  The arrays read whole rows, so the oracle's rows are run out
-    first.  ``limits`` is checked for the sizes of the arrays before the
-    build and for time after each array's Dijkstra run.
+    anyway.  The arrays read whole rows, which ``oracle.complete()`` runs
+    out as far as U, each array's Dijkstra stopping there too.  ``limits``
+    is checked for the sizes of the arrays before the build and for time
+    after each array's Dijkstra run.
     """
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,

@@ -19,15 +19,19 @@ from .graph import INF, Graph, ResumableDijkstra
 # Bytes per distance-row slot, for the memory-limit checks of the oracle and
 # the jterm tables: full rows and jterm tables on lattices and Hanan grids
 # (n = 144..3728) grew 38-42 B per slot under tracemalloc on CPython 3.11,
-# an 8 B list pointer plus a 32 B int object per distance.  Rows capped at a
-# horizon share one INF object beyond it, so the check errs high for them.
+# an 8 B list pointer plus a 32 B int object per distance.  A row holds an
+# int of its own only where its search has reached, and one shared INF
+# elsewhere: the rows ended at 9-22 B per slot on the 24 seed-1 lattice_cli
+# solves and at 40 B on 30 hanan3d solves.
 ROW_SLOT_BYTES = 40
 # Bytes per entry of the frontiers the rows keep between growths, counted
 # once per vertex: a (distance, vertex) tuple and its heap slot grew 64 B
 # under tracemalloc on CPython 3.11, and a stale entry (21-31% of them at the
 # peak on lattices) also keeps its own 32 B int.  Summed over the rows, the
-# frontiers peaked at 0.11-0.94 entries per vertex over the 24 seed-1
-# lattice_cli solves and at 0.19-0.55 over 30 hanan3d solves.
+# frontiers peaked at 0.12-0.94 entries per vertex over the 24 seed-1
+# lattice_cli solves and at 0.31-1.48 over 30 hanan3d solves, there while
+# the terminals' columns were built and the rows were short: the oracle as
+# a whole then peaked at 64-74% of its check.
 FRONTIER_ENTRY_BYTES = 72
 # Bytes a read column holds: on 2D-4D Hanan grids, k = 8..16, n = 64..20736,
 # tracemalloc (CPython 3.11) read 8 B per terminal (tuple slots) plus 58-106
@@ -39,22 +43,25 @@ _GROWING = "while growing the distance oracle's rows"
 
 class _Columns(dict):
     """Vertex -> tuple of the exact distances from every terminal, built on
-    first read by growing each row that is not yet exact at the vertex."""
+    first read by growing each row that is not yet exact at the vertex.
+    Growth stops at ``horizon``, and an entry beyond it reads as INF."""
 
     def __init__(self, searches: list[ResumableDijkstra], limits: Limits):
         self._searches = searches
         self._limits = limits
+        self.horizon = INF
 
     def __missing__(self, v: int) -> tuple[int, ...]:
+        horizon = self.horizon
         col = []
         for search in self._searches:
-            # an unfinished row may already reach v; an entry at the row's
-            # limit has frontier keys below it, so growth runs it out to INF
+            # an entry beyond the horizon stays tentative, so it reads as INF
             heap, dist = search.heap, search.dist
-            if heap and heap[0][0] < dist[v]:
-                search.settle(v)
+            if heap and horizon >= heap[0][0] < dist[v]:
+                search.settle(v, horizon)
                 self._limits.check_time(_GROWING)
-            col.append(dist[v])
+            d = dist[v]
+            col.append(d if d <= horizon else INF)
         col = self[v] = tuple(col)
         return col
 
@@ -67,7 +74,8 @@ class DistanceOracle:
     ``v``, indexed by terminal; its first read grows one resumable Dijkstra
     per terminal as far as ``v`` needs.  ``pair`` and ``mst_cost`` read the
     terminals' columns, built at construction, so each row starts settled
-    up to the terminals, with no horizon until ``cap_rows`` sets one;
+    up to the terminals, with no horizon until ``cap_rows`` records one for
+    the columns to stop growth at; no row is ever rewritten.
     ``root_search(i)`` hands terminal i's search to the heuristic, and
     ``complete()`` runs the rows out.  ``limits`` is checked for the size
     of k full rows, their frontiers and the columns before the build, and
@@ -78,7 +86,6 @@ class DistanceOracle:
                  limits: Limits = NO_LIMITS):
         self.terminals = list(terminals)
         self.k = len(self.terminals)
-        self.horizon = INF
         limits.check_memory(
             ((ROW_SLOT_BYTES + COLUMN_SLOT_BYTES) * self.k
              + FRONTIER_ENTRY_BYTES + COLUMN_BYTES) * graph.n, "distance-row")
@@ -96,19 +103,24 @@ class DistanceOracle:
         """Terminal i's search, for the heuristic to copy with ``joined``."""
         return self._searches[i]
 
+    @property
+    def horizon(self) -> int:
+        """U once ``cap_rows`` has set it, else INF."""
+        return self.columns.horizon
+
     def cap_rows(self, horizon: int) -> None:
         """Stop every row at ``horizon``, which is at least every pair
         distance, so no column read so far holds an entry beyond it."""
-        self.horizon = horizon
-        for search in self._searches:
-            search.cap(horizon)
+        self.columns.horizon = horizon
 
     def complete(self) -> list[list[int]]:
-        """Run every row out; returns the rows, indexed by terminal."""
+        """Run every row out as far as the horizon; returns the rows,
+        indexed by terminal, with every entry beyond it INF."""
+        rows = []
         for search in self._searches:
-            search.drain()
+            rows.append(search.drain(self.horizon))
             self._limits.check_time(_GROWING)
-        return [s.dist for s in self._searches]
+        return rows
 
     def mst_cost(self, mask: int) -> int:
         """MST cost of the distance graph spanned by the terminals of ``mask``.

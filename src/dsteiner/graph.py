@@ -134,21 +134,17 @@ class ResumableDijkstra:
     """Dijkstra from seeded (vertex, initial cost) pairs that runs only as far
     as its reader asks, and resumes from its frontier on the next request.
 
-    ``dist`` is the distance row and ``heap`` the frontier (a binary heap
-    with lazy deletion).  Every vertex starts at the row's ``limit``, one
-    beyond ``horizon`` (or INF), so the relaxation test caps the search with
-    no extra comparison.  An entry is exact once ``settle`` has returned for
-    its vertex; before that it is an upper bound.  When the frontier runs
-    empty the row is finished: entries still at the limit become INF, in
-    place, so readers may keep the list.
+    ``dist`` is the distance row, every entry starting at INF, and ``heap``
+    the frontier (a binary heap with lazy deletion).  A horizon passed to
+    ``settle`` or ``drain`` only stops the growth: no key above it is
+    popped, and entries beyond it stay upper bounds that a later request
+    may lower.
     """
 
-    __slots__ = ("dist", "heap", "limit", "_adj")
+    __slots__ = ("dist", "heap", "_adj")
 
-    def __init__(self, graph: Graph, seeds: Sequence[tuple[int, int]],
-                 horizon: int = INF):
-        limit = INF if horizon >= INF else horizon + 1
-        dist = [limit] * graph.n
+    def __init__(self, graph: Graph, seeds: Sequence[tuple[int, int]]):
+        dist = [INF] * graph.n
         heap = []
         for v, d0 in seeds:
             if d0 < dist[v]:
@@ -157,52 +153,43 @@ class ResumableDijkstra:
         heapq.heapify(heap)
         self.dist = dist
         self.heap = heap
-        self.limit = limit
         self._adj = graph.adj
-        if not heap:
-            self._finish()
 
-    def settle(self, target: int) -> None:
-        """Grow the row until its entry at ``target`` is exact."""
-        heap = self.heap
-        dist = self.dist
-        adj = self._adj
-        heappush, heappop = heapq.heappush, heapq.heappop
-        # once no key below dist[target] is left, that entry is final
-        while heap and heap[0][0] < dist[target]:
-            d, u = heappop(heap)
-            if d != dist[u]:
-                continue
-            for v, c in adj[u]:
-                nd = d + c
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        if not heap:
-            self._finish()
+    def settle(self, target: int, horizon: int = INF) -> None:
+        """Grow the row until its entry at ``target`` is exact or no
+        frontier key at or below ``horizon`` is left: an entry at or below
+        ``horizon`` is then exact."""
+        self._grow(horizon, self.dist, target)
 
     def joined(self, sources: Iterable[int]) -> "ResumableDijkstra":
-        """A copy of this search, which has no horizon, with ``sources``
-        added as seeds at distance 0; this search is left as it is.  Its
-        entries stay upper bounds that the copy's frontier can still lower,
-        so the copy settles as a search seeded with both would."""
+        """A copy of this search with ``sources`` added as seeds at distance
+        0; this search is left as it is.  Its entries stay upper bounds that
+        the copy's frontier can still lower, so the copy settles as a search
+        seeded with both would."""
         other = ResumableDijkstra.__new__(ResumableDijkstra)
         dist = other.dist = self.dist[:]
         heap = other.heap = self.heap[:]
-        other.limit = self.limit
         other._adj = self._adj
         for v in sources:
             dist[v] = 0
             heapq.heappush(heap, (0, v))
         return other
 
-    def drain(self) -> list[int]:
-        """Run the search out; returns the finished row."""
+    def drain(self, horizon: int = INF) -> list[int]:
+        """Run the search out as far as ``horizon``; returns a copy of the
+        row with every entry beyond ``horizon`` INF."""
+        # every key is below INF, so only the horizon stops the growth
+        self._grow(horizon, (INF,), 0)
+        return [d if d <= horizon else INF for d in self.dist]
+
+    def _grow(self, horizon: int, stop: Sequence[int], i: int) -> None:
+        """Pop every frontier key at or below ``horizon`` and below
+        ``stop[i]``, which may be an entry the growth itself lowers."""
         heap = self.heap
         dist = self.dist
         adj = self._adj
         heappush, heappop = heapq.heappush, heapq.heappop
-        while heap:
+        while heap and horizon >= heap[0][0] < stop[i]:
             d, u = heappop(heap)
             if d != dist[u]:
                 continue
@@ -211,41 +198,13 @@ class ResumableDijkstra:
                 if nd < dist[v]:
                     dist[v] = nd
                     heappush(heap, (nd, v))
-        self._finish()
-        return dist
-
-    def cap(self, horizon: int) -> None:
-        """Lower the horizon to ``horizon``, which must not exceed the
-        current one: entries beyond it return to the limit and frontier keys
-        beyond it are dropped, the state a search started with ``horizon``
-        reaches after settling the same vertices."""
-        if horizon >= INF:
-            return
-        limit = self.limit = horizon + 1
-        dist = self.dist
-        dist[:] = [d if d <= horizon else limit for d in dist]
-        heap = self.heap = [e for e in self.heap if e[0] <= horizon]
-        heapq.heapify(heap)
-        if not heap:
-            self._finish()
-
-    def _finish(self) -> None:
-        limit = self.limit
-        if limit != INF:
-            dist = self.dist
-            dist[:] = [INF if d == limit else d for d in dist]
-            self.limit = INF
 
 
-def multi_source_dijkstra(
-    graph: Graph, seeds: Sequence[tuple[int, int]], horizon: int = INF
-) -> list[int]:
+def multi_source_dijkstra(graph: Graph, seeds: Sequence[tuple[int, int]],
+                          horizon: int = INF) -> list[int]:
     """Dijkstra seeded with (vertex, initial cost) pairs; returns the
-    distance array.
-
-    Unreachable vertices, and those farther than ``horizon``, stay at INF.
-    """
-    return ResumableDijkstra(graph, seeds, horizon).drain()
+    distance array, INF where a vertex is unreachable or beyond ``horizon``."""
+    return ResumableDijkstra(graph, seeds).drain(horizon)
 
 
 def _find(parent, x: int) -> int:

@@ -267,10 +267,11 @@ def _prepare(
     """Root choice, zero-edge contraction, distance oracle, heuristic UB, bound.
 
     The oracle's rows start with no horizon, settled up to the terminals, so
-    the root's row is the heuristic's first round.  The heuristic's cost U
-    then caps the rows.  A vertex farther than U from some terminal lies in
-    no tree of cost <= U, so no label there can be part of a tree the search
-    still needs: the oracle rows and the jterm tables stop at distance U,
+    the root's row is the heuristic's first round.  The oracle then records
+    the heuristic's cost U as its horizon, in O(1).  A vertex farther than U
+    from some terminal lies in no tree of cost <= U, so no label there can
+    be part of a tree the search still needs: the rows stop growing at
+    distance U and read as INF beyond it, the jterm tables stop there too,
     and every bound reads an INF entry as a value that prunes the label
     (see the bound classes).  Entries up to U are exact, and so is every
     terminal-to-terminal distance, since the heuristic tree joins each pair

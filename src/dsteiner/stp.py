@@ -72,11 +72,12 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     cost: dict[tuple[int, int], int] = {}
     get = cost.get
     edge_count = 0  # E lines, self-loops and repeats included
-    # E lines met before the Nodes line: (line number, u, v), range checked
-    # after the loop
+    # ids range checked after the loop, each with its line number: E lines
+    # met before the Nodes line as (line, u, v), T lines as (line, id), and
+    # coordinates as id -> (line, vector)
     unranged: list[tuple[int, int, int]] = []
-    term_lines: list[int] = []
-    coord_lines: dict[int, tuple[int, ...]] = {}
+    term_lines: list[tuple[int, int]] = []
+    coord_lines: dict[int, tuple[int, tuple[int, ...]]] = {}
     coord_dim = None
     total_cost = 0
     section = None
@@ -146,7 +147,7 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
             if key == "TERMINALS":
                 declared_terminals = _arg_token(tokens, line_no, "terminal count")
             elif key == "T":
-                term_lines.append(_arg_token(tokens, line_no, "terminal id"))
+                term_lines.append((line_no, _arg_token(tokens, line_no, "terminal id")))
             else:
                 raise StpSyntaxError(line_no, f"unexpected keyword {tokens[0]!r} in Terminals section")
         elif section == "COORDINATES":
@@ -159,9 +160,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
                 if len(tokens) != dim + 2:
                     raise StpSyntaxError(line_no, f"{key} line needs {dim + 1} fields")
                 vid = _int_token(tokens[1], line_no, "node id")
-                coord_lines[vid] = tuple(
+                coord_lines[vid] = (line_no, tuple(
                     _int_token(t, line_no, "coordinate") for t in tokens[2:]
-                )
+                ))
             else:
                 raise StpSyntaxError(line_no, f"unexpected keyword {tokens[0]!r} in Coordinates section")
         # unknown sections are skipped wholesale
@@ -186,9 +187,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
 
     terminals = []
     seen = set()
-    for t in term_lines:
+    for line_no, t in term_lines:
         if not (1 <= t <= n):
-            raise StpSyntaxError(0, f"terminal {t} outside 1..{n}")
+            raise StpSyntaxError(line_no, f"terminal {t} outside 1..{n}")
         if t - 1 not in seen:
             seen.add(t - 1)
             terminals.append(t - 1)
@@ -198,9 +199,9 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
     coords = None
     if coord_lines:
         coords = [None] * n
-        for vid, vec in coord_lines.items():
+        for vid, (line_no, vec) in coord_lines.items():
             if not (1 <= vid <= n):
-                raise StpSyntaxError(0, f"coordinate node {vid} outside 1..{n}")
+                raise StpSyntaxError(line_no, f"coordinate node {vid} outside 1..{n}")
             coords[vid - 1] = vec
         missing = coords.count(None)
         if missing:
@@ -302,17 +303,21 @@ def write_solution(record: SolutionRecord, format: str = "json") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def _field(record: dict, name: str):
+def _field(record: dict, name: str, kind: type):
     try:
-        return record[name]
+        value = record[name]
     except KeyError:
         raise ValueError(f"solution record has no {name!r} field") from None
+    # type() rather than isinstance(): JSON true/false are not counts
+    if type(value) is not kind:
+        raise ValueError(f"solution record's {name!r} is not {kind.__name__}")
+    return value
 
 
 def read_solution(text: str) -> SolutionRecord:
     """Parse a JSON record written by ``write_solution``; a missing required
-    field, or ``edges`` that is not a list of two-int pairs, raises
-    ValueError naming it."""
+    field, one of the wrong type, or ``edges`` that is not a list of
+    two-int pairs, raises ValueError naming it."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("solution record is not a JSON object")
@@ -323,11 +328,11 @@ def read_solution(text: str) -> SolutionRecord:
             and type(e[0]) is int and type(e[1]) is int for e in edges):
         raise ValueError("solution record's 'edges' is not a list of [u, v] int pairs")
     return SolutionRecord(
-        instance=_field(payload, "instance"),
-        n=_field(payload, "n"),
-        m=_field(payload, "m"),
-        k=_field(payload, "k"),
-        opt=_field(payload, "opt"),
+        instance=_field(payload, "instance", str),
+        n=_field(payload, "n", int),
+        m=_field(payload, "m", int),
+        k=_field(payload, "k", int),
+        opt=_field(payload, "opt", int),
         edges=[(u, v) for u, v in edges],
         config=payload.get("config", ""),
         time_ms=payload.get("time_ms", 0.0),

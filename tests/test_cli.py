@@ -273,6 +273,28 @@ def test_validate_malformed_edges_reports_cleanly(tmp_path, capsys, edges):
     assert "'edges'" in err["message"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("opt", "12"), ("opt", 12.0), ("opt", True), ("n", None), ("k", [1]), ("m", "0"),
+    ("instance", 7),
+])
+def test_validate_mistyped_field_reports_cleanly(tmp_path, capsys, field, value):
+    # a record whose opt is the string "12" must not reach the cost check,
+    # whose message would read "tree cost 12 != recorded opt 12"
+    _, path = write_instance(tmp_path, 5, "t")
+    out = tmp_path / "sol.json"
+    main(["solve", str(path), "-o", str(out)])
+    payload = json.loads(out.read_text())
+    payload[field] = value
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["validate", str(path), str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert f"{field!r} is not " in err["message"]
+
+
 def test_validate_detects_tampered_cost(tmp_path, capsys):
     _, path = write_instance(tmp_path, 5, "t")
     out = tmp_path / "sol.json"

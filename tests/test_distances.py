@@ -10,7 +10,7 @@ from dsteiner.distances import (
     ROW_SLOT_BYTES,
 )
 from dsteiner.errors import Limits, MemoryLimit
-from dsteiner.graph import INF
+from dsteiner.graph import INF, ResumableDijkstra
 
 from gen import (
     capped_cases,
@@ -153,6 +153,22 @@ def test_columns_read_before_completion_are_final(zero_edges):
     assert read
 
 
+@pytest.mark.parametrize("zero_edges", [0, 3])
+def test_rows_stop_growing_at_the_horizon(zero_edges):
+    # reading every column, vertices beyond U included, pops each row's
+    # keys up to U and none beyond: its entries are those of a fresh search
+    # drained to U, tentative ones above U included
+    for inst, upper in capped_cases(zero_edges):
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        oracle.cap_rows(upper)
+        for v in range(inst.n):
+            oracle.columns[v]
+        for t, search in zip(inst.terminals, oracle._searches):
+            fresh = ResumableDijkstra(inst.graph, [(t, 0)])
+            fresh.drain(upper)
+            assert search.dist == fresh.dist, t
+
+
 def test_row_estimate_tracks_measured_growth():
     import tracemalloc
 
@@ -266,8 +282,8 @@ def test_clustered_lattice_solve_leaves_most_entries_ungrown(monkeypatch):
     # most of the grid
     inst = lattice_instance(48, 8, seed=2, window=6)
     rec, oracle = _solve_keeping_oracle(monkeypatch, inst)
-    limit = oracle.horizon + 1
-    ungrown = sum(s.dist.count(limit) for s in oracle._searches)
+    assert oracle.horizon < INF
+    ungrown = sum(s.dist.count(INF) for s in oracle._searches)
     assert ungrown > 0.5 * oracle.k * inst.n
     assert len(oracle.columns) < 0.5 * inst.n
 

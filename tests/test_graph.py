@@ -100,45 +100,65 @@ def test_dijkstra_horizon_caps_distances(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_settled_entries_are_exact_and_the_search_resumes(seed):
-    # entries read right after settle() are final, in any settle order,
-    # and a drain afterwards yields the row a single run would
+    # an entry at or below the horizon its settle() was given is final, in
+    # any order of vertices and horizons, and a drain afterwards yields the
+    # row a single run would
+    rng = random.Random(seed)
     inst = random_instance(seed + 60, n_range=(15, 25), zero_edges=seed % 3)
     source = inst.terminals[0]
     full = multi_source_dijkstra(inst.graph, [(source, 0)])
     finite = sorted(d for d in full if d < INF)
-    for horizon in (INF, finite[len(finite) // 2]):
-        want = [d if d <= horizon else INF for d in full]
-        search = ResumableDijkstra(inst.graph, [(source, 0)], horizon)
-        row = search.dist
-        order = list(range(inst.n))
-        random.Random(seed).shuffle(order)
-        for v in order[: inst.n // 2]:
-            search.settle(v)
-            assert row[v] == want[v], (horizon, v)
-        assert search.drain() is row
-        assert row == want and not search.heap
+    horizons = [0, finite[len(finite) // 3], finite[len(finite) // 2],
+                finite[-1], INF]
+    search = ResumableDijkstra(inst.graph, [(source, 0)])
+    row = search.dist
+    settled = 0
+    for v in range(inst.n):
+        # a horizon at the entry's own distance settles it, also where a
+        # zero-cost edge ties it with the key on top of the frontier
+        fresh = ResumableDijkstra(inst.graph, [(source, 0)])
+        fresh.settle(v, full[v])
+        assert fresh.dist[v] == full[v], v
+    for v in rng.sample(range(inst.n), inst.n):
+        h = rng.choice([full[v] - 1, full[v], rng.choice(horizons)])
+        search.settle(v, h)
+        if row[v] <= h:
+            assert row[v] == full[v], (h, v)
+            settled += 1
+        else:
+            assert full[v] > h, (h, v)
+    assert settled
+    assert search.drain() == row == full and not search.heap
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_capped_partial_search_equals_search_started_capped(seed):
-    # a search run partway with no horizon, then capped, continues as one
-    # started with that horizon
+    # drain(h) reads the full row with every entry beyond h as INF, both on
+    # a fresh search and on one run partway with no horizon, and leaves the
+    # search able to grow past h
     inst = random_instance(seed + 80, n_range=(15, 25))
     source = inst.terminals[0]
     full = multi_source_dijkstra(inst.graph, [(source, 0)])
     finite = sorted(d for d in full if d < INF)
-    for stop in (0, len(finite) // 3, len(finite) - 1):
-        for horizon in (finite[stop], finite[(stop + len(finite)) // 2]):
+    for stop in (None, 0, len(finite) // 3, len(finite) - 1):
+        for horizon in (0, finite[len(finite) // 3], finite[-1] - 1, finite[-1]):
             search = ResumableDijkstra(inst.graph, [(source, 0)])
-            search.settle(full.index(finite[stop]))
-            search.cap(horizon)
-            assert search.drain() == [d if d <= horizon else INF for d in full]
+            if stop is not None:
+                search.settle(full.index(finite[stop]))
+            want = [d if d <= horizon else INF for d in full]
+            assert search.drain(horizon) == want, (stop, horizon)
+            assert all(d > horizon for d, _ in search.heap)
+            assert search.drain() == full
 
 
 def test_search_with_no_seed_within_the_horizon_is_finished():
+    # the seed lies beyond the horizon: the drain pops nothing, and every
+    # entry reads as INF
     g = Graph(3, [(0, 1, 1), (1, 2, 1)])
-    search = ResumableDijkstra(g, [(0, 5)], horizon=4)
-    assert not search.heap and search.dist == [INF] * 3
+    assert multi_source_dijkstra(g, [(0, 5)], 4) == [INF] * 3
+    search = ResumableDijkstra(g, [(0, 5)])
+    assert search.drain(4) == [INF] * 3
+    assert search.heap == [(5, 0)] and search.dist == [5, INF, INF]
 
 
 @pytest.mark.parametrize("seed", range(8))

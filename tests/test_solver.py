@@ -339,13 +339,13 @@ def test_heuristic_leaves_the_oracle_rows_as_they_were(window):
             inst = random_instance(seed + 1700, cost_range=(1, 3))
         oracle = DistanceOracle(inst.graph, inst.terminals)
         searches = [oracle.root_search(i) for i in range(inst.k)]
-        before = [(s.dist[:], s.heap[:], s.limit) for s in searches]
+        before = [(s.dist[:], s.heap[:]) for s in searches]
         columns = dict(oracle.columns)
         pair = [row[:] for row in oracle.pair]
         for r in range(inst.k):
             got = heuristic_upper_bound(inst, r, root_search=searches[r])
             assert got == reference_heuristic(inst, r), (seed, r)
-        assert [(s.dist, s.heap, s.limit) for s in searches] == before, seed
+        assert [(s.dist, s.heap) for s in searches] == before, seed
         assert oracle.columns == columns and oracle.pair == pair, seed
         left_behind += sum(len(s.heap) for s in searches)
     assert left_behind

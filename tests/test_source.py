@@ -111,8 +111,8 @@ def test_heap_check_finds_a_hand_written_loop(tmp_path):
 
 
 def _row_readers(src: Path) -> list[str]:
-    """Places that name a search's growth attributes (settle, drain, cap,
-    heap, dist) outside graph.py, distances.py and
+    """Places that name a search's growth attributes (settle, drain, _grow,
+    cap, heap, dist) outside graph.py, distances.py and
     solver.heuristic_upper_bound, and places anywhere that name the
     oracle's former ``settled`` or ``rows``."""
     found = []
@@ -125,7 +125,7 @@ def _row_readers(src: Path) -> list[str]:
             if not isinstance(node, ast.Attribute):
                 continue
             if node.attr in ("settled", "rows") or (
-                    node.attr in ("settle", "drain", "cap", "heap", "dist")
+                    node.attr in ("settle", "drain", "_grow", "cap", "heap", "dist")
                     and not owner and id(node) not in allowed):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
     return found
@@ -159,10 +159,12 @@ def test_row_check_finds_hand_written_reads(tmp_path):
         "    return search.dist[x]\n"
         "def _prepare(search):\n"
         "    search.cap(3)\n"
+        "    search._grow(3, [0], 0)\n"
         "    return search.heap\n")
     assert sorted(_row_readers(tmp_path)) == [
         "bounds.py:2 .settled", "bounds.py:3 .settle", "bounds.py:4 .rows",
-        "distances.py:3 .rows", "solver.py:5 .cap", "solver.py:6 .heap"]
+        "distances.py:3 .rows", "solver.py:5 .cap", "solver.py:6 ._grow",
+        "solver.py:7 .heap"]
 
 
 def _self_referring_closures(src: Path) -> list[str]:
