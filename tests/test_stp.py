@@ -138,20 +138,6 @@ def test_coordinates_parsed():
     assert inst.coords[1] == (30, 40)
 
 
-@pytest.mark.parametrize("old, new, bad, match", [
-    ("T 3", "T 7", "T 7", "terminal 7 outside 1..3"),
-    ("EOF", "SECTION Coordinates\nDD 1 0 0\nDD 9 1 1\nEND\nEOF", "DD 9 1 1",
-     "coordinate node 9 outside 1..3"),
-], ids=["terminal", "coordinate"])
-def test_id_outside_node_range_names_its_line(old, new, bad, match):
-    # the range is checked after the loop, since Nodes may come later, but
-    # the error still names the line the id stands on
-    text = _graph_doc(["E 1 2 7", "E 2 3 1"]).replace(old, new)
-    with pytest.raises(StpSyntaxError, match=match) as info:
-        parse_stp(text)
-    assert info.value.line_no == text.splitlines().index(bad) + 1 > 1
-
-
 def test_three_dimensional_coordinates():
     text = MINIMAL.replace(
         "EOF",
@@ -408,6 +394,20 @@ def test_edge_outside_node_range_waits_for_a_later_nodes_line():
     with pytest.raises(StpSyntaxError, match="outside") as info:
         parse_stp(text)
     assert info.value.line_no == text.splitlines().index("E 1 4 7") + 1
+
+
+@pytest.mark.parametrize("old, new, bad, match", [
+    ("T 3", "T 7", "T 7", "terminal 7 outside 1..3"),
+    ("EOF", "SECTION Coordinates\nDD 1 0 0\nDD 9 1 1\nEND\nEOF", "DD 9 1 1",
+     "coordinate node 9 outside 1..3"),
+], ids=["terminal", "coordinate"])
+def test_id_outside_node_range_names_its_line(old, new, bad, match):
+    # the range is checked after the loop, since Nodes may come later, but
+    # the error still names the line the id stands on
+    text = _graph_doc(["E 1 2 7", "E 2 3 1"]).replace(old, new)
+    with pytest.raises(StpSyntaxError, match=match) as info:
+        parse_stp(text)
+    assert info.value.line_no == text.splitlines().index(bad) + 1 > 1
 
 
 def test_conflicting_nodes_lines_are_refused():
