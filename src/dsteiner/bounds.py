@@ -308,7 +308,7 @@ class MaxBound(BoundOracle):
 
 # --- bound selection grammar: <leaf> | max(<leaf>,<leaf>,...) ---
 
-LEAF_SPECS = ("zero", "onetree", "tsp", "jterm", "jterm:2", "jterm:3")
+LEAF_SPECS = ("zero", "onetree", "tsp", "jterm:2", "jterm:3")
 
 
 def parse_bound_spec(spec: str):
@@ -349,4 +349,4 @@ def _build(leaf, instance, root_index, oracle, limits) -> BoundOracle:
         return OneTreeBound(oracle)
     if leaf == "tsp":
         return TspBound(instance, oracle, root_index, limits=limits)
-    return JTermBound(instance, oracle, root_index, int(leaf[6:] or 2), limits=limits)
+    return JTermBound(instance, oracle, root_index, int(leaf[6:]), limits=limits)

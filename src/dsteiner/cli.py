@@ -1,8 +1,8 @@
 """Command-line driver: solve, hanan, bench, validate.
 
-Exit codes: 0 success, 2 parse error, 3 infeasible, 4 time limit,
-5 memory limit, 1 anything else.  Errors are emitted as one-line JSON
-objects so harnesses can triage outcomes.
+Exit codes: 0 success, then one code per error class, in every command
+(``EXIT_CODES``).  Errors are emitted as one-line JSON objects so
+harnesses can triage outcomes.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .bounds import parse_bound_spec
+from .bounds import LEAF_SPECS, parse_bound_spec
 from .errors import (
     DEFAULT_MEM_LIMIT,
     DsteinerError,
     Infeasible,
-    InvalidTree,
     Limits,
     MemoryLimit,
     StpError,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .graph import validate_tree
 from .hanan import build_hanan_grid, generate_random_points, parse_points
-from .solver import parse_root_rule, solve
+from .solver import PRUNE_MODES, parse_root_rule, solve
 from .stp import (
     CSV_HEADER,
     instance_name,
@@ -37,10 +36,14 @@ from .stp import (
     write_stp,
 )
 
-EXIT_PARSE = 2
-EXIT_INFEASIBLE = 3
-EXIT_TIMEOUT = 4
-EXIT_MEMORY = 5
+# (error class, JSON "error" kind, exit code); the first class that matches
+# wins, and any other error exits 1 under its class name
+EXIT_CODES = (
+    (StpError, "parse", 2),
+    (Infeasible, "infeasible", 3),
+    (TimeLimit, "timeout", 4),
+    (MemoryLimit, "memory", 5),
+)
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -60,20 +63,7 @@ def _run_options(args) -> dict:
 
 def cmd_solve(args) -> int:
     opts = _run_options(args)
-    try:
-        record = solve(parse_stp_file(args.stp), **opts)
-    except StpError as exc:
-        _emit_error("parse", str(exc))
-        return EXIT_PARSE
-    except Infeasible as exc:
-        _emit_error("infeasible", str(exc))
-        return EXIT_INFEASIBLE
-    except TimeLimit as exc:
-        _emit_error("timeout", str(exc))
-        return EXIT_TIMEOUT
-    except MemoryLimit as exc:
-        _emit_error("memory", str(exc))
-        return EXIT_MEMORY
+    record = solve(parse_stp_file(args.stp), **opts)
     text = write_solution(record, args.format)
     if args.output:
         with open(args.output, "w") as fh:
@@ -133,18 +123,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        instance = parse_stp_file(args.stp)
-    except StpError as exc:
-        _emit_error("parse", str(exc))
-        return EXIT_PARSE
+    instance = parse_stp_file(args.stp)
     with open(args.solution) as fh:
         record = read_solution(fh.read())
-    try:
-        cost = validate_tree(instance, [tuple(e) for e in record.edges])
-    except (InvalidTree, ValueError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
+    # the instance name is not compared: solve takes it from the file name,
+    # so a renamed copy of the instance is still the same instance
+    differ = [f"{f}: record {getattr(record, f)} != instance {getattr(instance, f)}"
+              for f in ("n", "m", "k") if getattr(record, f) != getattr(instance, f)]
+    if differ:
+        _emit_error("mismatch", "; ".join(differ))
         return 1
+    cost = validate_tree(instance, [tuple(e) for e in record.edges])
     print(cost)
     if cost != record.opt:
         _emit_error("mismatch", f"tree cost {cost} != recorded opt {record.opt}")
@@ -154,8 +143,8 @@ def cmd_validate(args) -> int:
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", default="onetree",
-                   help="zero | jterm[:2|:3] | onetree | tsp | max(b1,b2,...)")
-    p.add_argument("--prune", default="full", choices=["off", "bound", "full"])
+                   help=" | ".join(LEAF_SPECS + ("max(b1,b2,...)",)))
+    p.add_argument("--prune", default="full", choices=PRUNE_MODES)
     p.add_argument("--root", default="last",
                    help="last | center | index:<i>")
     p.add_argument("--time-limit", type=float, default=7200.0, metavar="SECONDS")
@@ -208,8 +197,10 @@ def main(argv=None) -> int:
     # OSError: an input file that cannot be read or an output that cannot
     # be written
     except (DsteinerError, ValueError, OSError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 1
+        kind, code = next(((kind, code) for cls, kind, code in EXIT_CODES
+                           if isinstance(exc, cls)), (type(exc).__name__, 1))
+        _emit_error(kind, str(exc))
+        return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DEFAULT_MEM_LIMIT, GridTooLarge, TooManyTerminals
 from .graph import MAX_TERMINALS, Graph, SteinerInstance
@@ -77,25 +78,13 @@ def build_hanan_grid(
         return sum(strides[i] * rank[i][point[i]] for i in range(d))
 
     # each vertex joins its successor along every axis, so every pair is
-    # listed once, lower id first
+    # listed once, lower id first; product runs the rank vectors in
+    # row-major order, so vertex vid has the vid-th rank vector
     cost: dict[tuple[int, int], int] = {}
-    # enumerate vertices by mixed-radix rank vector
-    radix = [0] * d
-    coords_list: list[tuple[int, ...]] = []
-    for vid in range(total):
-        point = tuple(axes[i][radix[i]] for i in range(d))
-        coords_list.append(point)
-        for i in range(d):
-            r = radix[i]
+    for vid, ranks in enumerate(product(*map(range, counts))):
+        for i, r in enumerate(ranks):
             if r + 1 < counts[i]:
-                step = axes[i][r + 1] - axes[i][r]
-                cost[vid, vid + strides[i]] = step
-        # increment mixed-radix counter
-        for i in range(d - 1, -1, -1):
-            radix[i] += 1
-            if radix[i] < counts[i]:
-                break
-            radix[i] = 0
+                cost[vid, vid + strides[i]] = axes[i][r + 1] - axes[i][r]
 
     point_to_vertex: dict[tuple[int, ...], int] = {}
     terminals: list[int] = []
@@ -108,7 +97,8 @@ def build_hanan_grid(
             terminals.append(vid)
 
     instance = SteinerInstance(
-        graph=Graph._from_costs(total, cost), terminals=terminals, coords=coords_list
+        graph=Graph._from_costs(total, cost), terminals=terminals,
+        coords=list(product(*axes))
     )
     return instance, point_to_vertex
 

@@ -356,10 +356,9 @@ def test_bound_grammar():
     assert len(b.parts) == 3
     spaced = make_bound(" max( zero , jterm:3 ) ", inst, root, oracle)
     assert [type(p) for p in spaced.parts] == [ZeroBound, JTermBound]
-    bare = make_bound("jterm", inst, root, oracle)
-    assert isinstance(bare, JTermBound) and bare.j == 2  # default j
-    # max is associative, so the grammar is flat: a nested max is refused
-    for bad in ("bogus", "jterm:9", "jterm:1", "jterm3", "jtermX", "JTERM", "jterm:",
+    # one spelling per bound: jterm:2 has no bare alias; max is associative,
+    # so the grammar is flat and a nested max is refused
+    for bad in ("bogus", "jterm", "jterm:9", "jterm:1", "jterm3", "jtermX", "JTERM", "jterm:",
                 "jterm:x", "ONETREE", "max(zero,jterm2)", "max()", "max(zero,)",
                 "max(zero,max(onetree,jterm:3))", "max(max(zero))"):
         with pytest.raises(ValueError, match="unknown bound spec"):

@@ -103,7 +103,7 @@ def test_bad_root_and_bound_report_cleanly(tmp_path, capsys):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.stp"
-    bad.write_text("33D32945 STP\nSECTION Graph\nNodes 2\nEdges 1\nE 1 x 1\nEND\n")
+    bad.write_text(BAD_EDGE_LINE)
     assert main(["solve", str(bad)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "parse"
 
@@ -182,14 +182,17 @@ def test_misspelled_bound_or_root_is_refused_before_reading(tmp_path, capsys,
     assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
 
 
+INFEASIBLE = (
+    "33D32945 STP File, STP Format Version 1.0\n"
+    "SECTION Graph\nNodes 4\nEdges 2\nE 1 2 1\nE 3 4 1\nEND\n"
+    "SECTION Terminals\nTerminals 2\nT 1\nT 4\nEND\nEOF\n"
+)
+BAD_EDGE_LINE = "33D32945 STP\nSECTION Graph\nNodes 2\nEdges 1\nE 1 x 1\nEND\n"
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
-    text = (
-        "33D32945 STP File, STP Format Version 1.0\n"
-        "SECTION Graph\nNodes 4\nEdges 2\nE 1 2 1\nE 3 4 1\nEND\n"
-        "SECTION Terminals\nTerminals 2\nT 1\nT 4\nEND\nEOF\n"
-    )
     path = tmp_path / "inf.stp"
-    path.write_text(text)
+    path.write_text(INFEASIBLE)
     assert main(["solve", str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["error"] == "infeasible"
 
@@ -319,6 +322,87 @@ def test_validate_detects_removed_edge(tmp_path, capsys):
     assert main(["validate", str(path), str(out)]) == 1
     err = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert err["error"] in ("NotConnected", "MissingTerminal")
+
+
+def test_validate_compares_the_record_header_with_the_instance(tmp_path, capsys):
+    _, path = write_instance(tmp_path, 5, "t")
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    n, k = payload["n"], payload["k"]
+    # the instance name comes from the file name, so a renamed copy of the
+    # instance still validates
+    out.write_text(json.dumps(dict(payload, instance="other")))
+    assert main(["validate", str(path), str(out)]) == 0
+    capsys.readouterr()
+    out.write_text(json.dumps(dict(payload, n=999, k=42, instance="other")))
+    assert main(["validate", str(path), str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "mismatch",
+        "message": f"n: record 999 != instance {n}; k: record 42 != instance {k}"}
+
+
+def _points_file(tmp_path, points):
+    path = tmp_path / "p.txt"
+    path.write_text(f"{len(points[0])} {len(points)}\n"
+                    + "".join(" ".join(map(str, p)) + "\n" for p in points))
+    return path
+
+
+def _exit_case_argv(tmp_path, command, kind):
+    """The arguments of a run of ``command`` that ends in error ``kind``
+    (None: success)."""
+    if command == "hanan":
+        points = {None: [(0, 0), (5, 2), (3, 9)],
+                  # 20^6 vertices: over MAX_GRID_ITEMS, refused unbuilt
+                  "GridTooLarge": [(i,) * 6 for i in range(20)],
+                  # 64 distinct points on a 64-vertex line
+                  "parse": [(i, 0) for i in range(64)]}[kind]
+        return ["hanan", str(tmp_path / "g.stp"),
+                "--points", str(_points_file(tmp_path, points))]
+    _, path = write_instance(tmp_path, 5, "t")
+    if command == "validate":
+        sol = tmp_path / "sol.json"
+        assert main(["solve", str(path), "-o", str(sol)]) == 0
+        if kind == "parse":
+            path.write_text(BAD_EDGE_LINE)
+        elif kind == "mismatch":
+            sol.write_text(json.dumps(dict(json.loads(sol.read_text()), n=999)))
+        elif kind == "ValueError":
+            sol.write_text("{}")
+        return ["validate", str(path), str(sol)]
+    if kind == "parse":
+        path.write_text(BAD_EDGE_LINE)
+    elif kind == "infeasible":
+        path.write_text(INFEASIBLE)
+    elif kind in ("timeout", "memory"):
+        path = _write_big_instance(tmp_path, "big")
+        limit = ["--time-limit", "1e-9"] if kind == "timeout" else ["--mem-limit", "1"]
+        return ["solve", str(path), "--bound", "zero", "--prune", "off", *limit]
+    root = ["--root", "index:99"] if kind == "ValueError" else []
+    return ["solve", str(path), *root]
+
+
+@pytest.mark.parametrize("command, code, kind", [
+    ("solve", 0, None), ("solve", 1, "ValueError"), ("solve", 2, "parse"),
+    ("solve", 3, "infeasible"), ("solve", 4, "timeout"), ("solve", 5, "memory"),
+    ("validate", 0, None), ("validate", 1, "mismatch"), ("validate", 1, "ValueError"),
+    ("validate", 2, "parse"),
+    ("hanan", 0, None), ("hanan", 1, "GridTooLarge"), ("hanan", 2, "parse"),
+])
+def test_each_error_class_has_one_exit_code_in_every_command(tmp_path, capsys,
+                                                             command, code, kind):
+    argv = _exit_case_argv(tmp_path, command, kind)
+    capsys.readouterr()
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    if kind is None:
+        assert '"error"' not in out
+    else:
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == kind
 
 
 def test_hanan_single_point(tmp_path, capsys):
