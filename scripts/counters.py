@@ -3,13 +3,12 @@
 
 A unit is one instance of a perfbench workload, generated for seed 1 by
 ``perfbench/inputs.py``, solved under one of that workload's bounds with
-prune ``full`` and root ``last`` (or ``--root R``), as the benchmark
-solves it: 200 on ``hanan3d``, 48 x 6 on ``hanan2d_bounds`` and 24 on
-``lattice_cli``.  For each unit ``dump`` records the root rule, opt, the
-sorted tree edges and every integer ``SolveStats`` field; ``diff``
-compares two dumps.
+prune ``full`` and root ``last``, as the benchmark solves it: 200 on
+``hanan3d``, 48 x 6 on ``hanan2d_bounds`` and 24 on ``lattice_cli``.  For
+each unit ``dump`` records opt, the sorted tree edges and every integer
+``SolveStats`` field; ``diff`` compares two dumps.
 
-    python3 scripts/counters.py dump OUT.json [--src DIR] [--root R]
+    python3 scripts/counters.py dump OUT.json [--src DIR]
     python3 scripts/counters.py diff A.json B.json
 
 ``--src`` solves with the package under DIR/src, for example a parent
@@ -50,9 +49,9 @@ def unit_key(unit: tuple[str, int, str]) -> str:
     return "{}/{}/{}".format(*unit)
 
 
-def solve_units(selected, root: str = "last") -> dict[str, dict]:
-    """Solve each unit with the ``dsteiner`` on ``sys.path`` under root rule
-    ``root``; returns the record of each unit by its key."""
+def solve_units(selected) -> dict[str, dict]:
+    """Solve each unit with the ``dsteiner`` on ``sys.path``; returns the
+    record of each unit by its key."""
     import dsteiner
     from dsteiner.hanan import parse_points
 
@@ -65,18 +64,17 @@ def solve_units(selected, root: str = "last") -> dict[str, dict]:
                 parse_points(inputs.points_text(workload, SEED, i)))
         else:
             inst = dsteiner.parse_stp(inputs.lattice_stp_text(workload, SEED, i))
-        rec = dsteiner.solve(inst, bound=bound, prune="full", root_rule=root)
-        out = {"root": root, "opt": rec.opt,
-               "edges": sorted(sorted(e) for e in rec.edges)}
+        rec = dsteiner.solve(inst, bound=bound, prune="full")
+        out = {"opt": rec.opt, "edges": sorted(sorted(e) for e in rec.edges)}
         out.update((field, value) for field, value in vars(rec.stats).items()
                    if type(value) is int)
         records[unit_key((name, i, bound))] = out
     return records
 
 
-def dump(path: str, selected, root: str = "last") -> int:
+def dump(path: str, selected) -> int:
     t0 = time.perf_counter()
-    records = solve_units(selected, root)
+    records = solve_units(selected)
     with open(path, "w") as fh:
         json.dump(records, fh, indent=0, sort_keys=True)
     print(f"{len(records)} units solved in {time.perf_counter() - t0:.1f} s -> {path}")
@@ -116,8 +114,6 @@ def main(argv=None) -> int:
     p_dump.add_argument("out")
     p_dump.add_argument("--src", default=str(REPO_ROOT),
                         help="tree whose src/ holds the package to solve with")
-    p_dump.add_argument("--root", default="last",
-                        help="root rule every unit is solved under")
     p_diff = sub.add_parser("diff", help="name every unit and field that differ")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
@@ -129,7 +125,7 @@ def main(argv=None) -> int:
     import dsteiner
     if not Path(dsteiner.__file__).resolve().is_relative_to(src):
         ap.error(f"dsteiner was imported from {dsteiner.__file__}, not {src}")
-    return dump(args.out, units(), args.root)
+    return dump(args.out, units())
 
 
 if __name__ == "__main__":

@@ -47,17 +47,3 @@ def test_counter_diff_names_each_differing_unit_and_field(tmp_path):
         f"{hanan} pops: {records[hanan]['pops'] - 1} != {records[hanan]['pops']}",
         f"{lattice} edges: the trees differ",
         "2 of 3 units differ"]
-
-
-def test_counter_dump_records_the_root_rule(tmp_path):
-    counters = _counters()
-    unit = counters.units()[0]
-    key = counters.unit_key(unit)
-    dumps = {}
-    for root in ("last", "index:0"):
-        dumps[root] = tmp_path / f"{root.replace(':', '')}.json"
-        assert counters.dump(str(dumps[root]), [unit], root) == 0
-        assert json.loads(dumps[root].read_text())[key]["root"] == root
-    changed = _diff(dumps["last"], dumps["index:0"])
-    assert changed.returncode == 1
-    assert f"{key} root: last != index:0" in changed.stdout.splitlines()
