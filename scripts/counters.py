@@ -3,17 +3,20 @@
 
 A unit is one instance of a perfbench workload, generated for seed 1 by
 ``perfbench/inputs.py``, solved under one of that workload's bounds with
-prune ``full`` and root ``last``, as the benchmark solves it: 200 on
-``hanan3d``, 48 x 6 on ``hanan2d_bounds`` and 24 on ``lattice_cli``.  For
-each unit ``dump`` records opt, the sorted tree edges and every integer
-``SolveStats`` field; ``diff`` compares two dumps.
+prune ``full``: 200 on ``hanan3d``, 48 x 6 on ``hanan2d_bounds`` and 24 on
+``lattice_cli``.  For each unit ``dump`` records opt, the sorted tree edges
+and every integer ``SolveStats`` field; ``diff`` compares two dumps.
 
-    python3 scripts/counters.py dump OUT.json [--src DIR]
+    python3 scripts/counters.py dump OUT.json [--src DIR] [--root R]
     python3 scripts/counters.py diff A.json B.json
 
 ``--src`` solves with the package under DIR/src, for example a parent
 commit unpacked with ``git archive``; the inputs always come from this
 checkout's ``perfbench/inputs.py``, which is imported, not changed.
+``--root`` is the root rule every unit is solved under.  It defaults to
+``last``, the default of trees older than the ``medoid`` rule, so a dump
+of such a tree compares with a plain one; the benchmark itself solves
+under each tree's default.
 ``diff`` prints one line per differing unit and field and exits 1 if
 there is any, else 0.
 """
@@ -49,9 +52,9 @@ def unit_key(unit: tuple[str, int, str]) -> str:
     return "{}/{}/{}".format(*unit)
 
 
-def solve_units(selected) -> dict[str, dict]:
-    """Solve each unit with the ``dsteiner`` on ``sys.path``; returns the
-    record of each unit by its key."""
+def solve_units(selected, root_rule: str = "last") -> dict[str, dict]:
+    """Solve each unit under ``root_rule`` with the ``dsteiner`` on
+    ``sys.path``; returns the record of each unit by its key."""
     import dsteiner
     from dsteiner.hanan import parse_points
 
@@ -64,7 +67,7 @@ def solve_units(selected) -> dict[str, dict]:
                 parse_points(inputs.points_text(workload, SEED, i)))
         else:
             inst = dsteiner.parse_stp(inputs.lattice_stp_text(workload, SEED, i))
-        rec = dsteiner.solve(inst, bound=bound, prune="full")
+        rec = dsteiner.solve(inst, bound=bound, prune="full", root_rule=root_rule)
         out = {"opt": rec.opt, "edges": sorted(sorted(e) for e in rec.edges)}
         out.update((field, value) for field, value in vars(rec.stats).items()
                    if type(value) is int)
@@ -72,9 +75,9 @@ def solve_units(selected) -> dict[str, dict]:
     return records
 
 
-def dump(path: str, selected) -> int:
+def dump(path: str, selected, root_rule: str = "last") -> int:
     t0 = time.perf_counter()
-    records = solve_units(selected)
+    records = solve_units(selected, root_rule)
     with open(path, "w") as fh:
         json.dump(records, fh, indent=0, sort_keys=True)
     print(f"{len(records)} units solved in {time.perf_counter() - t0:.1f} s -> {path}")
@@ -114,6 +117,8 @@ def main(argv=None) -> int:
     p_dump.add_argument("out")
     p_dump.add_argument("--src", default=str(REPO_ROOT),
                         help="tree whose src/ holds the package to solve with")
+    p_dump.add_argument("--root", default="last",
+                        help="root rule every unit is solved under")
     p_diff = sub.add_parser("diff", help="name every unit and field that differ")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
@@ -125,7 +130,7 @@ def main(argv=None) -> int:
     import dsteiner
     if not Path(dsteiner.__file__).resolve().is_relative_to(src):
         ap.error(f"dsteiner was imported from {dsteiner.__file__}, not {src}")
-    return dump(args.out, units())
+    return dump(args.out, units(), args.root)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graph import validate_tree
 from .hanan import build_hanan_grid, generate_random_points, parse_points
-from .solver import PRUNE_MODES, parse_root_rule, solve
+from .solver import DEFAULT_ROOT_RULE, PRUNE_MODES, ROOT_RULES, parse_root_rule, solve
 from .stp import (
     CSV_HEADER,
     instance_name,
@@ -145,8 +145,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", default="onetree",
                    help=" | ".join(LEAF_SPECS + ("max(b1,b2,...)",)))
     p.add_argument("--prune", default="full", choices=PRUNE_MODES)
-    p.add_argument("--root", default="last",
-                   help="last | center | index:<i>")
+    p.add_argument("--root", default=DEFAULT_ROOT_RULE,
+                   help=" | ".join(ROOT_RULES + ("index:<i>",)))
     p.add_argument("--time-limit", type=float, default=7200.0, metavar="SECONDS")
     p.add_argument("--mem-limit", type=int, default=DEFAULT_MEM_LIMIT, metavar="BYTES")
 

@@ -39,10 +39,11 @@ from .stp import SolutionRecord
 
 # Memory-limit footprints, measured with tracemalloc on CPython 3.11: a heap
 # of 10^5 (key, cost, v, mask) tuples of fresh large ints grew 160 B per entry;
-# less that for the heap left at its end, the label loop grew 168-591 B per
-# label (median 248) on 40 3D Hanan grids with k=8 (onetree/full), and
-# 207-349 B (median 287) on 12 2D grids with k=12 under onetree and tsp, for
-# the three label maps, the prune tracker and the rows grown on demand.
+# less that for the heap left at its end, the label loop grew 145-329 B per
+# label (median 205) on 40 3D Hanan grids with k=8 (onetree/full), and
+# 233-386 B (median 272) on 12 2D grids with k=12 under onetree and tsp, for
+# the three label maps, the prune tracker and the rows grown on demand; all
+# under the default root, "medoid" ("last": 142-336 and 201-335 B).
 LABEL_BYTES = 250
 HEAP_ENTRY_BYTES = 160
 LIMIT_CHECK_INTERVAL = 1024
@@ -106,21 +107,42 @@ class PruneTracker:
                 self.witness[union] = new_s
 
 
+# the named root rules, besides "index:<i>"; the first is the default
+ROOT_RULES = ("medoid", "last", "center")
+DEFAULT_ROOT_RULE = ROOT_RULES[0]
+
+
 def parse_root_rule(rule: str) -> Optional[int]:
-    """The i of an ``index:<i>`` rule, None for "last" and "center";
+    """The i of an ``index:<i>`` rule, None for a named rule in ROOT_RULES;
     ValueError for any other spelling."""
-    if rule in ("last", "center"):
+    if rule in ROOT_RULES:
         return None
     if rule.startswith("index:") and rule[6:].isdecimal():
         return int(rule[6:])
     raise ValueError(f"unknown root rule {rule!r}")
 
 
-def choose_root(instance: SteinerInstance, rule: str = "last") -> int:
-    """Pick the root terminal per rule; returns an index into the terminal list."""
+def choose_root(
+    instance: SteinerInstance, rule: str = DEFAULT_ROOT_RULE,
+    pair: Optional[list[list[int]]] = None,
+) -> int:
+    """Pick the root terminal per rule; returns an index into the terminal list.
+
+    "medoid" takes the least summed distance to the other terminals, read
+    from ``pair`` (``DistanceOracle.pair`` of ``instance``, built here when
+    None), with ties to the smaller index.  Terminals at distance 0 are the
+    ones zero-edge contraction merges, so each group counts once and the
+    first of the chosen group is returned: the root ``solve`` picks on the
+    contracted instance, mapped back.
+    """
     index = parse_root_rule(rule)
     terminals = instance.terminals
     k = len(terminals)
+    if rule == "medoid":
+        if pair is None:
+            pair = DistanceOracle(instance.graph, terminals).pair
+        firsts = [j for j in range(k) if all(pair[i][j] for i in range(j))]
+        return min(range(k), key=lambda i: (sum(pair[i][j] for j in firsts), i))
     if rule == "last":
         return k - 1
     if rule == "center":
@@ -200,7 +222,7 @@ def solve(
     instance: SteinerInstance,
     bound: str = "onetree",
     prune: str = "full",
-    root_rule: str = "last",
+    root_rule: str = DEFAULT_ROOT_RULE,
     time_limit: Optional[float] = None,
     mem_limit: Optional[int] = None,
 ) -> SolutionRecord:
@@ -264,7 +286,7 @@ def _prepare(
     instance: SteinerInstance, bound: str, prune: str, root_rule: str,
     stats: SolveStats, limits: Limits,
 ) -> _Search:
-    """Root choice, zero-edge contraction, distance oracle, heuristic UB, bound.
+    """Zero-edge contraction, distance oracle, root choice, heuristic UB, bound.
 
     The oracle's rows start with no horizon, settled up to the terminals, so
     the root's row is the heuristic's first round.  The oracle then records
@@ -276,23 +298,30 @@ def _prepare(
     (see the bound classes).  Entries up to U are exact, and so is every
     terminal-to-terminal distance, since the heuristic tree joins each pair
     at cost <= U.  Prune "off" has no U and keeps full rows.
+
+    The root rule "medoid" reads the oracle's ``pair``, so it chooses on the
+    contracted instance; every other rule chooses on the original terminal
+    list, before contraction.
     """
     t = time.perf_counter()
-    root = instance.terminals[choose_root(instance, root_rule)]
+    root = (None if root_rule == "medoid"
+            else instance.terminals[choose_root(instance, root_rule)])
     reduced, cmap = contract_zero_edges(instance, limits=limits)
     # checked before the oracle first reads ``adj``
     limits.check_memory(reduced.m * ADJ_EDGE_BYTES, "adjacency")
-    if cmap is not None:
-        root = cmap.old_to_new[root]
-    root_idx = reduced.terminals.index(root)
-    full_mask = (1 << reduced.k) - 1
-    search = _Search(reduced, cmap, root, full_mask ^ (1 << root_idx))
+    terminals = reduced.terminals
     t = _lap(stats, "contract", t)
-    if not search.sources_mask:
-        return search
+    if reduced.k == 1:
+        return _Search(reduced, cmap, terminals[0], 0)
 
-    oracle = DistanceOracle(reduced.graph, reduced.terminals, limits=limits)
-    for v, d in zip(reduced.terminals, oracle.pair[root_idx]):
+    oracle = DistanceOracle(reduced.graph, terminals, limits=limits)
+    if root is None:
+        root_idx = choose_root(reduced, root_rule, oracle.pair)
+    else:
+        root_idx = terminals.index(root if cmap is None else cmap.old_to_new[root])
+    full_mask = (1 << reduced.k) - 1
+    search = _Search(reduced, cmap, terminals[root_idx], full_mask ^ (1 << root_idx))
+    for v, d in zip(terminals, oracle.pair[root_idx]):
         if d >= INF:
             raise Infeasible(f"terminal {v} unreachable from the root")
     t = _lap(stats, "oracle", t)

@@ -174,6 +174,7 @@ def test_bench_refuses_a_bad_limit_before_solving_any_row(tmp_path, capsys,
     (["--bound", "max(onetree,jterm4)"], "unknown bound spec 'jterm4'"),
     (["--root", "centre"], "unknown root rule 'centre'"),
     (["--root", "index:x"], "unknown root rule 'index:x'"),
+    (["--root", "medoids"], "unknown root rule 'medoids'"),
 ])
 @pytest.mark.parametrize("command", ["bench", "solve"])
 def test_misspelled_bound_or_root_is_refused_before_reading(tmp_path, capsys,
@@ -540,7 +541,8 @@ def test_bench_rows_match_header_width(tmp_path, capsys):
     assert len(rows) == 3
     assert all(len(row) == len(header) for row in rows)
     configs = [dict(zip(header, row))["config"] for row in rows]
-    assert configs[0] == configs[2] == "bound=max(jterm:2,onetree);prune=full;root=last"
+    assert configs[0] == configs[2] == (
+        "bound=max(jterm:2,onetree);prune=full;root=medoid")
 
 
 def test_bench_root_index_out_of_range_does_not_abort(tmp_path, capsys):
@@ -600,7 +602,8 @@ def _mutated_doc(draw):
     bound=st.sampled_from(["zero", "jterm:2", "onetree", "tsp",
                            "max(jterm:2,onetree)", "jterm:7", "max(", "tsp,zero"]),
     prune=st.sampled_from(["off", "bound", "full"]),
-    root=st.sampled_from(["last", "center", "index:0", "index:3", "index:-1", "index:x"]),
+    root=st.sampled_from(["medoid", "last", "center", "index:0", "index:3", "index:-1",
+                          "index:x"]),
 )
 @settings(max_examples=150, deadline=None)
 def test_solve_mutated_files_returns_documented_exit_codes(doc, bound, prune, root):

@@ -47,3 +47,22 @@ def test_counter_diff_names_each_differing_unit_and_field(tmp_path):
         f"{hanan} pops: {records[hanan]['pops'] - 1} != {records[hanan]['pops']}",
         f"{lattice} edges: the trees differ",
         "2 of 3 units differ"]
+
+
+def test_dump_root_moves_the_counters_but_not_opt(tmp_path, monkeypatch):
+    counters = _counters()
+    unit = counters.units()[0]
+    key = counters.unit_key(unit)
+    monkeypatch.setattr(counters, "units", lambda: [unit])
+    # main puts this checkout's src/ first on sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    dumps = {}
+    for rule in ("last", "medoid"):
+        out = tmp_path / f"{rule}.json"
+        assert counters.main(["dump", str(out), "--root", rule]) == 0
+        dumps[rule] = json.loads(out.read_text())[key]
+    assert dumps["medoid"]["opt"] == dumps["last"]["opt"]
+    assert dumps["medoid"]["pops"] != dumps["last"]["pops"]
+    default = tmp_path / "default.json"
+    assert counters.main(["dump", str(default)]) == 0
+    assert json.loads(default.read_text())[key] == dumps["last"]

@@ -135,11 +135,11 @@ def test_zero_edge_instances_all_configs(seed):
 
 
 def test_root_merged_by_contraction():
-    # the default root (last terminal) collapses into an earlier terminal
+    # root "last" (vertex 0) collapses into an earlier terminal
     g = Graph(5, [(0, 1, 0), (1, 2, 3), (2, 3, 0), (3, 4, 5)])
     inst = SteinerInstance(graph=g, terminals=[4, 3, 1, 0])
     for prune in PRUNES:
-        rec = solve(inst, prune=prune)
+        rec = solve(inst, prune=prune, root_rule="last")
         assert rec.opt == 8
         assert validate_tree(inst, rec.edges) == 8
 
@@ -147,9 +147,8 @@ def test_root_merged_by_contraction():
 @pytest.mark.parametrize("seed", range(8))
 def test_root_choice_does_not_change_optimum(seed):
     inst = random_instance(seed + 300, k_range=(2, 6))
-    costs = {
-        solve(inst, root_rule=f"index:{i}").opt for i in range(inst.k)
-    }
+    rules = [f"index:{i}" for i in range(inst.k)] + ["medoid"]
+    costs = {solve(inst, root_rule=rule).opt for rule in rules}
     assert len(costs) == 1
 
 
@@ -383,6 +382,47 @@ def test_choose_root_center_tie_breaks_by_smaller_vertex():
     assert choose_root(inst, "center") == 0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_choose_root_medoid_takes_least_row_sum(seed):
+    inst = random_instance(seed + 70, k_range=(3, 8))
+    sums = [sum(multi_source_dijkstra(inst.graph, [(t, 0)])[u] for u in inst.terminals)
+            for t in inst.terminals]
+    assert choose_root(inst, "medoid") == min(range(inst.k), key=lambda i: (sums[i], i))
+
+
+def test_choose_root_medoid_tie_breaks_by_smaller_index():
+    # on the path 0 - 1 - 2 the two ends tie at 2, and the smaller index
+    # wins, not the smaller vertex; with the middle in, it sums 2 against 3
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    assert choose_root(SteinerInstance(graph=g, terminals=[2, 0]), "medoid") == 0
+    assert choose_root(SteinerInstance(graph=g, terminals=[2, 1, 0]), "medoid") == 1
+    # a given pair matrix is read as it is
+    inst = SteinerInstance(graph=g, terminals=[0, 1, 2])
+    assert choose_root(inst, "medoid", [[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == 0
+    assert choose_root(inst, "medoid", [[0, 2, 1], [2, 0, 1], [1, 1, 0]]) == 2
+
+
+def test_medoid_counts_terminals_merged_by_contraction_once(monkeypatch):
+    # terminals 0 and 1 merge; on the contracted path A=0, B=4, C=6 the sums
+    # are 10, 6 and 8, so B wins.  Counting A twice would tie A, A' and B
+    # at 10 and pick A.
+    g = Graph(4, [(0, 1, 0), (1, 2, 4), (2, 3, 2)])
+    inst = SteinerInstance(graph=g, terminals=[0, 1, 2, 3])
+    assert choose_root(inst, "medoid") == 2
+    roots = []
+    make = solver.make_bound
+
+    def recorded(spec, reduced, root_idx, *args, **kwargs):
+        roots.append(reduced.terminals[root_idx])
+        return make(spec, reduced, root_idx, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "make_bound", recorded)
+    rec = solve(inst)
+    _, cmap = contract_zero_edges(inst)
+    assert roots == [cmap.old_to_new[2]]
+    assert rec.opt == validate_tree(inst, rec.edges) == 6
+
+
 def test_center_requires_coordinates():
     inst = random_instance(61)
     with pytest.raises(CenterRuleNeedsCoordinates):
@@ -393,6 +433,7 @@ def test_single_terminal_any_rule():
     g = Graph(2, [(0, 1, 1)])
     inst = SteinerInstance(graph=g, terminals=[1])
     assert choose_root(inst, "last") == 0
+    assert choose_root(inst, "medoid") == 0
     assert choose_root(inst, "index:0") == 0
 
 
@@ -576,7 +617,7 @@ def path_instance():
 def test_inconsistent_bound_raises_internal_error(monkeypatch):
     monkeypatch.setattr(solver, "make_bound", lambda *args, **kwargs: InconsistentBound())
     with pytest.raises(InternalError, match="not consistent"):
-        solve(path_instance(), prune="off")
+        solve(path_instance(), prune="off", root_rule="last")
 
 
 def test_inconsistent_bound_raises_internal_error_under_python_O():
@@ -584,7 +625,7 @@ def test_inconsistent_bound_raises_internal_error_under_python_O():
         "import sys, test_solver as t\n"
         "if __debug__: sys.exit('assertions are enabled')\n"
         "t.solver.make_bound = lambda *args, **kwargs: t.InconsistentBound()\n"
-        "t.solve(t.path_instance(), prune='off')\n"
+        "t.solve(t.path_instance(), prune='off', root_rule='last')\n"
     )
     src = os.path.dirname(os.path.dirname(dsteiner.__file__))
     tests = os.path.dirname(__file__)
@@ -628,8 +669,9 @@ def test_corrupted_reconstruction_raises_internal_error(monkeypatch, corrupt):
 
 
 # (seed, bound) -> (opt, labels_created, pops, heap_pushes) under prune="full"
-# on random_instance(seed, n_range=(15, 25), k_range=(5, 7)).  A hot-path
-# change must keep these; only a change to pruning or bounds may lower them.
+# and root "last" on random_instance(seed, n_range=(15, 25), k_range=(5, 7)).
+# A hot-path change must keep these; only a change to pruning, bounds or the
+# root may lower them.
 PINNED_COUNTERS = {
     (300, "zero"): (91, 121, 121, 150),
     (300, "onetree"): (91, 90, 90, 92),
@@ -655,7 +697,7 @@ PINNED_COUNTERS = {
 @pytest.mark.parametrize("seed, bound", list(PINNED_COUNTERS))
 def test_pinned_counters(seed, bound):
     inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
-    rec = solve(inst, bound=bound, prune="full")
+    rec = solve(inst, bound=bound, prune="full", root_rule="last")
     st = rec.stats
     got = (rec.opt, st.labels_created, st.pops, st.heap_pushes)
     assert got == PINNED_COUNTERS[seed, bound]
@@ -664,8 +706,9 @@ def test_pinned_counters(seed, bound):
 # (seed, bound, prune) -> (opt, labels_created, pops, heap_pushes,
 # pruned_at_creation, pruned_at_pop, distinct (v, J) bound queries) on the
 # instances of PINNED_COUNTERS, under both pruning modes that read the
-# bound; recorded before the label store became per-vertex maps, when a
-# per-vertex cache made bound_evaluations count the distinct queries.
+# bound and root "last"; recorded before the label store became per-vertex
+# maps, when a per-vertex cache made bound_evaluations count the distinct
+# queries.
 PINNED_COUNTERS_ALL_MODES = {
     (300, "zero", "bound"): (91, 1411, 1397, 2304, 2829, 0, 1411),
     (300, "zero", "full"): (91, 121, 121, 150, 241, 0, 121),
@@ -727,14 +770,15 @@ def _pinned_outcome(monkeypatch, inst, **kwargs):
 @pytest.mark.parametrize("seed, bound, prune", list(PINNED_COUNTERS_ALL_MODES))
 def test_pinned_counters_all_modes(seed, bound, prune, monkeypatch):
     inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
-    got = _pinned_outcome(monkeypatch, inst, bound=bound, prune=prune)
+    got = _pinned_outcome(monkeypatch, inst, bound=bound, prune=prune,
+                          root_rule="last")
     assert got == PINNED_COUNTERS_ALL_MODES[seed, bound, prune]
 
 
 # (seed, prune) -> (opt, labels_created, pops, heap_pushes, pruned_at_creation,
-# pruned_at_pop, distinct (v, J) bound queries) under the tsp bound on the
-# instances of PINNED_COUNTERS; recorded before the TSP path table became a
-# root-anchored pull recurrence over flat lists.
+# pruned_at_pop, distinct (v, J) bound queries) under the tsp bound and root
+# "last" on the instances of PINNED_COUNTERS; recorded before the TSP path
+# table became a root-anchored pull recurrence over flat lists.
 PINNED_COUNTERS_TSP = {
     (300, "bound"): (91, 41, 41, 42, 114, 0, 139),
     (300, "full"): (91, 37, 37, 38, 103, 0, 58),
@@ -754,8 +798,46 @@ PINNED_COUNTERS_TSP = {
 @pytest.mark.parametrize("seed, prune", list(PINNED_COUNTERS_TSP))
 def test_pinned_counters_tsp(seed, prune, monkeypatch):
     inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
-    got = _pinned_outcome(monkeypatch, inst, bound="tsp", prune=prune)
+    got = _pinned_outcome(monkeypatch, inst, bound="tsp", prune=prune,
+                          root_rule="last")
     assert got == PINNED_COUNTERS_TSP[seed, prune]
+
+
+# (seed, bound) -> the columns of PINNED_COUNTERS_ALL_MODES under prune "full"
+# and the default root rule, "medoid", on the instances of PINNED_COUNTERS.
+PINNED_COUNTERS_MEDOID = {
+    (300, "zero"): (91, 81, 81, 97, 216, 0, 81),
+    (300, "onetree"): (91, 67, 67, 69, 198, 0, 80),
+    (300, "jterm:2"): (91, 54, 54, 55, 145, 0, 74),
+    (300, "tsp"): (91, 36, 36, 36, 97, 0, 55),
+    (301, "zero"): (60, 68, 68, 77, 104, 5, 68),
+    (301, "onetree"): (60, 56, 41, 64, 75, 0, 57),
+    (301, "jterm:2"): (60, 53, 38, 58, 62, 0, 59),
+    (301, "tsp"): (60, 44, 21, 44, 45, 0, 47),
+    (302, "zero"): (80, 45, 45, 47, 95, 0, 45),
+    (302, "onetree"): (80, 38, 38, 39, 88, 0, 43),
+    (302, "jterm:2"): (80, 34, 34, 34, 74, 0, 40),
+    (302, "tsp"): (80, 24, 24, 24, 61, 0, 33),
+    (303, "zero"): (46, 48, 48, 54, 133, 0, 48),
+    (303, "onetree"): (46, 38, 38, 38, 128, 0, 48),
+    (303, "jterm:2"): (46, 19, 19, 19, 72, 0, 33),
+    (303, "tsp"): (46, 19, 19, 19, 72, 0, 33),
+    (304, "zero"): (37, 42, 42, 47, 125, 0, 42),
+    (304, "onetree"): (37, 40, 40, 41, 117, 0, 42),
+    (304, "jterm:2"): (37, 36, 36, 40, 104, 0, 40),
+    (304, "tsp"): (37, 23, 23, 23, 84, 0, 31),
+    (305, "zero"): (49, 95, 95, 104, 213, 0, 95),
+    (305, "onetree"): (49, 67, 67, 70, 188, 0, 88),
+    (305, "jterm:2"): (49, 56, 56, 58, 172, 0, 80),
+    (305, "tsp"): (49, 43, 43, 45, 140, 0, 67),
+}
+
+
+@pytest.mark.parametrize("seed, bound", list(PINNED_COUNTERS_MEDOID))
+def test_pinned_counters_medoid(seed, bound, monkeypatch):
+    inst = random_instance(seed, n_range=(15, 25), k_range=(5, 7))
+    got = _pinned_outcome(monkeypatch, inst, bound=bound, prune="full")
+    assert got == PINNED_COUNTERS_MEDOID[seed, bound]
 
 
 def test_memory_estimate_tracks_measured_growth():
@@ -842,4 +924,4 @@ def test_record_carries_instance_shape():
     )
     assert rec.labels == rec.stats.labels_created
     assert rec.time_ms > 0
-    assert rec.config == "bound=onetree;prune=full;root=last"
+    assert rec.config == "bound=onetree;prune=full;root=medoid"
