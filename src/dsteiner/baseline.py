@@ -94,7 +94,7 @@ def solve_baseline(instance: SteinerInstance, root_index: Optional[int] = None) 
     """Exact optimum cost and tree, straight subset DP over the sources.
 
     ``root_index`` indexes into the terminal list; defaults to the last
-    terminal, mirroring the main solver's default.
+    terminal.
     """
     k = instance.k
     if k > ORACLE_TERMINAL_CAP:

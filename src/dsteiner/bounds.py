@@ -74,11 +74,7 @@ class OneTreeBound(BoundOracle):
     """Half of (cheapest 1-tree through v over the distance graph of J).
 
     Doubled value: min over i, j in J (distinct unless |J| = 1) of
-    d(v,i) + d(v,j), plus mst(J), which is computed once per set.  Over
-    rows capped at a horizon U the value is exact or INF: when the
-    second-nearest terminal b of J lies beyond U, mst(J) >= d(a,b) >=
-    d(v,b) - d(v,a) puts the true value at 2*d(v,b) > 2*U or more, which
-    prunes the label just the same.
+    d(v,i) + d(v,j), plus mst(J), which is computed once per set.
     """
 
     def __init__(self, oracle: DistanceOracle):
@@ -119,18 +115,19 @@ class JTermBound(BoundOracle):
     v-dependent scan over the stored arrays and a per-set maximum, which is
     computed with the set's list of arrays to scan on its first query.
 
-    The arrays stop at the oracle's horizon U, as its rows do: an entry is
-    exact wherever smt({v} | S) <= U, since every tree that cheap is built
-    from parts no costlier, and INF elsewhere.  An INF entry makes the value
-    INF: the true value 2*B(v, J) >= 2*smt({v} | S) > 2*U prunes the label
-    anyway.  The arrays read whole rows, which ``oracle.complete()`` runs
-    out as far as U, each array's Dijkstra stopping there too.  ``limits``
-    is checked for the sizes of the arrays before the build and for time
-    after each array's Dijkstra run.
+    The arrays stop at ``upper``, the cost U of a known tree (INF for
+    none): an entry is exact wherever smt({v} | S) <= U, since every tree
+    that cheap is built from parts no costlier, and INF elsewhere.  An INF
+    entry makes the value INF: the true value 2*B(v, J) >= 2*smt({v} | S)
+    > 2*U prunes the label anyway.  The arrays read whole rows, which
+    ``oracle.complete(upper)`` runs out as far as U, each array's Dijkstra
+    stopping there too.  ``limits`` is checked for the sizes of the arrays
+    before the build and for time after each array's Dijkstra run.
     """
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
-                 root_index: int, j: int, *, limits: Limits = NO_LIMITS):
+                 root_index: int, j: int, *, upper: int = INF,
+                 limits: Limits = NO_LIMITS):
         super().__init__()
         if j not in (2, 3):
             raise ValueError(f"jterm bound supports j in 2..3, got {j}")
@@ -153,8 +150,7 @@ class JTermBound(BoundOracle):
         n = graph.n
         built = sum(1 for mask in family if mask & (mask - 1))
         limits.check_memory(built * n * ROW_SLOT_BYTES, "jterm table")
-        rows = oracle.complete()
-        horizon = oracle.horizon
+        rows = oracle.complete(upper)
         tables: dict[int, Sequence[int]] = {}
         for mask in family:
             if mask & (mask - 1) == 0:
@@ -173,7 +169,7 @@ class JTermBound(BoundOracle):
                             arr[v] = c
                 sub = (sub - 1) & mask
             seeds = [(v, c) for v, c in enumerate(arr) if c < INF]
-            tables[mask] = multi_source_dijkstra(graph, seeds, horizon)
+            tables[mask] = multi_source_dijkstra(graph, seeds, upper)
             limits.check_time("while building the jterm tables")
         self.tables = tables
 
@@ -218,9 +214,6 @@ class TspBound(BoundOracle):
     the triangle inequality.  The root alone is the end pair (r, r) of an
     empty path.  The table has 2^(k-1) * k^2 slots: ``limits`` is checked
     for its size before the build and for time once per set during it.
-    Over rows capped at a horizon U, an end pair with an INF row drops out;
-    if some terminal t of J lies beyond U, every candidate left is still a
-    tour through v and t, so the value stays above 2*d(v,t) > 2*U and prunes.
     """
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
@@ -329,24 +322,26 @@ def _leaf(spec: str) -> str:
 
 
 def make_bound(spec: str, instance: SteinerInstance, root_index: int,
-               oracle: DistanceOracle, *, limits: Limits = NO_LIMITS) -> BoundOracle:
+               oracle: DistanceOracle, *, upper: int = INF,
+               limits: Limits = NO_LIMITS) -> BoundOracle:
     """Build a bound evaluator from its selection string.
 
     ``limits`` bounds the jterm and TSP table builds.  The jterm tables stop
-    at the oracle's horizon.
+    at the horizon ``upper``, the cost of a known tree (INF for none).
     """
     parsed = parse_bound_spec(spec)
     if isinstance(parsed, list):
-        return MaxBound([_build(leaf, instance, root_index, oracle, limits)
+        return MaxBound([_build(leaf, instance, root_index, oracle, upper, limits)
                          for leaf in parsed])
-    return _build(parsed, instance, root_index, oracle, limits)
+    return _build(parsed, instance, root_index, oracle, upper, limits)
 
 
-def _build(leaf, instance, root_index, oracle, limits) -> BoundOracle:
+def _build(leaf, instance, root_index, oracle, upper, limits) -> BoundOracle:
     if leaf == "zero":
         return ZeroBound()
     if leaf == "onetree":
         return OneTreeBound(oracle)
     if leaf == "tsp":
         return TspBound(instance, oracle, root_index, limits=limits)
-    return JTermBound(instance, oracle, root_index, int(leaf[6:]), limits=limits)
+    return JTermBound(instance, oracle, root_index, int(leaf[6:]), upper=upper,
+                      limits=limits)

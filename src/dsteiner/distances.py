@@ -43,25 +43,20 @@ _GROWING = "while growing the distance oracle's rows"
 
 class _Columns(dict):
     """Vertex -> tuple of the exact distances from every terminal, built on
-    first read by growing each row that is not yet exact at the vertex.
-    Growth stops at ``horizon``, and an entry beyond it reads as INF."""
+    first read by growing each row that is not yet exact at the vertex."""
 
     def __init__(self, searches: list[ResumableDijkstra], limits: Limits):
         self._searches = searches
         self._limits = limits
-        self.horizon = INF
 
     def __missing__(self, v: int) -> tuple[int, ...]:
-        horizon = self.horizon
         col = []
         for search in self._searches:
-            # an entry beyond the horizon stays tentative, so it reads as INF
             heap, dist = search.heap, search.dist
-            if heap and horizon >= heap[0][0] < dist[v]:
-                search.settle(v, horizon)
+            if heap and heap[0][0] < dist[v]:
+                search.settle(v)
                 self._limits.check_time(_GROWING)
-            d = dist[v]
-            col.append(d if d <= horizon else INF)
+            col.append(dist[v])
         col = self[v] = tuple(col)
         return col
 
@@ -74,12 +69,11 @@ class DistanceOracle:
     ``v``, indexed by terminal; its first read grows one resumable Dijkstra
     per terminal as far as ``v`` needs.  ``pair`` and ``mst_cost`` read the
     terminals' columns, built at construction, so each row starts settled
-    up to the terminals, with no horizon until ``cap_rows`` records one for
-    the columns to stop growth at; no row is ever rewritten.
-    ``root_search(i)`` hands terminal i's search to the heuristic, and
-    ``complete()`` runs the rows out.  ``limits`` is checked for the size
-    of k full rows, their frontiers and the columns before the build, and
-    for time after each row's growth.
+    up to the terminals; no row is ever rewritten.  ``root_search(i)``
+    hands terminal i's search to the heuristic, and ``complete()`` runs
+    the rows out.  ``limits`` is checked for the size of k full rows,
+    their frontiers and the columns before the build, and for time after
+    each row's growth.
     """
 
     def __init__(self, graph: Graph, terminals: Sequence[int], *,
@@ -103,22 +97,12 @@ class DistanceOracle:
         """Terminal i's search, for the heuristic to copy with ``joined``."""
         return self._searches[i]
 
-    @property
-    def horizon(self) -> int:
-        """U once ``cap_rows`` has set it, else INF."""
-        return self.columns.horizon
-
-    def cap_rows(self, horizon: int) -> None:
-        """Stop every row at ``horizon``, which is at least every pair
-        distance, so no column read so far holds an entry beyond it."""
-        self.columns.horizon = horizon
-
-    def complete(self) -> list[list[int]]:
-        """Run every row out as far as the horizon; returns the rows,
+    def complete(self, horizon: int = INF) -> list[list[int]]:
+        """Run every row out as far as ``horizon``; returns the rows,
         indexed by terminal, with every entry beyond it INF."""
         rows = []
         for search in self._searches:
-            rows.append(search.drain(self.horizon))
+            rows.append(search.drain(horizon))
             self._limits.check_time(_GROWING)
         return rows
 

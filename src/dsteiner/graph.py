@@ -135,10 +135,7 @@ class ResumableDijkstra:
     as its reader asks, and resumes from its frontier on the next request.
 
     ``dist`` is the distance row, every entry starting at INF, and ``heap``
-    the frontier (a binary heap with lazy deletion).  A horizon passed to
-    ``settle`` or ``drain`` only stops the growth: no key above it is
-    popped, and entries beyond it stay upper bounds that a later request
-    may lower.
+    the frontier (a binary heap with lazy deletion).
     """
 
     __slots__ = ("dist", "heap", "_adj")
@@ -155,11 +152,9 @@ class ResumableDijkstra:
         self.heap = heap
         self._adj = graph.adj
 
-    def settle(self, target: int, horizon: int = INF) -> None:
-        """Grow the row until its entry at ``target`` is exact or no
-        frontier key at or below ``horizon`` is left: an entry at or below
-        ``horizon`` is then exact."""
-        self._grow(horizon, self.dist, target)
+    def settle(self, target: int) -> None:
+        """Grow the row until its entry at ``target`` is exact."""
+        self._grow(INF, self.dist, target)
 
     def joined(self, sources: Iterable[int]) -> "ResumableDijkstra":
         """A copy of this search with ``sources`` added as seeds at distance
@@ -177,7 +172,9 @@ class ResumableDijkstra:
 
     def drain(self, horizon: int = INF) -> list[int]:
         """Run the search out as far as ``horizon``; returns a copy of the
-        row with every entry beyond ``horizon`` INF."""
+        row with every entry beyond ``horizon`` INF.  No key above it is
+        popped, so those entries stay upper bounds that a later request may
+        lower."""
         # every key is below INF, so only the horizon stops the growth
         self._grow(horizon, (INF,), 0)
         return [d if d <= horizon else INF for d in self.dist]

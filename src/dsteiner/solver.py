@@ -169,11 +169,11 @@ def heuristic_upper_bound(
     shortest path to the component grown from the root.
 
     Each round settles every remaining terminal in a resumable Dijkstra from
-    the component: the first in ``root_search``, a search from the root with
-    no horizon (in ``solve`` the oracle's root row, already settled up to
-    every terminal), or a new one; each later one in a copy of the last
-    round's search joined with the new path, so only the first round can
-    grow ``root_search``.  Ties go to the smallest ``(distance, vertex)``:
+    the component: the first in ``root_search``, a search from the root (in
+    ``solve`` the oracle's root row, already settled up to every terminal),
+    or a new one; each later one in a copy of the last round's search
+    joined with the new path, so only the first round can grow
+    ``root_search``.  Ties go to the smallest ``(distance, vertex)``:
     the nearest terminal, and along its path the tight neighbour a fresh
     multi-source Dijkstra would have settled first.  The walk back along
     a path needs positive costs, so a zero-cost edge is a ValueError:
@@ -288,16 +288,11 @@ def _prepare(
 ) -> _Search:
     """Zero-edge contraction, distance oracle, root choice, heuristic UB, bound.
 
-    The oracle's rows start with no horizon, settled up to the terminals, so
-    the root's row is the heuristic's first round.  The oracle then records
-    the heuristic's cost U as its horizon, in O(1).  A vertex farther than U
-    from some terminal lies in no tree of cost <= U, so no label there can
-    be part of a tree the search still needs: the rows stop growing at
-    distance U and read as INF beyond it, the jterm tables stop there too,
-    and every bound reads an INF entry as a value that prunes the label
-    (see the bound classes).  Entries up to U are exact, and so is every
-    terminal-to-terminal distance, since the heuristic tree joins each pair
-    at cost <= U.  Prune "off" has no U and keeps full rows.
+    The oracle's rows start settled up to the terminals, so the root's row
+    is the heuristic's first round.  Its cost U is the horizon of the jterm
+    tables, the one bound that runs whole rows out: an entry beyond U is
+    INF, a value that prunes the label (see ``JTermBound``).  Prune "off"
+    has no U, so the tables run out in full.
 
     The root rule "medoid" reads the oracle's ``pair``, so it chooses on the
     contracted instance; every other rule chooses on the original terminal
@@ -325,14 +320,15 @@ def _prepare(
         if d >= INF:
             raise Infeasible(f"terminal {v} unreachable from the root")
     t = _lap(stats, "oracle", t)
+    upper = INF
     if prune != "off":
         upper, _ = heuristic_upper_bound(reduced, root_idx, limits=limits,
                                          root_search=oracle.root_search(root_idx))
-        oracle.cap_rows(upper)
         stats.upper_bound = upper
         search.upper2 = 2 * upper
         t = _lap(stats, "heuristic", t)
-    search.bound = make_bound(bound, reduced, root_idx, oracle, limits=limits)
+    search.bound = make_bound(bound, reduced, root_idx, oracle, upper=upper,
+                              limits=limits)
     if prune == "full":
         search.tracker = PruneTracker(oracle, full_mask)
     _lap(stats, "bound", t)

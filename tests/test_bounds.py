@@ -373,10 +373,9 @@ def test_capped_jterm_tables_are_full_tables_up_to_upper_bound(zero_edges):
     for inst, upper in capped_cases(zero_edges):
         full_oracle = DistanceOracle(inst.graph, inst.terminals)
         oracle = DistanceOracle(inst.graph, inst.terminals)
-        oracle.cap_rows(upper)
         for j in (2, 3):
             full = JTermBound(inst, full_oracle, inst.k - 1, j)
-            capped = JTermBound(inst, oracle, inst.k - 1, j)
+            capped = JTermBound(inst, oracle, inst.k - 1, j, upper=upper)
             assert capped.tables.keys() == full.tables.keys()
             for mask, table in full.tables.items():
                 row = list(capped.tables[mask])
@@ -385,20 +384,39 @@ def test_capped_jterm_tables_are_full_tables_up_to_upper_bound(zero_edges):
     assert beyond > 0
 
 
+def test_solve_caps_jterm_tables_at_its_upper_bound(monkeypatch):
+    # terminals in a 6x6 corner of a 48x48 lattice: a solve's jterm:3
+    # tables stop at the heuristic's cost U, so most of their entries, far
+    # from the terminals, are never reached (94% measured; full tables
+    # have none)
+    inst = lattice_instance(48, 8, seed=2, window=6)
+    built = []
+    make = solver.make_bound
+
+    def keep(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "make_bound", keep)
+    solve(inst, bound="jterm:3")
+    tables = built[0].tables.values()
+    entries = sum(len(table) for table in tables)
+    assert sum(list(table).count(INF) for table in tables) > 0.8 * entries
+
+
 @pytest.mark.parametrize("zero_edges", [0, 3])
 def test_capped_bounds_prune_exactly_as_full_bounds(zero_edges):
     # a label is pruned when its key 2*cost + 2*B exceeds 2*U: every bound
-    # over capped rows must equal the full-row value wherever that is at
-    # most 2*U, and exceed 2*U wherever the full-row value does
+    # built with U must equal the full-table value wherever that is at
+    # most 2*U, and exceed 2*U wherever the full-table value does
     specs = ALL_SPECS + ["jterm:3"]
     for inst, upper in capped_cases(zero_edges):
         root = inst.k - 1
         full_oracle = DistanceOracle(inst.graph, inst.terminals)
         oracle = DistanceOracle(inst.graph, inst.terminals)
-        oracle.cap_rows(upper)
         for spec in specs:
             full = make_bound(spec, inst, root, full_oracle)
-            capped = make_bound(spec, inst, root, oracle)
+            capped = make_bound(spec, inst, root, oracle, upper=upper)
             for jmask in range(1 << root, 1 << inst.k):
                 for v in range(inst.n):
                     want = full.value2(v, jmask)

@@ -10,7 +10,7 @@ from dsteiner.distances import (
     ROW_SLOT_BYTES,
 )
 from dsteiner.errors import Limits, MemoryLimit
-from dsteiner.graph import INF, ResumableDijkstra
+from dsteiner.graph import INF
 
 from gen import (
     capped_cases,
@@ -114,7 +114,7 @@ def test_vertex_to_set_distance_skips_unreachable_terminals():
     assert oracle.vertex_to_set_distance(2, 0b111) == (1, 2)
 
 
-# --- rows capped at the heuristic's upper bound ---
+# --- rows run out as far as the heuristic's upper bound ---
 
 @pytest.mark.parametrize("zero_edges", [0, 3])
 def test_capped_rows_are_full_rows_up_to_upper_bound(zero_edges):
@@ -122,51 +122,34 @@ def test_capped_rows_are_full_rows_up_to_upper_bound(zero_edges):
     for inst, upper in capped_cases(zero_edges):
         full = DistanceOracle(inst.graph, inst.terminals)
         capped = DistanceOracle(inst.graph, inst.terminals)
-        capped.cap_rows(upper)
-        for full_row, row in zip(full.complete(), capped.complete()):
+        for full_row, row in zip(full.complete(), capped.complete(upper)):
             assert row == [d if d <= upper else INF for d in full_row]
             beyond += row.count(INF)
-        # the heuristic tree joins every terminal pair at cost <= U
-        assert capped.pair == full.pair
+            # the heuristic tree joins every terminal pair at cost <= U
+            assert all(row[t] <= upper for t in inst.terminals)
     assert beyond > 0
 
 
 @pytest.mark.parametrize("zero_edges", [0, 3])
 def test_columns_read_before_completion_are_final(zero_edges):
-    # a column read while the capped rows are still growing already holds
-    # the finished rows' entries, and never the rows' limit (horizon + 1)
+    # a column read while the rows are still growing already holds the
+    # full rows' entries, and so does one read after the rows were run out
+    # only as far as U, as the jterm build does
     rng = random.Random(zero_edges)
     read = 0
     for inst, upper in capped_cases(zero_edges):
         oracle = DistanceOracle(inst.graph, inst.terminals)
-        oracle.cap_rows(upper)
         order = rng.sample(range(inst.n), inst.n // 2)
         early = {v: oracle.columns[v] for v in order}
-        rows = oracle.complete()
+        oracle.complete(upper)
+        rows = [multi_source_dijkstra(inst.graph, [(t, 0)]) for t in inst.terminals]
         for v in range(inst.n):
             col = oracle.columns[v]
             assert col == tuple(row[v] for row in rows), v
-            assert upper + 1 not in col, v
             if v in early:
                 assert early[v] == col, v
         read += len(early)
     assert read
-
-
-@pytest.mark.parametrize("zero_edges", [0, 3])
-def test_rows_stop_growing_at_the_horizon(zero_edges):
-    # reading every column, vertices beyond U included, pops each row's
-    # keys up to U and none beyond: its entries are those of a fresh search
-    # drained to U, tentative ones above U included
-    for inst, upper in capped_cases(zero_edges):
-        oracle = DistanceOracle(inst.graph, inst.terminals)
-        oracle.cap_rows(upper)
-        for v in range(inst.n):
-            oracle.columns[v]
-        for t, search in zip(inst.terminals, oracle._searches):
-            fresh = ResumableDijkstra(inst.graph, [(t, 0)])
-            fresh.drain(upper)
-            assert search.dist == fresh.dist, t
 
 
 def test_row_estimate_tracks_measured_growth():
@@ -228,7 +211,7 @@ SPECS = ["zero", "jterm:2", "jterm:3", "onetree", "tsp", "max(jterm:2,onetree)"]
 
 
 @pytest.mark.parametrize("zero_edges", [0, 3])
-def test_settled_entries_equal_full_rows_capped_after_solves(monkeypatch, zero_edges):
+def test_settled_entries_equal_full_rows_after_solves(monkeypatch, zero_edges):
     cases = [random_instance(seed + 1500, zero_edges=zero_edges) for seed in range(10)]
     cases += [lattice_instance(16, 5, seed, cost_range=(0 if zero_edges else 1, 9),
                                window=5) for seed in range(3)]
@@ -239,13 +222,10 @@ def test_settled_entries_equal_full_rows_capped_after_solves(monkeypatch, zero_e
                 rec, oracle = _solve_keeping_oracle(monkeypatch, inst, bound=spec,
                                                     prune=prune)
                 graph = solver.contract_zero_edges(inst)[0].graph
-                upper = oracle.horizon
-                assert upper == rec.stats.upper_bound
                 for i, t in enumerate(oracle.terminals):
                     full = multi_source_dijkstra(graph, [(t, 0)])
                     for v, col in oracle.columns.items():
-                        assert col[i] == (full[v] if full[v] <= upper else INF), (
-                            spec, prune, v)
+                        assert col[i] == full[v], (spec, prune, v)
                         checked += 1
     assert checked
 
@@ -282,7 +262,6 @@ def test_clustered_lattice_solve_leaves_most_entries_ungrown(monkeypatch):
     # most of the grid
     inst = lattice_instance(48, 8, seed=2, window=6)
     rec, oracle = _solve_keeping_oracle(monkeypatch, inst)
-    assert oracle.horizon < INF
     ungrown = sum(s.dist.count(INF) for s in oracle._searches)
     assert ungrown > 0.5 * oracle.k * inst.n
     assert len(oracle.columns) < 0.5 * inst.n
@@ -291,8 +270,8 @@ def test_clustered_lattice_solve_leaves_most_entries_ungrown(monkeypatch):
 def test_row_and_frontier_estimate_tracks_measured_peak():
     # traced peak while columns are read outward from a terminal, as the
     # label loop does, and after the rows are run out and every column is
-    # read (rows capped at a horizon hold fewer distances, and the check
-    # errs high for them)
+    # read (rows run out only as far as the jterm build's horizon hold
+    # fewer distances, and the check errs high for them)
     import tracemalloc
 
     inst = lattice_instance(40, 6, seed=3, window=10)

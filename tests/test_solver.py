@@ -875,9 +875,14 @@ def test_memory_estimate_tracks_measured_growth():
 
 
 def _solve_with_full_rows(monkeypatch, inst, **kwargs):
-    """solve() with the distance oracle's rows never capped."""
+    """solve() with the bound's tables never capped at U."""
+    make = solver.make_bound
+
+    def uncapped(*args, upper, **kw):
+        return make(*args, **kw)
+
     with monkeypatch.context() as m:
-        m.setattr(DistanceOracle, "cap_rows", lambda self, horizon: None)
+        m.setattr(solver, "make_bound", uncapped)
         return solve(inst, **kwargs)
 
 
