@@ -13,10 +13,8 @@ and every integer ``SolveStats`` field; ``diff`` compares two dumps.
 ``--src`` solves with the package under DIR/src, for example a parent
 commit unpacked with ``git archive``; the inputs always come from this
 checkout's ``perfbench/inputs.py``, which is imported, not changed.
-``--root`` is the root rule every unit is solved under.  It defaults to
-``last``, the default of trees older than the ``medoid`` rule, so a dump
-of such a tree compares with a plain one; the benchmark itself solves
-under each tree's default.
+``--root`` is the root rule every unit is solved under; without it each
+unit is solved under the tree's own default rule, as the benchmark does.
 ``diff`` prints one line per differing unit and field and exits 1 if
 there is any, else 0.
 """
@@ -28,6 +26,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -52,13 +51,15 @@ def unit_key(unit: tuple[str, int, str]) -> str:
     return "{}/{}/{}".format(*unit)
 
 
-def solve_units(selected, root_rule: str = "last") -> dict[str, dict]:
-    """Solve each unit under ``root_rule`` with the ``dsteiner`` on
-    ``sys.path``; returns the record of each unit by its key."""
+def solve_units(selected, root_rule: Optional[str] = None) -> dict[str, dict]:
+    """Solve each unit with the ``dsteiner`` on ``sys.path``, under
+    ``root_rule`` or, when None, that package's default rule; returns the
+    record of each unit by its key."""
     import dsteiner
     from dsteiner.hanan import parse_points
 
     inputs = _inputs()
+    opts = {} if root_rule is None else {"root_rule": root_rule}
     records = {}
     for name, i, bound in selected:
         workload = inputs.WORKLOADS[name]
@@ -67,7 +68,7 @@ def solve_units(selected, root_rule: str = "last") -> dict[str, dict]:
                 parse_points(inputs.points_text(workload, SEED, i)))
         else:
             inst = dsteiner.parse_stp(inputs.lattice_stp_text(workload, SEED, i))
-        rec = dsteiner.solve(inst, bound=bound, prune="full", root_rule=root_rule)
+        rec = dsteiner.solve(inst, bound=bound, prune="full", **opts)
         out = {"opt": rec.opt, "edges": sorted(sorted(e) for e in rec.edges)}
         out.update((field, value) for field, value in vars(rec.stats).items()
                    if type(value) is int)
@@ -75,7 +76,7 @@ def solve_units(selected, root_rule: str = "last") -> dict[str, dict]:
     return records
 
 
-def dump(path: str, selected, root_rule: str = "last") -> int:
+def dump(path: str, selected, root_rule: Optional[str] = None) -> int:
     t0 = time.perf_counter()
     records = solve_units(selected, root_rule)
     with open(path, "w") as fh:
@@ -117,8 +118,8 @@ def main(argv=None) -> int:
     p_dump.add_argument("out")
     p_dump.add_argument("--src", default=str(REPO_ROOT),
                         help="tree whose src/ holds the package to solve with")
-    p_dump.add_argument("--root", default="last",
-                        help="root rule every unit is solved under")
+    p_dump.add_argument("--root", help="root rule every unit is solved under "
+                                       "(default: the tree's own default)")
     p_diff = sub.add_parser("diff", help="name every unit and field that differ")
     p_diff.add_argument("a")
     p_diff.add_argument("b")

@@ -133,7 +133,7 @@ def cmd_validate(args) -> int:
     if differ:
         _emit_error("mismatch", "; ".join(differ))
         return 1
-    cost = validate_tree(instance, [tuple(e) for e in record.edges])
+    cost = validate_tree(instance, record.edges)
     print(cost)
     if cost != record.opt:
         _emit_error("mismatch", f"tree cost {cost} != recorded opt {record.opt}")

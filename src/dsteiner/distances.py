@@ -5,7 +5,7 @@ resumable Dijkstra from one terminal.  Readers see them only through
 ``columns``, one tuple of exact distances per vertex, which grows the rows
 as far as the vertex needs on its first read; only ``complete()`` hands out
 whole rows, run out, and ``root_search`` one search for the heuristic to
-copy.  The per-set caches are single-writer.
+copy.  The oracle keeps no per-set state: its set queries are pure.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class DistanceOracle:
         # k x k matrix of pairwise terminal distances (metric closure on T)
         self.pair = [list(row) for row in
                      zip(*[self.columns[t] for t in self.terminals])]
-        self._cut_cache: dict[int, tuple[int, int]] = {}
-        # per queried terminal set, its terminals in increasing order
-        self._set_bits: dict[int, tuple[int, ...]] = {}
 
     def root_search(self, i: int) -> ResumableDijkstra:
         """Terminal i's search, for the heuristic to copy with ``joined``."""
@@ -130,41 +127,34 @@ class DistanceOracle:
                     best[i] = row[i]
         return total
 
-    def set_cut_distance(self, label_mask: int, full_mask: int) -> tuple[int, int]:
-        """(min distance, achieving outside terminal) across the cut.
+    def set_cut_distance(self, label_mask: int) -> tuple[int, int]:
+        """(min distance, achieving outside terminal) across the cut between
+        the terminals inside ``label_mask`` and those outside it.
 
-        The minimum runs over terminals inside ``label_mask`` and terminals
-        outside it; computed once per occurring set and cached.
+        Ties go to the first pair in (inside, outside) index order; (INF, -1)
+        when no pair across the cut is connected.
         """
-        cached = self._cut_cache.get(label_mask)
-        if cached is not None:
-            return cached
-        outside = full_mask & ~label_mask
-        best = INF
-        best_y = -1
+        outside = list(iter_bits(((1 << self.k) - 1) & ~label_mask))
+        best, best_y = INF, -1
         pair = self.pair
         for x in iter_bits(label_mask):
             row = pair[x]
-            for y in iter_bits(outside):
+            for y in outside:
                 if row[y] < best:
-                    best = row[y]
-                    best_y = y
-        result = (best, best_y)
-        self._cut_cache[label_mask] = result
-        return result
+                    best, best_y = row[y], y
+        return best, best_y
 
-    def vertex_to_set_distance(self, vertex: int, term_mask: int) -> tuple[int, int]:
-        """(min distance, achieving terminal) from a vertex into a terminal set.
+    def vertex_to_set_distance(self, vertex: int,
+                               terminals: Sequence[int]) -> tuple[int, int]:
+        """(min distance, achieving terminal) from a vertex into the given
+        terminal indices, which come in increasing order.
 
-        Ties go to the smallest terminal index; (INF, -1) when no terminal
-        of the set is reachable.
+        Ties go to the smallest terminal index; (INF, -1) when none of them
+        is reachable.
         """
-        bits = self._set_bits.get(term_mask)
-        if bits is None:
-            bits = self._set_bits[term_mask] = tuple(iter_bits(term_mask))
         col = self.columns[vertex]
         best, best_y = INF, -1
-        for y in bits:
+        for y in terminals:
             if col[y] < best:
                 best, best_y = col[y], y
         return best, best_y

@@ -69,19 +69,28 @@ class SolveStats:
 
 
 class PruneTracker:
-    """Per-set upper bounds U(I) with witness terminals S(I) outside I."""
+    """Per-set upper bounds U(I) with witness terminals S(I) outside I.
 
-    def __init__(self, oracle: DistanceOracle, full_mask: int):
+    ``sets`` holds what every pop of I reads, recorded on its first pop: the
+    cut distance and witness, and the terminals outside I in increasing order.
+    """
+
+    def __init__(self, oracle: DistanceOracle):
         self.oracle = oracle
-        self.full_mask = full_mask
         self.upper: dict[int, int] = {}
         self.witness: dict[int, int] = {}
+        self.sets: dict[int, tuple[int, int, tuple[int, ...]]] = {}
 
     def on_pop(self, vertex: int, mask: int, cost: int) -> None:
-        d_set, y_set = self.oracle.set_cut_distance(mask, self.full_mask)
-        d_v, y_v = self.oracle.vertex_to_set_distance(vertex, self.full_mask & ~mask)
-        d, y = (d_v, y_v) if d_v < d_set else (d_set, y_set)
-        if d >= INF or y < 0:
+        record = self.sets.get(mask)
+        if record is None:
+            outside = tuple(iter_bits(((1 << self.oracle.k) - 1) & ~mask))
+            record = self.sets[mask] = (*self.oracle.set_cut_distance(mask), outside)
+        d, y, outside = record
+        d_v, y_v = self.oracle.vertex_to_set_distance(vertex, outside)
+        if d_v < d:
+            d, y = d_v, y_v
+        if d >= INF:
             return
         cand = cost + d
         if cand < self.upper.get(mask, INF):
@@ -330,7 +339,7 @@ def _prepare(
     search.bound = make_bound(bound, reduced, root_idx, oracle, upper=upper,
                               limits=limits)
     if prune == "full":
-        search.tracker = PruneTracker(oracle, full_mask)
+        search.tracker = PruneTracker(oracle)
     _lap(stats, "bound", t)
     return search
 

@@ -263,36 +263,18 @@ class SolutionRecord:
     stats: Optional[object] = None  # SolveStats; JSON only, never read back
 
     def summary_row(self) -> list[str]:
-        return [
-            self.instance,
-            str(self.n),
-            str(self.m),
-            str(self.k),
-            str(self.opt),
-            f"{self.time_ms:.3f}",
-            str(self.labels),
-            self.config,
-        ]
+        return [f"{self.time_ms:.3f}" if f == "time_ms" else str(getattr(self, f))
+                for f in CSV_HEADER]
 
 
 def write_solution(record: SolutionRecord, format: str = "json") -> str:
-    """Serialize a record; field order is fixed for both formats.  JSON adds
-    a ``stats`` object (the SolveStats counters and ``phase_ms``) when the
-    record has stats; the CSV row never carries them."""
+    """Serialize a record.  JSON holds the fields in their declared order,
+    ``stats`` (the SolveStats counters and ``phase_ms``) only when the record
+    has stats; CSV holds the ``CSV_HEADER`` fields, never the stats."""
     if format == "json":
-        payload = {
-            "instance": record.instance,
-            "n": record.n,
-            "m": record.m,
-            "k": record.k,
-            "opt": record.opt,
-            "edges": [[u, v] for u, v in record.edges],
-            "config": record.config,
-            "time_ms": record.time_ms,
-            "labels": record.labels,
-        }
-        if record.stats is not None:
-            payload["stats"] = asdict(record.stats)
+        payload = asdict(record)
+        if record.stats is None:
+            del payload["stats"]
         return json.dumps(payload, indent=2) + "\n"
     if format == "csv":
         buf = io.StringIO()

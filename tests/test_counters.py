@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dsteiner.solver import DEFAULT_ROOT_RULE
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "counters.py"
 
 
@@ -63,6 +65,7 @@ def test_dump_root_moves_the_counters_but_not_opt(tmp_path, monkeypatch):
         dumps[rule] = json.loads(out.read_text())[key]
     assert dumps["medoid"]["opt"] == dumps["last"]["opt"]
     assert dumps["medoid"]["pops"] != dumps["last"]["pops"]
+    # a plain dump solves under the tree's own default rule
     default = tmp_path / "default.json"
     assert counters.main(["dump", str(default)]) == 0
-    assert json.loads(default.read_text())[key] == dumps["last"]
+    assert json.loads(default.read_text())[key] == dumps[DEFAULT_ROOT_RULE]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dsteiner import DistanceOracle, multi_source_dijkstra, solve, solver
+from dsteiner.bitsets import iter_bits
 from dsteiner.distances import (
     COLUMN_BYTES,
     COLUMN_SLOT_BYTES,
@@ -70,9 +71,8 @@ def test_rows_are_symmetric_between_terminals():
 
 def test_set_cut_distance_reports_witness():
     inst, oracle = _oracle(4, 5)
-    full = (1 << 5) - 1
     mask = 0b00011
-    d, y = oracle.set_cut_distance(mask, full)
+    d, y = oracle.set_cut_distance(mask)
     assert d < INF
     assert y >= 2  # witness lies outside the set
     assert d == min(oracle.pair[x][z] for x in (0, 1) for z in (2, 3, 4))
@@ -94,11 +94,12 @@ def test_vertex_to_set_distance_matches_brute_force(seed):
     oracle = DistanceOracle(inst.graph, inst.terminals)
     ties = 0
     for v in range(inst.n):
-        assert oracle.vertex_to_set_distance(v, 0) == (INF, -1)
+        assert oracle.vertex_to_set_distance(v, ()) == (INF, -1)
         dists = oracle.columns[v]
         ties += len(dists) != len(set(dists))
         for mask in range(1, 1 << oracle.k):
-            assert oracle.vertex_to_set_distance(v, mask) == _brute_nearest(oracle, v, mask)
+            assert (oracle.vertex_to_set_distance(v, tuple(iter_bits(mask)))
+                    == _brute_nearest(oracle, v, mask))
     assert ties
 
 
@@ -107,11 +108,11 @@ def test_vertex_to_set_distance_skips_unreachable_terminals():
 
     g = Graph(4, [(0, 1, 3), (2, 3, 1)])
     oracle = DistanceOracle(g, [0, 1, 3])
-    assert oracle.vertex_to_set_distance(0, 0b111) == (0, 0)
-    assert oracle.vertex_to_set_distance(1, 0b101) == (3, 0)
-    assert oracle.vertex_to_set_distance(0, 0b100) == (INF, -1)
-    assert oracle.vertex_to_set_distance(2, 0b011) == (INF, -1)
-    assert oracle.vertex_to_set_distance(2, 0b111) == (1, 2)
+    assert oracle.vertex_to_set_distance(0, (0, 1, 2)) == (0, 0)
+    assert oracle.vertex_to_set_distance(1, (0, 2)) == (3, 0)
+    assert oracle.vertex_to_set_distance(0, (2,)) == (INF, -1)
+    assert oracle.vertex_to_set_distance(2, (0, 1)) == (INF, -1)
+    assert oracle.vertex_to_set_distance(2, (0, 1, 2)) == (1, 2)
 
 
 # --- rows run out as far as the heuristic's upper bound ---

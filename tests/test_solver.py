@@ -21,6 +21,7 @@ from dsteiner import (
     solve_baseline,
     validate_tree,
 )
+from dsteiner.bitsets import iter_bits
 from dsteiner.bounds import BoundOracle, JTermBound, TspBound
 from dsteiner.distances import DistanceOracle
 from dsteiner.errors import (
@@ -207,13 +208,13 @@ def test_prune_tracker_update_rule():
     inst = random_instance(91, k_range=(5, 5))
     oracle = DistanceOracle(inst.graph, inst.terminals)
     full = (1 << 5) - 1
-    tracker = PruneTracker(oracle, full)
+    tracker = PruneTracker(oracle)
     mask = 0b00011
     v = inst.terminals[0]
     assert tracker.upper.get(mask, INF) == INF
     tracker.on_pop(v, mask, 40)
-    cut, _ = oracle.set_cut_distance(mask, full)
-    vdist, _ = oracle.vertex_to_set_distance(v, full ^ mask)
+    cut, _ = oracle.set_cut_distance(mask)
+    vdist, _ = oracle.vertex_to_set_distance(v, tuple(iter_bits(full ^ mask)))
     assert tracker.upper.get(mask, INF) == 40 + min(cut, vdist)
     assert tracker.witness[mask] & mask == 0
     # upper bounds only ever decrease
@@ -223,6 +224,43 @@ def test_prune_tracker_update_rule():
     assert tracker.upper.get(mask, INF) == 10 + min(cut, vdist)
 
 
+def test_prune_tracker_tie_keeps_the_cut_witness():
+    from dsteiner.solver import PruneTracker
+
+    # terminals 0, 1, 2 at vertices 0, 1, 2; the cut of {0} is 5, to
+    # terminal 2, and vertex 3 is at 5 from terminal 1 alone
+    g = Graph(4, [(0, 2, 5), (1, 3, 5), (1, 2, 20)])
+    oracle = DistanceOracle(g, [0, 1, 2])
+    assert oracle.set_cut_distance(0b001) == (5, 2)
+    assert oracle.vertex_to_set_distance(3, (1, 2)) == (5, 1)
+    tracker = PruneTracker(oracle)
+    tracker.on_pop(3, 0b001, 7)
+    assert tracker.upper[0b001] == 12
+    assert tracker.witness[0b001] == 0b100
+
+
+def test_prune_tracker_queries_each_set_cut_once(monkeypatch):
+    from dsteiner.solver import PruneTracker
+
+    cuts, pops = [], []
+    set_cut_distance = DistanceOracle.set_cut_distance
+    on_pop = PruneTracker.on_pop
+
+    def counted_cut(self, *args):
+        cuts.append(args[0])
+        return set_cut_distance(self, *args)
+
+    def counted_pop(self, vertex, mask, cost):
+        pops.append(mask)
+        return on_pop(self, vertex, mask, cost)
+
+    monkeypatch.setattr(DistanceOracle, "set_cut_distance", counted_cut)
+    monkeypatch.setattr(PruneTracker, "on_pop", counted_pop)
+    solve(random_instance(91, k_range=(6, 6)), prune="full")
+    assert len(pops) > len(set(pops))  # some set is popped more than once
+    assert sorted(cuts) == sorted(set(pops))
+
+
 def test_prune_tracker_merge_combination():
     from dsteiner import DistanceOracle
     from dsteiner.graph import INF
@@ -230,8 +268,7 @@ def test_prune_tracker_merge_combination():
 
     inst = random_instance(93, k_range=(6, 6))
     oracle = DistanceOracle(inst.graph, inst.terminals)
-    full = (1 << 6) - 1
-    tracker = PruneTracker(oracle, full)
+    tracker = PruneTracker(oracle)
     tracker.upper[0b000011] = 7
     tracker.witness[0b000011] = 0b000100  # witness terminal 2
     tracker.upper[0b011000] = 9
@@ -241,7 +278,7 @@ def test_prune_tracker_merge_combination():
     assert tracker.upper.get(union, INF) == 16
     assert tracker.witness[union] == 0b000100
     # witnesses inside the partner set block the combination
-    tracker2 = PruneTracker(oracle, full)
+    tracker2 = PruneTracker(oracle)
     tracker2.upper[0b000011] = 7
     tracker2.witness[0b000011] = 0b001000  # inside the other set
     tracker2.upper[0b011000] = 9
