@@ -10,6 +10,7 @@ upper-bound test and the per-set upper-bound test with witness terminals.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -242,6 +243,11 @@ def solve(
     vertex ids even though solving happens on the zero-edge-contracted graph
     and are validated against ``instance`` before returning; a failed
     internal check raises InternalError.
+
+    Python's cyclic garbage collector is paused while the solve runs and
+    restored to the caller's setting on every exit: nothing a solve builds
+    forms a reference cycle, so reference counting frees all of it and a
+    collector pass, which walks every live object, would free nothing.
     """
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune mode {prune!r} not one of {PRUNE_MODES}")
@@ -249,26 +255,34 @@ def solve(
     limits = Limits(time_limit, mem_limit)
     t_start = time.perf_counter()
     stats = SolveStats()
-    search = _prepare(instance, bound, prune, root_rule, stats, limits)
-    cost, back = 0, None
-    t = time.perf_counter()
-    if search.bound is not None:
-        cost, back = _label_loop(search, stats, limits)
-        t = _lap(stats, "loop", t)
-    edges = _reconstruct(instance, search, cost, back)
-    _lap(stats, "reconstruct", t)
-    return SolutionRecord(
-        instance=instance.name,
-        n=instance.n,
-        m=instance.m,
-        k=instance.k,
-        opt=cost,
-        edges=edges,
-        config=f"bound={bound};prune={prune};root={root_rule}",
-        time_ms=(time.perf_counter() - t_start) * 1000.0,
-        labels=stats.labels_created,
-        stats=stats,
-    )
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        search = _prepare(instance, bound, prune, root_rule, stats, limits)
+        cost, back = 0, None
+        t = time.perf_counter()
+        if search.bound is not None:
+            cost, back = _label_loop(search, stats, limits)
+            t = _lap(stats, "loop", t)
+        edges = _reconstruct(instance, search, cost, back)
+        _lap(stats, "reconstruct", t)
+        # built before the collector is back on, so that the first pass it
+        # makes comes after the return has freed ``search``, not over it
+        return SolutionRecord(
+            instance=instance.name,
+            n=instance.n,
+            m=instance.m,
+            k=instance.k,
+            opt=cost,
+            edges=edges,
+            config=f"bound={bound};prune={prune};root={root_rule}",
+            time_ms=(time.perf_counter() - t_start) * 1000.0,
+            labels=stats.labels_created,
+            stats=stats,
+        )
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import os
 import subprocess
@@ -22,7 +23,7 @@ from dsteiner import (
     validate_tree,
 )
 from dsteiner.bitsets import iter_bits
-from dsteiner.bounds import BoundOracle, JTermBound, TspBound
+from dsteiner.bounds import LEAF_SPECS, BoundOracle, JTermBound, TspBound
 from dsteiner.distances import DistanceOracle
 from dsteiner.errors import (
     CenterRuleNeedsCoordinates,
@@ -967,3 +968,102 @@ def test_record_carries_instance_shape():
     assert rec.labels == rec.stats.labels_created
     assert rec.time_ms > 0
     assert rec.config == "bound=onetree;prune=full;root=medoid"
+
+
+# --- the cyclic garbage collector ---
+
+def _stopped(**kw):
+    """Solve a 7-terminal random graph under the limits ``kw``; returns the
+    error the solve raised."""
+    inst = random_instance(71, n_range=(25, 25), k_range=(7, 7))
+    try:
+        solve(inst, bound="zero", prune="off", **kw)
+    except (TimeLimit, MemoryLimit) as err:
+        return type(err)
+    return None
+
+
+def test_solve_pauses_the_cycle_collector_and_restores_it(monkeypatch):
+    seen = []
+    make_bound = solver.make_bound
+
+    def record(*args, **kw):
+        seen.append(gc.isenabled())
+        return make_bound(*args, **kw)
+
+    monkeypatch.setattr(solver, "make_bound", record)
+    assert gc.isenabled()
+    solve(random_instance(72))
+    assert seen == [False] and gc.isenabled()
+    assert _stopped(time_limit=1e-9) is TimeLimit and gc.isenabled()
+    assert _stopped(mem_limit=1) is MemoryLimit and gc.isenabled()
+    cut = SteinerInstance(graph=Graph(4, [(0, 1, 1), (2, 3, 1)]), terminals=[0, 3])
+    with pytest.raises(Infeasible):
+        solve(cut)
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="unknown bound spec"):
+        solve(random_instance(72), bound="bogus")
+    assert gc.isenabled()
+
+
+def test_solve_leaves_the_collector_off_when_the_caller_turned_it_off():
+    gc.disable()
+    try:
+        solve(random_instance(72))
+        assert not gc.isenabled()
+        assert _stopped(time_limit=1e-9) is TimeLimit and not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_no_collector_pass_runs_inside_solve():
+    # the solve's objects are freed when solve() returns, before the
+    # collector is back on; a pass made while they were alive would walk them
+    passes = []
+
+    def record(phase, info):
+        passes.append(info["generation"])
+
+    inst = lattice_instance(30, 6, seed=5)
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        solve(inst)
+        made = len(passes)
+    finally:
+        gc.callbacks.remove(record)
+    assert made == 0, passes
+
+
+NO_CYCLE_INSTANCES = {
+    # zero-cost edges, so contraction removes vertices and lifting adds edges
+    "zero-lattice": lambda: lattice_instance(12, 5, seed=2, cost_range=(0, 9)),
+    "hanan": lambda: build_hanan_grid(generate_random_points(2, 7, 100, 3))[0],
+}
+
+
+def _cycle_objects(run) -> int:
+    """Objects the cycle collector finds unreachable after ``run()`` made
+    them with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("prune", solver.PRUNE_MODES)
+@pytest.mark.parametrize("bound", LEAF_SPECS + ("max(jterm:2,onetree)",))
+@pytest.mark.parametrize("name", sorted(NO_CYCLE_INSTANCES))
+def test_solve_leaves_nothing_for_the_cycle_collector(name, bound, prune):
+    # solve() pauses the collector, which is safe only because reference
+    # counting alone frees everything a solve builds
+    inst = NO_CYCLE_INSTANCES[name]()
+    assert _cycle_objects(lambda: solve(inst, bound=bound, prune=prune)) == 0
+
+
+@pytest.mark.parametrize("limit", [{"time_limit": 1e-9}, {"mem_limit": 1}])
+def test_stopped_solve_leaves_nothing_for_the_cycle_collector(limit):
+    assert _cycle_objects(lambda: _stopped(**limit)) == 0

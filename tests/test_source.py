@@ -215,3 +215,49 @@ def test_closure_check_finds_a_recursive_inner_function(tmp_path):
         "        return sub(p)\n"
         "    return part(spec)\n")
     assert _self_referring_closures(tmp_path) == ["walk.py:16 sub", "walk.py:2 rec"]
+
+
+GC_SWITCHES = ("disable", "enable", "set_threshold", "freeze")
+
+
+def _gc_switches(src: Path) -> list[str]:
+    """Places outside ``solver.solve`` that name one of ``GC_SWITCHES`` on
+    the gc module or import one from it."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = _inside(tree, "solve") if path.name == "solver.py" else set()
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr in GC_SWITCHES
+                    and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                found.append(f"{path.name}:{node.lineno} gc.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found += [f"{path.name}:{node.lineno} gc.{alias.name}"
+                          for alias in node.names if alias.name in GC_SWITCHES]
+    return found
+
+
+def test_only_solve_switches_the_cycle_collector():
+    # solve() pauses the collector and restores the caller's setting; a
+    # second place that switched it could leave it off, or on mid-solve
+    assert _gc_switches(SRC) == []
+
+
+def test_gc_check_finds_a_switch_outside_solve(tmp_path):
+    (tmp_path / "solver.py").write_text(
+        "import gc\n"
+        "def solve(x):\n"
+        "    gc.disable()\n"
+        "    gc.enable()\n"
+        "def _label_loop(x):\n"
+        "    gc.freeze()\n"
+        "    return gc.isenabled()\n")
+    (tmp_path / "stp.py").write_text(
+        "from gc import disable, collect\n"
+        "import gc\n"
+        "def parse_stp(text):\n"
+        "    gc.set_threshold(10**6)\n")
+    assert _gc_switches(tmp_path) == [
+        "solver.py:6 gc.freeze", "stp.py:1 gc.disable", "stp.py:4 gc.set_threshold"]
