@@ -190,8 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: a parser's objects form reference cycles, left for the collector
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     # OSError: an input file that cannot be read or an output that cannot

@@ -40,12 +40,12 @@ from .stp import SolutionRecord
 
 # Memory-limit footprints, measured with tracemalloc on CPython 3.11: a heap
 # of 10^5 (key, cost, v, mask) tuples of fresh large ints grew 160 B per entry;
-# less that for the heap left at its end, the label loop grew 145-329 B per
-# label (median 205) on 40 3D Hanan grids with k=8 (onetree/full), and
-# 233-386 B (median 272) on 12 2D grids with k=12 under onetree and tsp, for
-# the three label maps, the prune tracker and the rows grown on demand; all
-# under the default root, "medoid" ("last": 142-336 and 201-335 B).
-LABEL_BYTES = 250
+# less that for the heap left at its end, the label loop grew 88-251 B per
+# label (median 143) on 40 3D Hanan grids with k=8 (onetree/full), and
+# 164-317 B (median 224) on 6 2D grids with k=12, each under onetree and tsp,
+# for the two label maps, the prune tracker and the rows grown on demand; all
+# under the default root, "medoid" ("last": 84-251 and 147-328 B).
+LABEL_BYTES = 200
 HEAP_ENTRY_BYTES = 160
 LIMIT_CHECK_INTERVAL = 1024
 
@@ -259,12 +259,12 @@ def solve(
     gc.disable()
     try:
         search = _prepare(instance, bound, prune, root_rule, stats, limits)
-        cost, back = 0, None
+        cost, perm = 0, None
         t = time.perf_counter()
         if search.bound is not None:
-            cost, back = _label_loop(search, stats, limits)
+            cost, perm = _label_loop(search, stats, limits)
             t = _lap(stats, "loop", t)
-        edges = _reconstruct(instance, search, cost, back)
+        edges = _reconstruct(instance, search, cost, perm)
         _lap(stats, "reconstruct", t)
         # built before the collector is back on, so that the first pass it
         # makes comes after the return has freed ``search``, not over it
@@ -361,12 +361,8 @@ def _prepare(
 def _label_loop(
     search: _Search, stats: SolveStats, limits: Limits,
 ) -> tuple[int, list[dict[int, int]]]:
-    """Run labels until the root label is permanent.
-
-    Returns the root label's cost and the per-vertex back pointers: ``w >= 0``
-    for an edge from vertex w, ``-1 - submask`` for a merge of two labels at
-    the same vertex, and ``-1`` (the empty merge) for a source label.
-    """
+    """Run labels until the root label is permanent; returns its cost and the
+    permanent labels' costs by vertex and set, which ``_backtrack`` reads."""
     reduced = search.reduced
     n = reduced.graph.n
     adj = reduced.graph.adj
@@ -378,33 +374,23 @@ def _label_loop(
     upper2 = search.upper2
     tracker = search.tracker
     upper_get = tracker.upper.get if tracker is not None else {}.get
-    # per vertex: cost and back pointer of every label, and the costs of the
-    # permanent ones; a label is permanent iff its mask is in ``perm``
+    # per vertex: the cost of every label, and of the permanent ones; a
+    # label is permanent iff its mask is in ``perm``
     cost_of: list[dict[int, int]] = [{} for _ in range(n)]
-    back: list[dict[int, int]] = [{} for _ in range(n)]
     perm: list[dict[int, int]] = [{} for _ in range(n)]
     heap: list[tuple[int, int, int, int]] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     iteration_cap = n * (1 << (reduced.k - 1))
 
     for s in iter_bits(sources_mask):
-        v = terminals[s]
-        mask = 1 << s
+        v, mask = terminals[s], 1 << s
         cost_of[v][mask] = 0
-        back[v][mask] = -1
-        stats.labels_created += 1
         heappush(heap, (value2(v, full_mask ^ mask), 0, v, mask))
-        stats.heap_pushes += 1
+    stats.labels_created = stats.heap_pushes = len(heap)
 
     last_key = -1
-    ticks = 0
 
-    while True:
-        if not heap:
-            raise InternalError(
-                "label heap exhausted before the root label became permanent; "
-                "this indicates an invalid lower bound"
-            )
+    while heap:
         key, cost, v, mask = heappop(heap)
         perm_v = perm[v]
         cost_v = cost_of[v]
@@ -412,12 +398,6 @@ def _label_loop(
         # once permanent, so a cost mismatch marks every stale entry
         if cost_v[mask] != cost:
             continue
-
-        ticks += 1
-        if ticks % LIMIT_CHECK_INTERVAL == 0:
-            limits.check_time("in the label loop")
-            limits.check_memory(stats.labels_created * LABEL_BYTES
-                                + len(heap) * HEAP_ENTRY_BYTES, "label")
 
         # popped keys are nondecreasing for any consistent bound
         if key < last_key:
@@ -427,6 +407,10 @@ def _label_loop(
             )
         last_key = key
         stats.pops += 1
+        if stats.pops % LIMIT_CHECK_INTERVAL == 0:
+            limits.check_time("in the label loop")
+            limits.check_memory(stats.labels_created * LABEL_BYTES
+                                + len(heap) * HEAP_ENTRY_BYTES, "label")
 
         # re-prune on selection: bounds may have improved since creation
         if key > upper2 or cost > upper_get(mask, INF):
@@ -437,7 +421,8 @@ def _label_loop(
         if stats.permanents > iteration_cap:
             raise InternalError("permanence events exceeded n * 2^(k-1)")
         if v == target_v and mask == sources_mask:
-            break
+            stats.bound_evaluations = search.bound.evaluations
+            return cost, perm
         if tracker is not None:
             tracker.on_pop(v, mask, cost)
 
@@ -458,12 +443,10 @@ def _label_loop(
             if tc is None:
                 stats.labels_created += 1
             cost_w[mask] = nc
-            back[w][mask] = v
             heappush(heap, (nkey, nc, w, mask))
             stats.heap_pushes += 1
 
         # merge with the disjoint permanent labels at v
-        back_v = back[v]
         for j, cj in perm_v.items():
             if j & mask:
                 continue
@@ -481,24 +464,25 @@ def _label_loop(
             if tc is None:
                 stats.labels_created += 1
             cost_v[union] = nc
-            back_v[union] = -1 - mask
             heappush(heap, (nkey, nc, v, union))
             stats.heap_pushes += 1
         perm_v[mask] = cost
 
-    stats.bound_evaluations = search.bound.evaluations
-    return cost, back
+    raise InternalError(
+        "label heap exhausted before the root label became permanent; "
+        "this indicates an invalid lower bound"
+    )
 
 
 def _reconstruct(
     instance: SteinerInstance, search: _Search, cost: int,
-    back: Optional[list[dict[int, int]]],
+    perm: Optional[list[dict[int, int]]],
 ) -> list[tuple[int, int]]:
     """Backtrack the root label, lift the tree to ``instance`` and validate it."""
-    root = search.root
-    edges = [] if back is None else _backtrack(back, root, search.sources_mask)
+    edges = [] if perm is None else _backtrack(
+        perm, search.reduced.graph.adj, search.root, search.sources_mask, cost)
     if search.cmap is not None:
-        edges = search.cmap.lift_edges(edges, root)
+        edges = search.cmap.lift_edges(edges, search.root)
     try:
         tree_cost = validate_tree(instance, edges)
     except (InvalidTree, ValueError) as exc:
@@ -508,17 +492,28 @@ def _reconstruct(
     return edges
 
 
-def _backtrack(back: list[dict[int, int]], v: int, mask: int) -> list[tuple[int, int]]:
+def _backtrack(perm: list[dict[int, int]], adj: list[list[tuple[int, int]]],
+               v: int, mask: int, cost: int) -> list[tuple[int, int]]:
+    """A tree of cost ``cost`` for label (v, mask), read from the permanent
+    labels' costs.  Edges cost more than 0, so a label of cost 0 is a source,
+    and any other extends a permanent label of its set by an edge or merges
+    two at its vertex that split its set.  At the optimum no edge repeats."""
     edges: list[tuple[int, int]] = []
-    stack = [(v, mask)]
+    stack = [(v, mask, cost)]
     while stack:
-        x, m = stack.pop()
-        b = back[x][m]
-        if b >= 0:
-            edges.append((b, x) if b < x else (x, b))
-            stack.append((b, m))
-        elif b < -1:
-            sub = -1 - b
-            stack.append((x, sub))
-            stack.append((x, m ^ sub))
+        x, m, c = stack.pop()
+        if not c:
+            continue
+        for w, ec in adj[x]:
+            if perm[w].get(m) == c - ec:
+                edges.append((w, x) if w < x else (x, w))
+                stack.append((w, m, c - ec))
+                break
+        else:
+            for j, cj in perm[x].items():
+                if j != m and j | m == m and perm[x].get(m ^ j) == c - cj:
+                    stack += (x, j, cj), (x, m ^ j, c - cj)
+                    break
+            else:
+                raise InternalError(f"no permanent labels make ({x}, {m}) of cost {c}")
     return edges

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -44,6 +45,24 @@ def test_solve_json_roundtrips_through_validate(tmp_path, capsys):
     assert main(["validate", str(path), str(out)]) == 0
     printed = capsys.readouterr().out.strip()
     assert printed == str(payload["opt"])
+
+
+def test_solve_leaves_no_parser_for_the_cycle_collector(tmp_path, capsys):
+    # argparse objects refer to each other, so a parser built on every call
+    # would be freed only by a collector pass
+    _, path = write_instance(tmp_path, 7, "p")
+    gc.collect()
+    flags, before = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert main(["solve", str(path)]) == 0
+        gc.collect()
+        left = [o for o in gc.garbage[before:] if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+    assert left == []
 
 
 def test_solve_json_carries_stats(tmp_path, capsys):

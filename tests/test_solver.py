@@ -706,6 +706,45 @@ def test_corrupted_reconstruction_raises_internal_error(monkeypatch, corrupt):
         solve(zero_leaf_instance())
 
 
+def test_broken_backtrack_walk_raises_internal_error(monkeypatch):
+    # the label at vertex 1, the middle of the only optimum tree 0 - 1 - 2,
+    # is dropped from the permanent labels the tree is read back from, so
+    # no edge and no split leads on from the label next to it
+    loop = solver._label_loop
+
+    def drop_middle(*args):
+        cost, perm = loop(*args)
+        (mask, _), = perm[1].items()
+        del perm[1][mask]
+        return cost, perm
+
+    assert sorted(solve(path_instance()).edges) == [(0, 1), (1, 2)]
+    monkeypatch.setattr(solver, "_label_loop", drop_middle)
+    with pytest.raises(InternalError, match="no permanent labels"):
+        solve(path_instance())
+
+
+def tied_corners_instance():
+    # a unit-cost 6 x 6 lattice with terminals at its corners, so that many
+    # trees tie for the optimum, and a terminal 36 hung off vertex 15 at
+    # cost 0, which contraction merges and the lift puts back
+    side = 6
+    edges = [(r * side + c, r * side + c + 1, 1)
+             for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c, 1)
+              for r in range(side - 1) for c in range(side)]
+    edges.append((15, 36, 0))
+    return SteinerInstance(graph=Graph(37, edges), terminals=[0, 5, 30, 35, 36])
+
+
+@pytest.mark.parametrize("prune", solver.PRUNE_MODES)
+@pytest.mark.parametrize("bound", LEAF_SPECS + ("max(jterm:2,onetree)",))
+def test_tied_optima_read_back_as_one_optimum_tree(bound, prune):
+    inst = tied_corners_instance()
+    rec = solve(inst, bound=bound, prune=prune)
+    assert validate_tree(inst, rec.edges) == rec.opt == solve_baseline(inst)[0]
+
+
 # (seed, bound) -> (opt, labels_created, pops, heap_pushes) under prune="full"
 # and root "last" on random_instance(seed, n_range=(15, 25), k_range=(5, 7)).
 # A hot-path change must keep these; only a change to pruning, bounds or the
