@@ -22,6 +22,7 @@ read of a vertex.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
 from .bitsets import iter_bits, iter_subsets_of_size_at_most
@@ -30,11 +31,11 @@ from .errors import NO_LIMITS, Limits, TspTableTooLarge
 from .graph import INF, SteinerInstance, multi_source_dijkstra
 
 MAX_TSP_TERMINALS = 20
-# Bytes per TSP path-table slot, for the memory-limit check: building the
-# table for 2D Hanan grids with k = 12..14 grew 12.9-13.1 B per slot under
-# tracemalloc on CPython 3.11 (an 8 B list pointer, plus an int object for
-# each finite entry).
-TSP_SLOT_BYTES = 13
+# Bytes per TSP path-table entry, for the memory-limit check: building the
+# table for 2D and 3D Hanan grids with k = 12..15 grew 33.0-34.6 B per entry
+# under tracemalloc on CPython 3.11 (an 8 B list pointer, the row lists'
+# headers, and an int object shared by each finite entry and its mirror).
+TSP_SLOT_BYTES = 34
 
 
 Evaluator = Callable[[int], int]
@@ -212,8 +213,10 @@ class TspBound(BoundOracle):
     optimum tour: d(v,i) = 0, so the pairs ending at i close the paths into
     every tour, and any other pair closes a walk through J, no shorter by
     the triangle inequality.  The root alone is the end pair (r, r) of an
-    empty path.  The table has 2^(k-1) * k^2 slots: ``limits`` is checked
-    for its size before the build and for time once per set during it.
+    empty path.  Each set with m members keeps one row of m path costs per
+    member, 2^(k-3) * k * (k+3) - 1 entries over all sets: ``limits`` is
+    checked for that size before the build and for time once per set
+    during it.
     """
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
@@ -222,58 +225,76 @@ class TspBound(BoundOracle):
         k = instance.k
         if k > MAX_TSP_TERMINALS:
             raise TspTableTooLarge(f"k={k} exceeds the TSP table cap {MAX_TSP_TERMINALS}")
-        limits.check_memory((1 << (k - 1)) * k * k * TSP_SLOT_BYTES, "TSP table")
+        entries = ((1 << k) * k * (k + 3) >> 3) - 1
+        limits.check_memory(entries * TSP_SLOT_BYTES, "TSP table")
         self.oracle = oracle
         self.k = k
         self.paths = self._build_paths(root_index, limits)
 
-    def _build_paths(self, r: int, limits: Limits) -> dict[int, list[int]]:
-        """paths[mask][a*k + b] = cheapest Hamiltonian path on terms(mask)
-        from a to b, for every mask holding the root r and another terminal;
-        INF on the diagonal and off the mask, and for values >= INF.
+    def _build_paths(self, r: int, limits: Limits) -> dict[int, list]:
+        """paths[mask][a][j] = cheapest Hamiltonian path on terms(mask) from
+        member a to the mask's j-th member in increasing index order, for
+        every mask holding the root r and another terminal; INF at a itself
+        and for values >= INF, and paths[mask][a] is None for a non-member.
 
         Pull recurrence, always peeling the end b != r: the path ends in an
         edge c-b with c in mask - {a, b}, so it reads only root-holding sets.
-        Each pair is computed with a = r or a < b and mirrored.
+        Each pair is computed with a = r or a < b and mirrored.  A set's
+        ``itemgetter`` reads a row of ``pair`` at the set's members, so the
+        next size's step over c is one ``min`` of pairwise sums.
         """
         k = self.k
-        kk = k * k
         pair = self.oracle.pair
         root_bit = 1 << r
         others = [i for i in range(k) if i != r]
-        paths: dict[int, list[int]] = {}
+        paths: dict[int, list] = {}
+        # mask -> itemgetter of the mask's members, for the last size built
+        getters = {}
         for b in others:
-            row = [INF] * kk
-            row[r * k + b] = row[b * k + r] = pair[r][b]
-            paths[root_bit | 1 << b] = row
+            rows = [None] * k
+            rows[r] = [INF, pair[r][b]] if r < b else [pair[r][b], INF]
+            rows[b] = rows[r][::-1]
+            paths[root_bit | 1 << b] = rows
+            getters[root_bit | 1 << b] = itemgetter(*sorted((r, b)))
         for size in range(2, k):
+            last, getters = getters, {}
             for combo in combinations(others, size):
                 limits.check_time("while building the TSP table")
-                mask = root_bit
-                for i in combo:
+                members = tuple(sorted(combo + (r,)))
+                mask = 0
+                for i in members:
                     mask |= 1 << i
-                row = [INF] * kk
-                for j, b in enumerate(combo):
-                    sub = paths[mask ^ (1 << b)]
-                    pb = pair[b]
-                    rest = (r,) + combo[:j] + combo[j + 1:]  # mask - {b}
-                    # a is r or below b; c == a reads the diagonal (INF), so
-                    # it never wins
-                    for a in rest[:j + 1]:
-                        ak = a * k
-                        best = min([sub[ak + c] + pb[c] for c in rest])
-                        row[ak + b] = row[b * k + a] = best if best < INF else INF
-                paths[mask] = row
+                rows = [None] * k
+                for a in members:
+                    rows[a] = [INF] * len(members)
+                for j, b in enumerate(members):
+                    if b == r:
+                        continue
+                    sub = mask ^ (1 << b)
+                    sub_rows = paths[sub]
+                    pb = last[sub](pair[b])  # pair[b] at sub's members
+                    row_b = rows[b]
+                    # a is r or below b; c == a reads a's own INF, so it
+                    # never wins
+                    for i, a in enumerate(members):
+                        if a >= b and a != r:
+                            continue
+                        best = min(map(add, sub_rows[a], pb))
+                        if best >= INF:
+                            best = INF
+                        row_b[i] = rows[a][j] = best
+                paths[mask] = rows
+                getters[mask] = itemgetter(*members)
         return paths
 
     def _for_set(self, jmask):
-        k = self.k
         bits = list(iter_bits(jmask))
         if len(bits) == 1:
             ends = [(bits[0], bits[0], 0)]
         else:
-            row = self.paths[jmask]
-            ends = [(a, b, row[a * k + b]) for i, a in enumerate(bits) for b in bits[i + 1:]]
+            rows = self.paths[jmask]
+            ends = [(a, b, rows[a][j]) for i, a in enumerate(bits)
+                    for j, b in enumerate(bits[i + 1:], i + 1)]
         columns = self.oracle.columns
 
         def evaluate(v):
@@ -295,8 +316,16 @@ class MaxBound(BoundOracle):
     def _for_set(self, jmask):
         # the parts' evaluators are called directly, so a query counts once,
         # here, and the parts keep no evaluators
-        parts = [p._for_set(jmask) for p in self.parts]
-        return lambda v: max(f(v) for f in parts)
+        first, *rest = [p._for_set(jmask) for p in self.parts]
+
+        def evaluate(v):
+            best = first(v)
+            for f in rest:
+                val = f(v)
+                if val > best:
+                    best = val
+            return best
+        return evaluate
 
 
 # --- bound selection grammar: <leaf> | max(<leaf>,<leaf>,...) ---

@@ -193,8 +193,8 @@ def test_onetree_dominates_half_mst(seed):
 # --- tsp bound ---
 
 def test_tsp_path_table_matches_permutations():
-    # every stored entry against brute force, and only root-holding sets
-    # with at least two members are stored
+    # every stored entry against brute force, only root-holding sets with at
+    # least two members are stored, and a non-member's row is None
     for seed, root in ((8, 6), (14, 0), (15, 3)):
         inst = random_instance(seed, k_range=(7, 7), n_range=(8, 20))
         oracle = DistanceOracle(inst.graph, inst.terminals)
@@ -203,33 +203,73 @@ def test_tsp_path_table_matches_permutations():
         assert k == 7
         assert set(b.paths) == {m for m in range(1 << k)
                                 if m & root_bit and m != root_bit}
-        for mask, row in b.paths.items():
-            assert len(row) == k * k
+        for mask, rows in b.paths.items():
+            assert len(rows) == k
             members = list(iter_bits(mask))
             for a in range(k):
-                for c in range(k):
-                    if a != c and a in members and c in members:
-                        expected = path_by_permutations(oracle.pair, members, a, c)
-                    else:
-                        expected = INF
-                    assert row[a * k + c] == expected, (seed, bin(mask), a, c)
+                if a not in members:
+                    assert rows[a] is None, (seed, bin(mask), a)
+                    continue
+                expected = [INF if c == a else
+                            path_by_permutations(oracle.pair, members, a, c)
+                            for c in members]
+                assert rows[a] == expected, (seed, bin(mask), a)
+
+
+def _tsp_entries(k):
+    return (1 << (k - 3)) * k * (k + 3) - 1
+
+
+def test_tsp_memory_check_prices_every_stored_entry():
+    # the check refuses a limit one byte below the stored entries' price
+    for k in range(2, 8):
+        inst, root, oracle = setup(50 + k, k)
+        b = TspBound(inst, oracle, root)
+        entries = sum(len(row) for rows in b.paths.values()
+                      for row in rows if row is not None)
+        price = entries * TSP_SLOT_BYTES
+        TspBound(inst, oracle, root, limits=Limits(mem_limit=price))
+        with pytest.raises(MemoryLimit, match="TSP table"):
+            TspBound(inst, oracle, root, limits=Limits(mem_limit=price - 1))
 
 
 def test_tsp_table_estimate_tracks_measured_growth():
     import tracemalloc
 
-    inst, _ = build_hanan_grid(generate_random_points(2, 10, 10**6, 4))
+    # 2D k=12 is the benchmark's size
+    for k, seed in ((10, 4), (12, 1)):
+        inst, _ = build_hanan_grid(generate_random_points(2, k, 10**6, seed))
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            b = TspBound(inst, oracle, inst.k - 1)
+            growth = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        est = _tsp_entries(inst.k) * TSP_SLOT_BYTES
+        assert len(b.paths) == (1 << (inst.k - 1)) - 1
+        assert growth / 2 <= est <= 2 * growth, (k, est, growth)
+
+
+def test_tsp_entries_between_components_are_inf():
+    # two components {0,1,2} and {3,4,5}, terminals on both sides: every path
+    # that crosses between them costs exactly INF, never a sum above it
+    g = Graph(6, [(0, 1, 3), (1, 2, 4), (3, 4, 5), (4, 5, 2)])
+    inst = SteinerInstance(graph=g, terminals=[0, 2, 3, 5, 1])
+    left = {0, 1, 4}  # terminal indices in the first component
     oracle = DistanceOracle(inst.graph, inst.terminals)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        b = TspBound(inst, oracle, inst.k - 1)
-        growth = tracemalloc.get_traced_memory()[0] - start
-    finally:
-        tracemalloc.stop()
-    est = (1 << (inst.k - 1)) * inst.k ** 2 * TSP_SLOT_BYTES
-    assert len(b.paths) == (1 << (inst.k - 1)) - 1
-    assert growth / 2 <= est <= 2 * growth
+    for root in range(inst.k):
+        b = TspBound(inst, oracle, root)
+        for mask, rows in b.paths.items():
+            members = list(iter_bits(mask))
+            crosses = len({i in left for i in members}) == 2
+            for a in members:
+                for c, cost in zip(members, rows[a]):
+                    if crosses or c == a:
+                        assert cost == INF, (root, bin(mask), a, c)
+                    else:
+                        assert cost == path_by_permutations(oracle.pair, members, a, c)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,13 +1,15 @@
 import csv
+import gc
 import io
 import json
 import warnings
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsteiner import parse_stp, write_solution, write_stp
+from dsteiner import parse_stp, solve, write_solution, write_stp
 from dsteiner.errors import (
     CountMismatch,
     NonIntegralCost,
@@ -23,7 +25,7 @@ from dsteiner.stp import (
     read_solution,
 )
 
-from gen import edges_of, random_instance
+from gen import edges_of, lattice_instance, random_instance
 
 MINIMAL = """33D32945 STP File, STP Format Version 1.0
 SECTION Comment
@@ -242,6 +244,35 @@ def test_empty_edge_list_record_is_valid():
     again = read_solution(write_solution(rec, "json"))
     assert again.opt == 0
     assert again.edges == []
+
+
+def _records():
+    with_stats = _record()
+    with_stats.instance = 'b\u00e901 "quoted"'
+    with_stats.stats = solve(lattice_instance(5, 4, seed=3)).stats
+    empty = SolutionRecord(instance="one", n=1, m=0, k=1, opt=0)
+    return [with_stats, _record(), empty]
+
+
+def test_solution_json_is_byte_identical_to_indented_json_dumps():
+    # records with stats, without stats, and with empty edges
+    for rec in _records():
+        payload = asdict(rec)
+        if rec.stats is None:
+            del payload["stats"]
+        assert write_solution(rec, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+def test_write_solution_leaves_nothing_for_the_cycle_collector():
+    records = _records()
+    gc.collect()
+    gc.disable()
+    try:
+        for rec in records:
+            write_solution(rec, "json")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(st.text(alphabet="ab ,\n\t", max_size=40))
