@@ -133,7 +133,6 @@ class JTermBound(BoundOracle):
         if j not in (2, 3):
             raise ValueError(f"jterm bound supports j in 2..3, got {j}")
         self.j = j
-        self.oracle = oracle
         self.root_bit = 1 << root_index
         self.terminals = instance.terminals
         k = len(self.terminals)

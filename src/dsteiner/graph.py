@@ -7,7 +7,7 @@ sentinel, so cost arithmetic is exact everywhere.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .errors import NO_LIMITS, ContainsCycle, Limits, MissingTerminal, NotConnected
@@ -60,7 +60,7 @@ class Graph:
     @classmethod
     def _from_costs(cls, n: int, cost: dict[tuple[int, int], int]) -> "Graph":
         """Wrap a finished cost dict: keys ``(u, v)`` with ``0 <= u < v < n``,
-        costs nonnegative; the dict is taken over, not copied."""
+        costs nonnegative; the dict is shared, not copied."""
         graph = cls.__new__(cls)
         graph.n = n
         graph._edge_cost = cost
@@ -284,12 +284,13 @@ def contract_zero_edges(
     terminal order follows the first occurrence in the original order.  The
     returned map lifts any contracted tree back to an original tree of the
     same cost (zero edges re-inserted).  Without a zero-cost edge the
-    instance itself is returned, with no map.  ``limits`` is checked for
-    memory before a contraction allocates.
+    result is the same instance on a new ``Graph`` sharing the cost dict,
+    with no map, so the adjacency a solve builds is the solve's own.
+    ``limits`` is checked for memory before a contraction allocates.
     """
     g = instance.graph
     if not g.has_zero_edge():
-        return instance, None
+        return replace(instance, graph=Graph._from_costs(g.n, g._edge_cost)), None
     limits.check_memory(g.m * CONTRACT_EDGE_BYTES, "zero-edge contraction")
     parent = list(range(g.n))
     # the zero edges that merge two components span the merged ones

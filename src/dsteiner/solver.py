@@ -91,25 +91,20 @@ class PruneTracker:
         d_v, y_v = self.oracle.vertex_to_set_distance(vertex, outside)
         if d_v < d:
             d, y = d_v, y_v
-        if d >= INF:
-            return
         cand = cost + d
         if cand < self.upper.get(mask, INF):
             self.upper[mask] = cand
             self.witness[mask] = 1 << y
 
     def on_merge(self, m1: int, m2: int) -> None:
-        """Combine U(m1) + U(m2) into U(m1 | m2) when the witnesses allow it."""
-        u1 = self.upper.get(m1)
-        u2 = self.upper.get(m2)
-        if u1 is None or u2 is None:
-            return
+        """Combine U(m1) + U(m2) into U(m1 | m2) when the witnesses allow it;
+        both sets have been popped, so both have a U and a witness."""
         s1 = self.witness[m1]
         s2 = self.witness[m2]
         if s1 & m2 and s2 & m1:
             return
         union = m1 | m2
-        cand = u1 + u2
+        cand = self.upper[m1] + self.upper[m2]
         if cand < self.upper.get(union, INF):
             new_s = (s1 | s2) & ~union
             if new_s:
@@ -412,8 +407,9 @@ def _label_loop(
             limits.check_memory(stats.labels_created * LABEL_BYTES
                                 + len(heap) * HEAP_ENTRY_BYTES, "label")
 
-        # re-prune on selection: bounds may have improved since creation
-        if key > upper2 or cost > upper_get(mask, INF):
+        # re-prune on selection: only U(I) can have improved since the
+        # label was created
+        if cost > upper_get(mask, INF):
             stats.pruned_at_pop += 1
             continue
 

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Optional, TextIO, Union
 
 from .errors import CountMismatch, NonIntegralCost, StpSyntaxError, TooManyTerminals
@@ -267,43 +267,15 @@ class SolutionRecord:
                 for f in CSV_HEADER]
 
 
-def _json_text(value, indent: str) -> str:
-    """``json.dumps(value, indent=2)`` for str-keyed dicts, lists, tuples
-    and scalars.  With an indent ``json`` runs its pure-Python encoder, whose
-    nested closures leave reference cycles for the cycle collector; here an
-    int is written by its repr, as ``json`` writes it, each other scalar goes
-    through the C encoder, and the layout is built by hand."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = ",\n".join([f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
-                           for key, item in value.items()])
-        return f"{{\n{body}\n{indent}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        body = ",\n".join([inner + _json_text(item, inner) for item in value])
-        return f"[\n{body}\n{indent}]"
-    if type(value) is int:  # most of a record: the edges' endpoints
-        return repr(value)
-    return json.dumps(value)
-
-
 def write_solution(record: SolutionRecord, format: str = "json") -> str:
     """Serialize a record.  JSON holds the fields in their declared order,
     ``stats`` (the SolveStats counters and ``phase_ms``) only when the record
     has stats; CSV holds the ``CSV_HEADER`` fields, never the stats."""
     if format == "json":
-        # the fields as they are: _json_text reads tuples as lists, so
-        # only the stats need asdict's copy
-        payload = {f.name: getattr(record, f.name) for f in fields(record)}
+        payload = asdict(record)
         if record.stats is None:
             del payload["stats"]
-        else:
-            payload["stats"] = asdict(record.stats)
-        return _json_text(payload, "") + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

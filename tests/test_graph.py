@@ -333,15 +333,29 @@ def test_validate_rejects_duplicate_edge():
 
 # --- zero-edge contraction ---
 
+def _same_instance_on_shared_costs(reduced, inst):
+    """``reduced`` is a new instance over a new graph that shares
+    ``inst``'s cost dict, with the same terminals, name and coordinates."""
+    return (reduced is not inst and reduced.graph is not inst.graph
+            and reduced.graph._edge_cost is inst.graph._edge_cost
+            and (reduced.n, reduced.m) == (inst.n, inst.m)
+            and reduced.terminals == inst.terminals
+            and reduced.name == inst.name and reduced.coords is inst.coords)
+
+
 def test_contract_identity_without_zero_edges():
     inst = random_instance(3)
     reduced, cmap = contract_zero_edges(inst)
-    assert reduced is inst and reduced.graph is inst.graph
+    assert _same_instance_on_shared_costs(reduced, inst)
     assert cmap is None
 
 
 def test_contract_without_zero_edges_returns_instance():
-    # solved as it is: no map is built, so nothing is allocated per edge
+    # the same instance on the shared cost dict: no map is built and
+    # nothing is copied, so nothing is allocated per edge.  The peak is a
+    # constant, under 1.5 KB: the new instance and graph, and what building
+    # them takes, most of it the set that checks the 5 terminals (the
+    # lattices have 3,120 and 12,640 edges)
     import tracemalloc
 
     for size in (40, 80):
@@ -352,8 +366,8 @@ def test_contract_without_zero_edges_returns_instance():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert reduced is inst and cmap is None
-        assert peak < 1024, (size, peak)
+        assert _same_instance_on_shared_costs(reduced, inst) and cmap is None
+        assert peak < 2048, (size, peak)
 
 
 def test_contract_merges_zero_joined_terminals():
@@ -434,4 +448,5 @@ def test_memory_limit_refuses_contraction_before_it_allocates(monkeypatch):
     assert contract_zero_edges(inst, limits=Limits(mem_limit=est))[0].n < inst.n
     # without a zero-cost edge nothing is contracted, so nothing is checked
     positive = lattice_instance(20, 4, seed=3)
-    assert contract_zero_edges(positive, limits=Limits(mem_limit=1))[0] is positive
+    reduced, cmap = contract_zero_edges(positive, limits=Limits(mem_limit=1))
+    assert _same_instance_on_shared_costs(reduced, positive) and cmap is None

@@ -1106,3 +1106,18 @@ def test_solve_leaves_nothing_for_the_cycle_collector(name, bound, prune):
 @pytest.mark.parametrize("limit", [{"time_limit": 1e-9}, {"mem_limit": 1}])
 def test_stopped_solve_leaves_nothing_for_the_cycle_collector(limit):
     assert _cycle_objects(lambda: _stopped(**limit)) == 0
+
+
+@pytest.mark.parametrize("prune", solver.PRUNE_MODES)
+@pytest.mark.parametrize("bound", LEAF_SPECS + ("max(jterm:2,onetree)",))
+@pytest.mark.parametrize("name", sorted(NO_CYCLE_INSTANCES))
+def test_solve_builds_no_adjacency_on_the_callers_graph(name, bound, prune):
+    # the solve's adjacency lists live on its own graph and go with it, so
+    # the first collector pass after a return does not walk them
+    inst = NO_CYCLE_INSTANCES[name]()
+    assert inst.graph.has_zero_edge() == (name == "zero-lattice")
+    fresh = solve(NO_CYCLE_INSTANCES[name](), bound=bound, prune=prune)
+    for _ in range(2):  # and again, on the graph the first solve was given
+        rec = solve(inst, bound=bound, prune=prune)
+        assert inst.graph._adj is None
+        assert (rec.opt, rec.edges) == (fresh.opt, fresh.edges)

@@ -1,5 +1,4 @@
 import csv
-import gc
 import io
 import json
 import warnings
@@ -261,18 +260,6 @@ def test_solution_json_is_byte_identical_to_indented_json_dumps():
         if rec.stats is None:
             del payload["stats"]
         assert write_solution(rec, "json") == json.dumps(payload, indent=2) + "\n"
-
-
-def test_write_solution_leaves_nothing_for_the_cycle_collector():
-    records = _records()
-    gc.collect()
-    gc.disable()
-    try:
-        for rec in records:
-            write_solution(rec, "json")
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 @given(st.text(alphabet="ab ,\n\t", max_size=40))
