@@ -15,8 +15,10 @@ commit unpacked with ``git archive``; the inputs always come from this
 checkout's ``perfbench/inputs.py``, which is imported, not changed.
 ``--root`` is the root rule every unit is solved under; without it each
 unit is solved under the tree's own default rule, as the benchmark does.
-``diff`` prints one line per differing unit and field and exits 1 if
-there is any, else 0.
+``diff`` prints one line per differing unit and field, then one summary
+line per differing field: how many units differ in it and, for a counter,
+each side's sum over each workload's units and the change between them.
+It exits 1 if any unit differs, else 0.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ def diff(path_a: str, path_b: str) -> int:
     with open(path_b) as fh:
         b = json.load(fh)
     differing = 0
+    units_per_field: dict[str, int] = {}
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             print(f"{key}: only in {path_a if key in a else path_b}")
@@ -103,12 +106,31 @@ def diff(path_a: str, path_b: str) -> int:
                 print(f"{key} edges: the trees differ")
             else:
                 print(f"{key} {f}: {a[key].get(f)} != {b[key].get(f)}")
+            units_per_field[f] = units_per_field.get(f, 0) + 1
         differing += bool(fields)
-    if differing:
-        print(f"{differing} of {len(a.keys() | b.keys())} units differ")
-        return 1
-    print(f"{len(a)} units identical")
-    return 0
+    if not differing:
+        print(f"{len(a)} units identical")
+        return 0
+    total = len(a.keys() | b.keys())
+    print(f"{differing} of {total} units differ")
+    for f, count in sorted(units_per_field.items()):
+        line = f"summary {f}: {count} of {total} units differ"
+        if f != "edges":
+            line += "; " + ", ".join(
+                f"{name} {sa} != {sb}" + (f" ({(sb - sa) / sa:+.1%})" if sa else "")
+                for name, (sa, sb) in _sums(a, b, f).items())
+        print(line)
+    return 1
+
+
+def _sums(a: dict, b: dict, field: str) -> dict[str, list[int]]:
+    """Each side's sum of ``field`` over each workload's units, by workload
+    name."""
+    sums: dict[str, list[int]] = {}
+    for side, records in enumerate((a, b)):
+        for key, rec in records.items():
+            sums.setdefault(key.split("/")[0], [0, 0])[side] += rec.get(field, 0)
+    return dict(sorted(sums.items()))
 
 
 def main(argv=None) -> int:

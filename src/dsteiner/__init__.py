@@ -12,7 +12,7 @@ from .graph import (
     validate_tree,
 )
 from .hanan import PointSet, build_hanan_grid, generate_random_points
-from .solver import choose_root, heuristic_upper_bound, solve
+from .solver import choose_root, solve
 from .stp import SolutionRecord, parse_stp, parse_stp_file, write_solution, write_stp
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "choose_root",
     "contract_zero_edges",
     "generate_random_points",
-    "heuristic_upper_bound",
     "make_bound",
     "multi_source_dijkstra",
     "parse_stp",

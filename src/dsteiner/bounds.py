@@ -116,7 +116,7 @@ class JTermBound(BoundOracle):
     v-dependent scan over the stored arrays and a per-set maximum, which is
     computed with the set's list of arrays to scan on its first query.
 
-    The arrays stop at ``upper``, the cost U of a known tree (INF for
+    The arrays stop at ``upper``, an upper bound U >= opt (INF for
     none): an entry is exact wherever smt({v} | S) <= U, since every tree
     that cheap is built from parts no costlier, and INF elsewhere.  An INF
     entry makes the value INF: the true value 2*B(v, J) >= 2*smt({v} | S)
@@ -355,7 +355,7 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
     """Build a bound evaluator from its selection string.
 
     ``limits`` bounds the jterm and TSP table builds.  The jterm tables stop
-    at the horizon ``upper``, the cost of a known tree (INF for none).
+    at the horizon ``upper``, an upper bound U >= opt (INF for none).
     """
     parsed = parse_bound_spec(spec)
     if isinstance(parsed, list):

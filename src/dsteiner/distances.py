@@ -4,8 +4,8 @@ One solver run owns one DistanceOracle.  Its rows grow on demand: each is a
 resumable Dijkstra from one terminal.  Readers see them only through
 ``columns``, one tuple of exact distances per vertex, which grows the rows
 as far as the vertex needs on its first read; only ``complete()`` hands out
-whole rows, run out, and ``root_search`` one search for the heuristic to
-copy.  The oracle keeps no per-set state: its set queries are pure.
+whole rows, run out as far as an upper bound U >= opt.  The oracle keeps no
+per-set state: its set queries are pure.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ class DistanceOracle:
     ``v``, indexed by terminal; its first read grows one resumable Dijkstra
     per terminal as far as ``v`` needs.  ``pair`` and ``mst_cost`` read the
     terminals' columns, built at construction, so each row starts settled
-    up to the terminals; no row is ever rewritten.  ``root_search(i)``
-    hands terminal i's search to the heuristic, and ``complete()`` runs
+    up to the terminals; no row is ever rewritten.  ``complete()`` runs
     the rows out.  ``limits`` is checked for the size of k full rows,
     their frontiers and the columns before the build, and for time after
     each row's growth.
@@ -89,10 +88,6 @@ class DistanceOracle:
         # k x k matrix of pairwise terminal distances (metric closure on T)
         self.pair = [list(row) for row in
                      zip(*[self.columns[t] for t in self.terminals])]
-
-    def root_search(self, i: int) -> ResumableDijkstra:
-        """Terminal i's search, for the heuristic to copy with ``joined``."""
-        return self._searches[i]
 
     def complete(self, horizon: int = INF) -> list[list[int]]:
         """Run every row out as far as ``horizon``; returns the rows,

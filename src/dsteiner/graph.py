@@ -156,20 +156,6 @@ class ResumableDijkstra:
         """Grow the row until its entry at ``target`` is exact."""
         self._grow(INF, self.dist, target)
 
-    def joined(self, sources: Iterable[int]) -> "ResumableDijkstra":
-        """A copy of this search with ``sources`` added as seeds at distance
-        0; this search is left as it is.  Its entries stay upper bounds that
-        the copy's frontier can still lower, so the copy settles as a search
-        seeded with both would."""
-        other = ResumableDijkstra.__new__(ResumableDijkstra)
-        dist = other.dist = self.dist[:]
-        heap = other.heap = self.heap[:]
-        other._adj = self._adj
-        for v in sources:
-            dist[v] = 0
-            heapq.heappush(heap, (0, v))
-        return other
-
     def drain(self, horizon: int = INF) -> list[int]:
         """Run the search out as far as ``horizon``; returns a copy of the
         row with every entry beyond ``horizon`` INF.  No key above it is

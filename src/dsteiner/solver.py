@@ -20,7 +20,6 @@ from .bitsets import iter_bits
 from .bounds import BoundOracle, make_bound, parse_bound_spec
 from .distances import DistanceOracle
 from .errors import (
-    NO_LIMITS,
     CenterRuleNeedsCoordinates,
     Infeasible,
     InternalError,
@@ -31,7 +30,6 @@ from .graph import (
     ADJ_EDGE_BYTES,
     INF,
     ContractionMap,
-    ResumableDijkstra,
     SteinerInstance,
     contract_zero_edges,
     validate_tree,
@@ -40,11 +38,11 @@ from .stp import SolutionRecord
 
 # Memory-limit footprints, measured with tracemalloc on CPython 3.11: a heap
 # of 10^5 (key, cost, v, mask) tuples of fresh large ints grew 160 B per entry;
-# less that for the heap left at its end, the label loop grew 88-251 B per
-# label (median 143) on 40 3D Hanan grids with k=8 (onetree/full), and
-# 164-317 B (median 224) on 6 2D grids with k=12, each under onetree and tsp,
+# less that for the heap left at its end, the label loop grew 78-228 B per
+# label (median 128) on 40 3D Hanan grids with k=8 (onetree/full), and
+# 174-251 B (median 195) on 6 2D grids with k=12, each under onetree and tsp,
 # for the two label maps, the prune tracker and the rows grown on demand; all
-# under the default root, "medoid" ("last": 84-251 and 147-328 B).
+# under the default root, "medoid" ("last": 73-235 and 152-245 B).
 LABEL_BYTES = 200
 HEAP_ENTRY_BYTES = 160
 LIMIT_CHECK_INTERVAL = 1024
@@ -166,61 +164,19 @@ def choose_root(
     return index
 
 
-def heuristic_upper_bound(
-    instance: SteinerInstance, root_index: int, *, limits: Limits = NO_LIMITS,
-    root_search: Optional[ResumableDijkstra] = None,
-) -> tuple[int, list[tuple[int, int]]]:
-    """Feasible tree by repeatedly attaching the nearest terminal via a
-    shortest path to the component grown from the root.
+def heuristic_upper_bound(oracle: DistanceOracle) -> int:
+    """An upper bound U >= opt: the MST cost of the terminals' distance graph.
 
-    Each round settles every remaining terminal in a resumable Dijkstra from
-    the component: the first in ``root_search``, a search from the root (in
-    ``solve`` the oracle's root row, already settled up to every terminal),
-    or a new one; each later one in a copy of the last round's search
-    joined with the new path, so only the first round can grow
-    ``root_search``.  Ties go to the smallest ``(distance, vertex)``:
-    the nearest terminal, and along its path the tight neighbour a fresh
-    multi-source Dijkstra would have settled first.  The walk back along
-    a path needs positive costs, so a zero-cost edge is a ValueError:
-    ``contract_zero_edges`` removes them first, as ``solve`` does.
-    ``limits`` is checked for time after each terminal settled.
+    Each MST edge is a shortest path between two terminals, so the union of
+    the paths is a connected subgraph spanning every terminal, and any
+    spanning tree of it costs at most U.  An optimum tree's Euler tour,
+    shortcut at the terminals, is a Hamiltonian cycle of the distance graph
+    costing at most 2*opt; dropping its longest edge leaves a spanning tree
+    of at most 2(1 - 1/k)*opt, so opt <= U <= 2(1 - 1/k)*opt.  With two
+    terminals U is their distance, the optimum.  Prim's algorithm reads the
+    oracle's ``pair`` in O(k^2) and grows no row.
     """
-    graph = instance.graph
-    if graph.has_zero_edge():
-        raise ValueError("the heuristic needs positive edge costs; "
-                         "contract the zero-cost edges first")
-    terminals = instance.terminals
-    root = terminals[root_index]
-    remaining = set(terminals)
-    remaining.discard(root)
-    adj = graph.adj
-    search = root_search or ResumableDijkstra(graph, [(root, 0)])
-    edges: list[tuple[int, int]] = []
-    total = 0
-    while remaining:
-        for x in remaining:
-            search.settle(x)
-            limits.check_time("in the heuristic upper bound")
-        # with positive costs, dist[v] == 0 iff v is in the component.
-        # Entries below the farthest remaining terminal's are exact and no
-        # other entry is tight, so the walk back follows exact distances
-        dist = search.dist
-        t = min(remaining, key=lambda x: (dist[x], x))
-        if dist[t] >= INF:
-            raise Infeasible(f"terminal {t} unreachable from the root component")
-        total += dist[t]
-        path = []
-        x = t
-        while dist[x]:
-            dx = dist[x]
-            p = min((dist[u], u) for u, c in adj[x] if dist[u] + c == dx)[1]
-            edges.append((p, x) if p < x else (x, p))
-            path.append(x)
-            x = p
-        remaining.difference_update(path)
-        if remaining:
-            search = search.joined(path)
-    return total, edges
+    return oracle.mst_cost((1 << oracle.k) - 1)
 
 
 def solve(
@@ -304,13 +260,12 @@ def _prepare(
     instance: SteinerInstance, bound: str, prune: str, root_rule: str,
     stats: SolveStats, limits: Limits,
 ) -> _Search:
-    """Zero-edge contraction, distance oracle, root choice, heuristic UB, bound.
+    """Zero-edge contraction, distance oracle, root choice, upper bound, bound.
 
-    The oracle's rows start settled up to the terminals, so the root's row
-    is the heuristic's first round.  Its cost U is the horizon of the jterm
-    tables, the one bound that runs whole rows out: an entry beyond U is
-    INF, a value that prunes the label (see ``JTermBound``).  Prune "off"
-    has no U, so the tables run out in full.
+    The upper bound U >= opt, read from the oracle's ``pair``, is the
+    horizon of the jterm tables, the one bound that runs whole rows out: an
+    entry beyond U is INF, a value that prunes the label (see
+    ``JTermBound``).  Prune "off" has no U, so the tables run out in full.
 
     The root rule "medoid" reads the oracle's ``pair``, so it chooses on the
     contracted instance; every other rule chooses on the original terminal
@@ -340,8 +295,7 @@ def _prepare(
     t = _lap(stats, "oracle", t)
     upper = INF
     if prune != "off":
-        upper, _ = heuristic_upper_bound(reduced, root_idx, limits=limits,
-                                         root_search=oracle.root_search(root_idx))
+        upper = heuristic_upper_bound(oracle)
         stats.upper_bound = upper
         search.upper2 = 2 * upper
         t = _lap(stats, "heuristic", t)

@@ -2,21 +2,19 @@
 
 The oracles here are deliberately naive (enumeration, Bellman-Ford,
 permutations) so they share no logic with the code under test.  The
-exceptions are ``reference_heuristic``, the earlier construction heuristic,
-kept to pin the current one to the same trees, and ``BaselineOracle``, which
-reads the tables of the reference subset DP in ``dsteiner.baseline``.
+exception is ``BaselineOracle``, which reads the tables of the reference
+subset DP in ``dsteiner.baseline``.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from typing import Optional, Sequence
 
-from dsteiner import Graph, SteinerInstance, contract_zero_edges
+from dsteiner import DistanceOracle, Graph, SteinerInstance, contract_zero_edges
 from dsteiner.baseline import ORACLE_TERMINAL_CAP, _emv_tables
-from dsteiner.errors import Infeasible, TooManyTerminalsForOracle
+from dsteiner.errors import TooManyTerminalsForOracle
 from dsteiner.graph import INF
 
 
@@ -76,71 +74,19 @@ def lattice_instance(side: int, k: int, seed: int, cost_range=(1, 100),
                            name=f"lattice{side}")
 
 
-def dijkstra_with_predecessors(
-    graph: Graph, sources: list[int]
-) -> tuple[list[int], list[int]]:
-    """Multi-source Dijkstra from ``sources`` at distance 0; returns the
-    distance array and the predecessor array, INF and -1 where unreachable.
-    pred[v] is the settled vertex that last lowered dist[v]."""
-    dist = [INF] * graph.n
-    pred = [-1] * graph.n
-    heap = []
-    for v in sources:
-        dist[v] = 0
-        heap.append((0, v))
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d != dist[u]:
-            continue
-        for v, c in graph.adj[u]:
-            if d + c < dist[v]:
-                dist[v] = d + c
-                pred[v] = u
-                heapq.heappush(heap, (d + c, v))
-    return dist, pred
-
-
-def reference_heuristic(
-    instance: SteinerInstance, root_index: int
-) -> tuple[int, list[tuple[int, int]]]:
-    """The construction heuristic as one fresh multi-source Dijkstra from
-    the whole grown component per attached terminal, following its
-    predecessor array back to the component."""
-    graph = instance.graph
-    terminals = instance.terminals
-    comp = {terminals[root_index]}
-    remaining = set(terminals) - comp
-    edges: list[tuple[int, int]] = []
-    total = 0
-    while remaining:
-        dist, pred = dijkstra_with_predecessors(graph, sorted(comp))
-        t = min(remaining, key=lambda x: (dist[x], x))
-        if dist[t] >= INF:
-            raise Infeasible(f"terminal {t} unreachable from the root component")
-        x = t
-        while x not in comp:
-            p = pred[x]
-            edges.append((p, x) if p < x else (x, p))
-            total += dist[x] - dist[p]
-            comp.add(x)
-            remaining.discard(x)
-            x = p
-    return total, edges
-
-
 def capped_cases(zero_edges: int):
     """(contracted instance, U) pairs for checking preprocessing capped at
-    the construction heuristic's cost U from the last terminal: random
-    graphs, and lattices whose clustered terminals leave much of the grid
-    beyond U."""
+    the U that ``solve`` uses, the MST cost of the terminals' distance
+    graph: random graphs, and lattices whose clustered terminals leave much
+    of the grid beyond U."""
     cases = [random_instance(seed + 1200, zero_edges=zero_edges) for seed in range(30)]
     cases += [lattice_instance(12, 5, seed, cost_range=(0 if zero_edges else 1, 9),
                                window=4) for seed in range(4)]
     for inst in cases:
         reduced, _ = contract_zero_edges(inst)
         if reduced.k > 1:
-            yield reduced, reference_heuristic(reduced, reduced.k - 1)[0]
+            yield reduced, DistanceOracle(reduced.graph, reduced.terminals).mst_cost(
+                (1 << reduced.k) - 1)
 
 
 def bellman_ford(graph: Graph, source: int) -> list[int]:

@@ -405,7 +405,7 @@ def test_bound_grammar():
             make_bound(bad, inst, root, oracle)
 
 
-# --- preprocessing capped at the heuristic's upper bound ---
+# --- preprocessing capped at the upper bound U ---
 
 @pytest.mark.parametrize("zero_edges", [0, 3])
 def test_capped_jterm_tables_are_full_tables_up_to_upper_bound(zero_edges):
@@ -426,7 +426,7 @@ def test_capped_jterm_tables_are_full_tables_up_to_upper_bound(zero_edges):
 
 def test_solve_caps_jterm_tables_at_its_upper_bound(monkeypatch):
     # terminals in a 6x6 corner of a 48x48 lattice: a solve's jterm:3
-    # tables stop at the heuristic's cost U, so most of their entries, far
+    # tables stop at the upper bound U, so most of their entries, far
     # from the terminals, are never reached (94% measured; full tables
     # have none)
     inst = lattice_instance(48, 8, seed=2, window=6)

@@ -45,10 +45,19 @@ def test_counter_diff_names_each_differing_unit_and_field(tmp_path):
     edited.write_text(json.dumps(records))
     changed = _diff(dumped, edited)
     assert changed.returncode == 1
+    # each workload's pops as edited
+    pops = {u[0]: records[counters.unit_key(u)]["pops"] for u in picked}
     assert changed.stdout.splitlines() == [
-        f"{hanan} pops: {records[hanan]['pops'] - 1} != {records[hanan]['pops']}",
+        f"{hanan} pops: {pops['hanan3d'] - 1} != {pops['hanan3d']}",
         f"{lattice} edges: the trees differ",
-        "2 of 3 units differ"]
+        "2 of 3 units differ",
+        # then one line per differing field, with each workload's sums
+        "summary edges: 1 of 3 units differ",
+        "summary pops: 1 of 3 units differ; "
+        f"hanan2d_bounds {pops['hanan2d_bounds']} != {pops['hanan2d_bounds']} (+0.0%), "
+        f"hanan3d {pops['hanan3d'] - 1} != {pops['hanan3d']} "
+        f"({1 / (pops['hanan3d'] - 1):+.1%}), "
+        f"lattice_cli {pops['lattice_cli']} != {pops['lattice_cli']} (+0.0%)"]
 
 
 def test_dump_root_moves_the_counters_but_not_opt(tmp_path, monkeypatch):

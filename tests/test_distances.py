@@ -115,7 +115,7 @@ def test_vertex_to_set_distance_skips_unreachable_terminals():
     assert oracle.vertex_to_set_distance(2, (0, 1, 2)) == (1, 2)
 
 
-# --- rows run out as far as the heuristic's upper bound ---
+# --- rows run out as far as the upper bound U ---
 
 @pytest.mark.parametrize("zero_edges", [0, 3])
 def test_capped_rows_are_full_rows_up_to_upper_bound(zero_edges):
@@ -126,7 +126,7 @@ def test_capped_rows_are_full_rows_up_to_upper_bound(zero_edges):
         for full_row, row in zip(full.complete(), capped.complete(upper)):
             assert row == [d if d <= upper else INF for d in full_row]
             beyond += row.count(INF)
-            # the heuristic tree joins every terminal pair at cost <= U
+            # the MST's path joins every terminal pair at cost <= U
             assert all(row[t] <= upper for t in inst.terminals)
     assert beyond > 0
 

@@ -19,7 +19,6 @@ from dsteiner.graph import ADJ_EDGE_BYTES, CONTRACT_EDGE_BYTES, INF, ResumableDi
 
 from gen import (
     bellman_ford,
-    dijkstra_with_predecessors,
     edges_of,
     lattice_instance,
     random_instance,
@@ -49,23 +48,6 @@ def test_dijkstra_matches_bellman_ford(seed):
     inst = random_instance(seed, n_range=(20, 20))
     dist = multi_source_dijkstra(inst.graph, [(0, 0)])
     assert dist == bellman_ford(inst.graph, 0)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_predecessors_reconstruct_shortest_paths(seed):
-    # the reference heuristic walks these predecessors back to its component
-    inst = random_instance(seed)
-    dist, pred = dijkstra_with_predecessors(inst.graph, [0])
-    assert dist == multi_source_dijkstra(inst.graph, [(0, 0)])
-    for v in range(inst.n):
-        if dist[v] >= INF or v == 0:
-            continue
-        cost, x = 0, v
-        while x != 0:
-            p = pred[x]
-            cost += inst.graph.edge_cost(p, x)
-            x = p
-        assert cost == dist[v]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -151,37 +133,6 @@ def test_search_with_no_seed_within_the_horizon_is_finished():
     search = ResumableDijkstra(g, [(0, 5)])
     assert search.drain(4) == [INF] * 3
     assert search.heap == [(5, 0)] and search.dist == [5, INF, INF]
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_joined_search_settles_as_one_seeded_with_every_source(seed):
-    # each join adds sources at distance 0 to a search run partway: the
-    # copy's entries below its frontier, the settled ones among them, are
-    # those of one Dijkstra from the root and every source so far, and the
-    # search it was joined from is left as it was
-    rng = random.Random(seed)
-    if seed % 2:
-        inst = random_instance(seed + 90, n_range=(15, 25), cost_range=(1, 3))
-    else:
-        inst = lattice_instance(12, 5, seed, cost_range=(1, 3), window=4)
-    sources = [inst.terminals[-1]]
-    search = ResumableDijkstra(inst.graph, [(sources[0], 0)])
-    search.settle(rng.randrange(inst.n))
-    for _ in range(3):
-        before = (search.dist[:], search.heap[:])
-        added = rng.sample(range(inst.n), 2)
-        joined = search.joined(added)
-        sources += added
-        want = multi_source_dijkstra(inst.graph, [(v, 0) for v in sources])
-        for x in rng.sample(range(inst.n), inst.n // 3):
-            joined.settle(x)
-            assert joined.dist[x] == want[x], (seed, x)
-            front = joined.heap[0][0] if joined.heap else INF
-            for v, d in enumerate(joined.dist):
-                if d < front:
-                    assert d == want[v], (seed, v)
-        assert (search.dist, search.heap) == before
-        search = joined
 
 
 # --- bulk construction ---

@@ -16,7 +16,6 @@ from dsteiner import (
     build_hanan_grid,
     choose_root,
     generate_random_points,
-    heuristic_upper_bound,
     multi_source_dijkstra,
     solve,
     solve_baseline,
@@ -39,8 +38,9 @@ from dsteiner.graph import (
     ContractionMap,
     contract_zero_edges,
 )
+from dsteiner.solver import heuristic_upper_bound
 
-from gen import BaselineOracle, lattice_instance, random_instance, reference_heuristic
+from gen import BaselineOracle, lattice_instance, random_instance
 
 BOUNDS = ["zero", "jterm:2", "onetree", "max(jterm:2,onetree)"]
 PRUNES = ["off", "bound", "full"]
@@ -307,85 +307,39 @@ def test_iteration_bound_holds():
     assert rec.stats.permanents <= inst.n * (1 << (inst.k - 1))
 
 
-# --- heuristic upper bound ---
+# --- upper bound ---
 
-def test_heuristic_exact_for_two_terminals():
-    inst = random_instance(41, k_range=(2, 2))
-    u, edges = heuristic_upper_bound(inst, inst.k - 1)
-    assert u == solve(inst).opt
-    assert validate_tree(inst, edges) == u
-
-
-def test_heuristic_exact_on_star():
-    g = Graph(4, [(0, 3, 2), (1, 3, 3), (2, 3, 4)])
-    inst = SteinerInstance(graph=g, terminals=[0, 1, 2])
-    u, edges = heuristic_upper_bound(inst, 0)
-    assert u == 9
-    assert validate_tree(inst, edges) == 9
+def _upper_bound_cases():
+    """Random graphs, lattices with zero-cost edges and 2D/3D Hanan grids;
+    the first six random graphs have two terminals."""
+    for seed in range(24):
+        yield random_instance(seed + 600, k_range=(2, 2) if seed < 6 else (3, 7))
+    for seed in range(6):
+        yield lattice_instance(10, seed + 2, seed, cost_range=(0, 9), window=5)
+    for d, k in ((2, 8), (3, 6)):
+        for seed in range(3):
+            yield build_hanan_grid(generate_random_points(d, k, 100, seed))[0]
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_heuristic_is_feasible_and_above_optimum(seed):
-    inst = random_instance(seed + 600, k_range=(2, 7))
-    u, edges = heuristic_upper_bound(inst, inst.k - 1)
-    assert validate_tree(inst, edges) == u
-    assert u >= solve(inst).opt
-
-
-def test_heuristic_matches_reference_on_tie_heavy_instances():
-    # costs 1..3 make many equal distances, so both tie rules are exercised:
-    # which terminal is attached next and which tight neighbour leads back
-    for seed in range(240):
-        inst = random_instance(seed + 900, cost_range=(1, 3))
-        for r in range(inst.k):
-            assert heuristic_upper_bound(inst, r) == reference_heuristic(inst, r), (seed, r)
-
-
-@pytest.mark.parametrize("window", [5, None])
-def test_heuristic_matches_reference_on_lattices(window):
-    # clustered terminals leave most of the lattice beyond the relaxation
-    # horizon, which the small random instances rarely reach
-    for seed in range(12):
-        inst = lattice_instance(14, 6, seed, cost_range=(1, 3), window=window)
-        for r in range(inst.k):
-            assert heuristic_upper_bound(inst, r) == reference_heuristic(inst, r), (seed, r)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_heuristic_terminates_on_zero_edges(seed):
-    # the walk back along a path assumes positive costs, so the heuristic
-    # runs on the contracted instance and refuses a zero-cost edge
-    inst = random_instance(seed + 950, zero_edges=3)
-    assert inst.graph.has_zero_edge()
-    reduced, _ = contract_zero_edges(inst)
-    for r in range(reduced.k):
-        u, edges = heuristic_upper_bound(reduced, r)
-        assert validate_tree(reduced, edges) == u
-    with pytest.raises(ValueError, match="positive edge costs"):
-        heuristic_upper_bound(inst, inst.k - 1)
-
-
-@pytest.mark.parametrize("window", [4, None])
-def test_heuristic_leaves_the_oracle_rows_as_they_were(window):
-    # the oracle's root row is the heuristic's first round: its terminals
-    # are settled, so the heuristic grows no row and works on copies after
-    left_behind = 0
-    for seed in range(12):
-        inst = lattice_instance(14, 5, seed, cost_range=(1, 3), window=window)
-        if seed % 2:
-            inst = random_instance(seed + 1700, cost_range=(1, 3))
-        oracle = DistanceOracle(inst.graph, inst.terminals)
-        searches = [oracle.root_search(i) for i in range(inst.k)]
-        before = [(s.dist[:], s.heap[:]) for s in searches]
-        columns = dict(oracle.columns)
-        pair = [row[:] for row in oracle.pair]
-        for r in range(inst.k):
-            got = heuristic_upper_bound(inst, r, root_search=searches[r])
-            assert got == reference_heuristic(inst, r), (seed, r)
-        assert [(s.dist, s.heap) for s in searches] == before, seed
-        assert oracle.columns == columns and oracle.pair == pair, seed
-        left_behind += sum(len(s.heap) for s in searches)
-    assert left_behind
+def test_upper_bound_is_the_mst_of_the_terminals_distance_graph():
+    # opt <= U <= 2(1 - 1/k) opt on the contracted k, and U is the optimum
+    # for two terminals
+    loose = pairs = 0
+    for inst in _upper_bound_cases():
+        reduced, _ = contract_zero_edges(inst)
+        k = reduced.k
+        oracle = DistanceOracle(reduced.graph, reduced.terminals)
+        upper = oracle.mst_cost((1 << k) - 1)
+        assert heuristic_upper_bound(oracle) == upper
+        assert solve(inst).stats.upper_bound == upper, inst.name
+        # prune "off" reads no U
+        opt = solve(inst, prune="off").opt
+        assert opt <= upper and k * upper <= 2 * (k - 1) * opt, inst.name
+        if k == 2:
+            assert upper == opt, inst.name
+            pairs += 1
+        loose += upper > opt
+    assert pairs and loose
 
 
 # --- root rules ---
@@ -593,28 +547,6 @@ def test_time_limit_covers_distance_oracle(monkeypatch):
         assert time.perf_counter() - t0 < 1.0
 
 
-def test_time_limit_covers_heuristic(monkeypatch):
-    # an oracle built without the deadline outlasts it, so the heuristic's
-    # own check, after its first settle, is the one that stops the solve
-    inst = lattice_instance(150, 8, seed=1)
-    unlimited = DistanceOracle
-    built = []
-
-    def oracle(graph, terminals, *, limits):
-        result = unlimited(graph, terminals)
-        built.append(time.perf_counter())
-        return result
-
-    def bound(*args, **kwargs):
-        pytest.fail("the bound build started")
-
-    monkeypatch.setattr(solver, "DistanceOracle", oracle)
-    monkeypatch.setattr(solver, "make_bound", bound)
-    with pytest.raises(TimeLimit, match="heuristic"):
-        solve(inst, time_limit=1e-3)
-    assert time.perf_counter() - built[0] < 1.0
-
-
 def test_time_limit_covers_jterm_tables():
     inst = lattice_instance(40, 6, seed=2)
     oracle = DistanceOracle(inst.graph, inst.terminals)
@@ -748,11 +680,13 @@ def test_tied_optima_read_back_as_one_optimum_tree(bound, prune):
 # (seed, bound) -> (opt, labels_created, pops, heap_pushes) under prune="full"
 # and root "last" on random_instance(seed, n_range=(15, 25), k_range=(5, 7)).
 # A hot-path change must keep these; only a change to pruning, bounds or the
-# root may lower them.
+# root may move them.  Recorded when U became the MST cost of the terminals'
+# distance graph, which prunes fewer labels at creation than the earlier
+# construction heuristic's tree: labels and pushes rose, opt and pops held.
 PINNED_COUNTERS = {
-    (300, "zero"): (91, 121, 121, 150),
-    (300, "onetree"): (91, 90, 90, 92),
-    (300, "jterm:2"): (91, 44, 44, 46),
+    (300, "zero"): (91, 121, 121, 151),
+    (300, "onetree"): (91, 107, 90, 121),
+    (300, "jterm:2"): (91, 62, 44, 64),
     (301, "zero"): (60, 68, 68, 77),
     (301, "onetree"): (60, 56, 41, 64),
     (301, "jterm:2"): (60, 53, 38, 58),
@@ -763,11 +697,11 @@ PINNED_COUNTERS = {
     (303, "onetree"): (46, 45, 45, 45),
     (303, "jterm:2"): (46, 19, 19, 19),
     (304, "zero"): (37, 94, 94, 114),
-    (304, "onetree"): (37, 53, 53, 54),
-    (304, "jterm:2"): (37, 22, 22, 22),
+    (304, "onetree"): (37, 60, 53, 63),
+    (304, "jterm:2"): (37, 34, 22, 35),
     (305, "zero"): (49, 58, 58, 61),
-    (305, "onetree"): (49, 51, 51, 54),
-    (305, "jterm:2"): (49, 42, 42, 44),
+    (305, "onetree"): (49, 55, 51, 59),
+    (305, "jterm:2"): (49, 49, 42, 51),
 }
 
 
@@ -783,16 +717,18 @@ def test_pinned_counters(seed, bound):
 # (seed, bound, prune) -> (opt, labels_created, pops, heap_pushes,
 # pruned_at_creation, pruned_at_pop, distinct (v, J) bound queries) on the
 # instances of PINNED_COUNTERS, under both pruning modes that read the
-# bound and root "last"; recorded before the label store became per-vertex
-# maps, when a per-vertex cache made bound_evaluations count the distinct
-# queries.
+# bound and root "last".  The last column dates from when a per-vertex cache
+# made bound_evaluations count the distinct queries.  Recorded when U became
+# the MST cost of the terminals' distance graph: labels, pushes,
+# pruned_at_creation and the distinct queries moved, most under prune
+# "bound", where U is the only prune; opt, pops and pruned_at_pop held.
 PINNED_COUNTERS_ALL_MODES = {
-    (300, "zero", "bound"): (91, 1411, 1397, 2304, 2829, 0, 1411),
-    (300, "zero", "full"): (91, 121, 121, 150, 241, 0, 121),
-    (300, "onetree", "bound"): (91, 204, 204, 223, 944, 0, 582),
-    (300, "onetree", "full"): (91, 90, 90, 92, 256, 0, 108),
-    (300, "jterm:2", "bound"): (91, 101, 101, 106, 252, 0, 289),
-    (300, "jterm:2", "full"): (91, 44, 44, 46, 104, 0, 62),
+    (300, "zero", "bound"): (91, 1483, 1397, 2832, 757, 0, 1483),
+    (300, "zero", "full"): (91, 121, 121, 151, 240, 0, 121),
+    (300, "onetree", "bound"): (91, 533, 204, 685, 75, 0, 594),
+    (300, "onetree", "full"): (91, 107, 90, 121, 195, 0, 108),
+    (300, "jterm:2", "bound"): (91, 280, 101, 305, 10, 0, 290),
+    (300, "jterm:2", "full"): (91, 62, 44, 64, 84, 0, 62),
     (301, "zero", "bound"): (60, 308, 283, 475, 112, 0, 308),
     (301, "zero", "full"): (60, 68, 68, 77, 104, 5, 68),
     (301, "onetree", "bound"): (60, 111, 53, 139, 49, 0, 148),
@@ -811,18 +747,18 @@ PINNED_COUNTERS_ALL_MODES = {
     (303, "onetree", "full"): (46, 45, 45, 45, 156, 0, 61),
     (303, "jterm:2", "bound"): (46, 19, 19, 19, 74, 0, 66),
     (303, "jterm:2", "full"): (46, 19, 19, 19, 74, 0, 34),
-    (304, "zero", "bound"): (37, 488, 488, 777, 66, 0, 488),
+    (304, "zero", "bound"): (37, 493, 488, 782, 48, 0, 493),
     (304, "zero", "full"): (37, 94, 94, 114, 208, 1, 94),
-    (304, "onetree", "bound"): (37, 165, 165, 209, 671, 0, 424),
-    (304, "onetree", "full"): (37, 53, 53, 54, 190, 0, 72),
-    (304, "jterm:2", "bound"): (37, 23, 23, 23, 87, 0, 93),
-    (304, "jterm:2", "full"): (37, 22, 22, 22, 84, 0, 37),
-    (305, "zero", "bound"): (49, 519, 511, 845, 354, 0, 519),
+    (304, "onetree", "bound"): (37, 181, 165, 244, 572, 0, 427),
+    (304, "onetree", "full"): (37, 60, 53, 63, 178, 0, 72),
+    (304, "jterm:2", "bound"): (37, 44, 23, 45, 56, 0, 93),
+    (304, "jterm:2", "full"): (37, 34, 22, 35, 65, 0, 37),
+    (305, "zero", "bound"): (49, 524, 511, 903, 183, 0, 524),
     (305, "zero", "full"): (49, 58, 58, 61, 145, 0, 58),
-    (305, "onetree", "bound"): (49, 165, 165, 196, 613, 0, 401),
-    (305, "onetree", "full"): (49, 51, 51, 54, 135, 0, 58),
-    (305, "jterm:2", "bound"): (49, 66, 66, 70, 192, 0, 181),
-    (305, "jterm:2", "full"): (49, 42, 42, 44, 114, 0, 54),
+    (305, "onetree", "bound"): (49, 232, 165, 294, 416, 0, 402),
+    (305, "onetree", "full"): (49, 55, 51, 59, 127, 0, 58),
+    (305, "jterm:2", "bound"): (49, 114, 66, 119, 114, 0, 182),
+    (305, "jterm:2", "full"): (49, 49, 42, 51, 102, 0, 54),
 }
 
 
@@ -854,21 +790,22 @@ def test_pinned_counters_all_modes(seed, bound, prune, monkeypatch):
 
 # (seed, prune) -> (opt, labels_created, pops, heap_pushes, pruned_at_creation,
 # pruned_at_pop, distinct (v, J) bound queries) under the tsp bound and root
-# "last" on the instances of PINNED_COUNTERS; recorded before the TSP path
-# table became a root-anchored pull recurrence over flat lists.
+# "last" on the instances of PINNED_COUNTERS; recorded when U became the MST
+# cost of the terminals' distance graph, with the columns that moved as in
+# PINNED_COUNTERS_ALL_MODES.
 PINNED_COUNTERS_TSP = {
-    (300, "bound"): (91, 41, 41, 42, 114, 0, 139),
-    (300, "full"): (91, 37, 37, 38, 103, 0, 58),
+    (300, "bound"): (91, 128, 41, 137, 13, 0, 141),
+    (300, "full"): (91, 58, 37, 60, 76, 0, 58),
     (301, "bound"): (60, 56, 21, 58, 29, 0, 83),
     (301, "full"): (60, 44, 21, 44, 45, 0, 47),
     (302, "bound"): (80, 34, 34, 35, 86, 0, 102),
     (302, "full"): (80, 32, 32, 33, 84, 0, 48),
     (303, "bound"): (46, 19, 19, 19, 74, 0, 66),
     (303, "full"): (46, 19, 19, 19, 74, 0, 34),
-    (304, "bound"): (37, 25, 25, 25, 93, 0, 99),
-    (304, "full"): (37, 25, 25, 25, 93, 0, 39),
-    (305, "bound"): (49, 63, 63, 68, 196, 0, 187),
-    (305, "full"): (49, 40, 40, 43, 111, 0, 53),
+    (304, "bound"): (37, 41, 25, 42, 66, 0, 99),
+    (304, "full"): (37, 34, 25, 35, 76, 0, 39),
+    (305, "bound"): (49, 113, 63, 125, 113, 0, 188),
+    (305, "full"): (49, 50, 40, 54, 96, 0, 53),
 }
 
 
@@ -881,12 +818,13 @@ def test_pinned_counters_tsp(seed, prune, monkeypatch):
 
 
 # (seed, bound) -> the columns of PINNED_COUNTERS_ALL_MODES under prune "full"
-# and the default root rule, "medoid", on the instances of PINNED_COUNTERS.
+# and the default root rule, "medoid", on the instances of PINNED_COUNTERS;
+# recorded when U became the MST cost of the terminals' distance graph.
 PINNED_COUNTERS_MEDOID = {
-    (300, "zero"): (91, 81, 81, 97, 216, 0, 81),
-    (300, "onetree"): (91, 67, 67, 69, 198, 0, 80),
-    (300, "jterm:2"): (91, 54, 54, 55, 145, 0, 74),
-    (300, "tsp"): (91, 36, 36, 36, 97, 0, 55),
+    (300, "zero"): (91, 81, 81, 99, 206, 0, 81),
+    (300, "onetree"): (91, 79, 67, 90, 166, 0, 80),
+    (300, "jterm:2"): (91, 71, 54, 76, 119, 0, 74),
+    (300, "tsp"): (91, 55, 36, 56, 74, 0, 55),
     (301, "zero"): (60, 68, 68, 77, 104, 5, 68),
     (301, "onetree"): (60, 56, 41, 64, 75, 0, 57),
     (301, "jterm:2"): (60, 53, 38, 58, 62, 0, 59),
@@ -900,13 +838,13 @@ PINNED_COUNTERS_MEDOID = {
     (303, "jterm:2"): (46, 19, 19, 19, 72, 0, 33),
     (303, "tsp"): (46, 19, 19, 19, 72, 0, 33),
     (304, "zero"): (37, 42, 42, 47, 125, 0, 42),
-    (304, "onetree"): (37, 40, 40, 41, 117, 0, 42),
-    (304, "jterm:2"): (37, 36, 36, 40, 104, 0, 40),
-    (304, "tsp"): (37, 23, 23, 23, 84, 0, 31),
-    (305, "zero"): (49, 95, 95, 104, 213, 0, 95),
-    (305, "onetree"): (49, 67, 67, 70, 188, 0, 88),
-    (305, "jterm:2"): (49, 56, 56, 58, 172, 0, 80),
-    (305, "tsp"): (49, 43, 43, 45, 140, 0, 67),
+    (304, "onetree"): (37, 42, 40, 45, 113, 0, 42),
+    (304, "jterm:2"): (37, 39, 36, 43, 101, 0, 40),
+    (304, "tsp"): (37, 30, 23, 31, 71, 0, 31),
+    (305, "zero"): (49, 95, 95, 105, 212, 0, 95),
+    (305, "onetree"): (49, 79, 67, 83, 166, 0, 88),
+    (305, "jterm:2"): (49, 69, 56, 72, 151, 0, 80),
+    (305, "tsp"): (49, 61, 43, 65, 112, 0, 67),
 }
 
 

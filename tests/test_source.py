@@ -91,8 +91,8 @@ def _heap_loops(src: Path) -> list[str]:
 
 
 def test_shortest_paths_run_only_on_resumable_dijkstra():
-    # the heuristic, the oracle and the bound tables grow their distances
-    # through graph.ResumableDijkstra, so none keeps a Dijkstra of its own
+    # the oracle and the bound tables grow their distances through
+    # graph.ResumableDijkstra, so neither keeps a Dijkstra of its own
     assert _heap_loops(SRC) == []
 
 
@@ -101,41 +101,37 @@ def test_heap_check_finds_a_hand_written_loop(tmp_path):
             "        d, u = heapq.heappop(heap)\n"
             "        for v, c in adj[u]:\n"
             "            heapq.heappush(heap, (d + c, v))\n")
-    for name in ("graph.py", "baseline.py", "heuristic.py"):
+    for name in ("graph.py", "baseline.py", "bounds.py"):
         (tmp_path / name).write_text(f"import heapq\ndef run(heap, adj):\n{loop}")
     (tmp_path / "solver.py").write_text(
         "from heapq import heappop\n"
         f"def _label_loop(heap, adj):\n{loop}"
-        f"def heuristic_upper_bound(heap, adj):\n{loop}")
-    assert _heap_loops(tmp_path) == ["heuristic.py:4", "solver.py:1", "solver.py:9"]
+        f"def _prepare(heap, adj):\n{loop}")
+    assert _heap_loops(tmp_path) == ["bounds.py:4", "solver.py:1", "solver.py:9"]
 
 
 def _row_readers(src: Path) -> list[str]:
     """Places that name a search's growth attributes (settle, drain, _grow,
-    cap, heap, dist) outside graph.py, distances.py and
-    solver.heuristic_upper_bound, and places anywhere that name the
-    oracle's former ``settled`` or ``rows``."""
+    cap, heap, dist) outside graph.py and distances.py, and places anywhere
+    that name the oracle's former ``settled`` or ``rows``."""
     found = []
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owner = path.name in ("graph.py", "distances.py")
-        allowed = (_inside(tree, "heuristic_upper_bound")
-                   if path.name == "solver.py" else set())
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
             if node.attr in ("settled", "rows") or (
                     node.attr in ("settle", "drain", "_grow", "cap", "heap", "dist")
-                    and not owner and id(node) not in allowed):
+                    and not owner):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
     return found
 
 
 def test_distance_rows_grow_only_inside_the_oracle():
-    # bounds and the solver read terminal distances as oracle.columns[v],
-    # which is exact wherever it is read, so none of them tests or grows a
-    # row itself; the heuristic settles its own searches, the first being
-    # the oracle's root row, whose terminals are already settled
+    # bounds and the solver read terminal distances as oracle.columns[v]
+    # or oracle.pair, which are exact wherever they are read, so neither
+    # tests or grows a row itself
     assert _row_readers(SRC) == []
 
 
@@ -163,8 +159,8 @@ def test_row_check_finds_hand_written_reads(tmp_path):
         "    return search.heap\n")
     assert sorted(_row_readers(tmp_path)) == [
         "bounds.py:2 .settled", "bounds.py:3 .settle", "bounds.py:4 .rows",
-        "distances.py:3 .rows", "solver.py:5 .cap", "solver.py:6 ._grow",
-        "solver.py:7 .heap"]
+        "distances.py:3 .rows", "solver.py:2 .settle", "solver.py:3 .dist",
+        "solver.py:5 .cap", "solver.py:6 ._grow", "solver.py:7 .heap"]
 
 
 def _self_referring_closures(src: Path) -> list[str]:
