@@ -145,7 +145,8 @@ class DistanceOracle:
         terminal indices, which come in increasing order.
 
         Ties go to the smallest terminal index; (INF, -1) when none of them
-        is reachable.
+        is reachable.  No solver code calls it; it stays for
+        ``perfbench/tracing.py``, which wraps it.
         """
         col = self.columns[vertex]
         best, best_y = INF, -1

@@ -70,8 +70,10 @@ class SolveStats:
 class PruneTracker:
     """Per-set upper bounds U(I) with witness terminals S(I) outside I.
 
-    ``sets`` holds what every pop of I reads, recorded on its first pop: the
-    cut distance and witness, and the terminals outside I in increasing order.
+    The tracker holds the per-set state and the merge rule; the label loop
+    applies the pop rule to it in place (see ``_label_loop``).  ``sets``
+    holds what every pop of I reads, recorded on its first pop: the cut
+    distance and witness, and the terminals outside I in increasing order.
     """
 
     def __init__(self, oracle: DistanceOracle):
@@ -79,20 +81,6 @@ class PruneTracker:
         self.upper: dict[int, int] = {}
         self.witness: dict[int, int] = {}
         self.sets: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-
-    def on_pop(self, vertex: int, mask: int, cost: int) -> None:
-        record = self.sets.get(mask)
-        if record is None:
-            outside = tuple(iter_bits(((1 << self.oracle.k) - 1) & ~mask))
-            record = self.sets[mask] = (*self.oracle.set_cut_distance(mask), outside)
-        d, y, outside = record
-        d_v, y_v = self.oracle.vertex_to_set_distance(vertex, outside)
-        if d_v < d:
-            d, y = d_v, y_v
-        cand = cost + d
-        if cand < self.upper.get(mask, INF):
-            self.upper[mask] = cand
-            self.witness[mask] = 1 << y
 
     def on_merge(self, m1: int, m2: int) -> None:
         """Combine U(m1) + U(m2) into U(m1 | m2) when the witnesses allow it;
@@ -311,7 +299,17 @@ def _label_loop(
     search: _Search, stats: SolveStats, limits: Limits,
 ) -> tuple[int, list[dict[int, int]]]:
     """Run labels until the root label is permanent; returns its cost and the
-    permanent labels' costs by vertex and set, which ``_backtrack`` reads."""
+    permanent labels' costs by vertex and set, which ``_backtrack`` reads.
+
+    Under prune "full" every permanent label (v, I) but the root's applies
+    the pop rule.  Let d be the cut distance of I, the least d(x, y) over
+    terminals x in I and y outside it, with y its witness; the least d(v, y')
+    over terminals y' outside I replaces both if it is strictly smaller, the
+    smaller index winning a tie among the y'.  A d(v, y') that only ties d
+    keeps the cut's witness.  If cost + d is below U(I), U(I) becomes
+    cost + d and S(I) becomes {y}.  The rule runs in the loop rather than
+    behind a call: the call cost about 3% of a ``hanan3d`` solve.
+    """
     reduced = search.reduced
     n = reduced.graph.n
     adj = reduced.graph.adj
@@ -322,7 +320,12 @@ def _label_loop(
     value2 = search.bound.value2
     upper2 = search.upper2
     tracker = search.tracker
-    upper_get = tracker.upper.get if tracker is not None else {}.get
+    upper: dict[int, int] = {}
+    if tracker is not None:
+        upper, witness, sets = tracker.upper, tracker.witness, tracker.sets
+        set_cut_distance = tracker.oracle.set_cut_distance
+        columns = tracker.oracle.columns
+    upper_get = upper.get
     # per vertex: the cost of every label, and of the permanent ones; a
     # label is permanent iff its mask is in ``perm``
     cost_of: list[dict[int, int]] = [{} for _ in range(n)]
@@ -363,7 +366,8 @@ def _label_loop(
 
         # re-prune on selection: only U(I) can have improved since the
         # label was created
-        if cost > upper_get(mask, INF):
+        set_upper = upper_get(mask, INF)
+        if cost > set_upper:
             stats.pruned_at_pop += 1
             continue
 
@@ -374,11 +378,22 @@ def _label_loop(
             stats.bound_evaluations = search.bound.evaluations
             return cost, perm
         if tracker is not None:
-            tracker.on_pop(v, mask, cost)
+            # the pop rule (see the docstring); I's cut is queried once
+            record = sets.get(mask)
+            if record is None:
+                outside = tuple(iter_bits(full_mask & ~mask))
+                record = sets[mask] = (*set_cut_distance(mask), outside)
+            d, y, outside = record
+            col = columns[v]
+            for z in outside:
+                if col[z] < d:
+                    d, y = col[z], z
+            if cost + d < set_upper:
+                set_upper = upper[mask] = cost + d
+                witness[mask] = 1 << y
 
         # relax all edges incident to v; cheap discards first: cost alone
         # (L >= 0), the per-set bound, and only then the lower bound
-        set_upper = upper_get(mask, INF)
         jmask_same = full_mask ^ mask
         for w, ec in adj[v]:
             nc = cost + ec

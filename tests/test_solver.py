@@ -40,7 +40,13 @@ from dsteiner.graph import (
 )
 from dsteiner.solver import heuristic_upper_bound
 
-from gen import BaselineOracle, lattice_instance, random_instance
+from gen import (
+    BaselineOracle,
+    bellman_ford,
+    edges_of,
+    lattice_instance,
+    random_instance,
+)
 
 BOUNDS = ["zero", "jterm:2", "onetree", "max(jterm:2,onetree)"]
 PRUNES = ["off", "bound", "full"]
@@ -201,65 +207,102 @@ def test_tsp_bound_solves_correctly():
     assert rec.opt == expected
 
 
-def test_prune_tracker_update_rule():
-    from dsteiner import DistanceOracle
-    from dsteiner.graph import INF
-    from dsteiner.solver import PruneTracker
+def _tracked_solves(monkeypatch, insts, **kwargs):
+    """Solve each instance under prune "full"; returns the ``_Search`` and
+    the permanent labels of each label loop, read by wrapping it."""
+    runs = []
+    loop = solver._label_loop
 
-    inst = random_instance(91, k_range=(5, 5))
-    oracle = DistanceOracle(inst.graph, inst.terminals)
-    full = (1 << 5) - 1
-    tracker = PruneTracker(oracle)
-    mask = 0b00011
-    v = inst.terminals[0]
-    assert tracker.upper.get(mask, INF) == INF
-    tracker.on_pop(v, mask, 40)
-    cut, _ = oracle.set_cut_distance(mask)
-    vdist, _ = oracle.vertex_to_set_distance(v, tuple(iter_bits(full ^ mask)))
-    assert tracker.upper.get(mask, INF) == 40 + min(cut, vdist)
-    assert tracker.witness[mask] & mask == 0
-    # upper bounds only ever decrease
-    tracker.on_pop(v, mask, 50)
-    assert tracker.upper.get(mask, INF) == 40 + min(cut, vdist)
-    tracker.on_pop(v, mask, 10)
-    assert tracker.upper.get(mask, INF) == 10 + min(cut, vdist)
+    def tracked(search, *args):
+        cost, perm = loop(search, *args)
+        runs.append((search, perm))
+        return cost, perm
+
+    monkeypatch.setattr(solver, "_label_loop", tracked)
+    for inst in insts:
+        solve(inst, prune="full", **kwargs)
+    return runs
 
 
-def test_prune_tracker_tie_keeps_the_cut_witness():
-    from dsteiner.solver import PruneTracker
-
-    # terminals 0, 1, 2 at vertices 0, 1, 2; the cut of {0} is 5, to
-    # terminal 2, and vertex 3 is at 5 from terminal 1 alone
-    g = Graph(4, [(0, 2, 5), (1, 3, 5), (1, 2, 20)])
-    oracle = DistanceOracle(g, [0, 1, 2])
-    assert oracle.set_cut_distance(0b001) == (5, 2)
-    assert oracle.vertex_to_set_distance(3, (1, 2)) == (5, 1)
-    tracker = PruneTracker(oracle)
-    tracker.on_pop(3, 0b001, 7)
-    assert tracker.upper[0b001] == 12
-    assert tracker.witness[0b001] == 0b100
+def _tracker_cases():
+    """Random instances, with and without zero-cost edges, and lattices with
+    costs from 0, all with k <= 6."""
+    return ([random_instance(seed + 900, k_range=(3, 6)) for seed in range(10)]
+            + [random_instance(seed + 920, k_range=(3, 6), zero_edges=4)
+               for seed in range(6)]
+            + [lattice_instance(5, 5, seed, cost_range=(0, 9)) for seed in range(4)])
 
 
-def test_prune_tracker_queries_each_set_cut_once(monkeypatch):
-    from dsteiner.solver import PruneTracker
+def test_pop_rule_bounds_the_set_of_every_permanent_label(monkeypatch):
+    # U(I) <= cost + min(cut(I), d(v, y) for y outside I) for every permanent
+    # (v, I); the root's label ends the loop and is not among them
+    for search, perm in _tracked_solves(monkeypatch, _tracker_cases()):
+        reduced = search.reduced
+        terms = reduced.terminals
+        dist = [bellman_ford(reduced.graph, t) for t in terms]
+        full = (1 << reduced.k) - 1
+        assert any(perm)
+        for v, labels in enumerate(perm):
+            for mask, cost in labels.items():
+                outside = list(iter_bits(full ^ mask))
+                cut = min(dist[x][terms[y]] for x in iter_bits(mask) for y in outside)
+                near = min(dist[y][v] for y in outside)
+                assert search.tracker.upper[mask] <= cost + min(cut, near)
 
-    cuts, pops = [], []
+
+def test_witnesses_bound_the_cheapest_forest_reaching_them(monkeypatch):
+    # U(I) is the cost of a forest spanning I whose every tree holds a
+    # terminal of S(I): at least the optimum for I | S(I) once S(I)'s
+    # terminals are joined by zero-cost edges
+    for search, _ in _tracked_solves(monkeypatch, _tracker_cases()):
+        reduced, tracker = search.reduced, search.tracker
+        terms = reduced.terminals
+        assert tracker.witness.keys() == tracker.upper.keys()
+        for mask, witness in tracker.witness.items():
+            assert witness and not witness & mask
+            joined = [terms[y] for y in iter_bits(witness)]
+            edges = [(u, v, c) for (u, v), c in edges_of(reduced.graph)]
+            edges += [(a, b, 0) for a, b in zip(joined, joined[1:])]
+            forest = SteinerInstance(graph=Graph(reduced.n, edges),
+                                     terminals=[terms[x] for x in iter_bits(mask | witness)])
+            assert tracker.upper[mask] >= solve_baseline(forest)[0]
+
+
+@pytest.mark.parametrize("inst", [
+    random_instance(91, k_range=(6, 6)),
+    lattice_instance(6, 6, 3, cost_range=(0, 9)),
+], ids=["random", "zero_edge_lattice"])
+def test_each_popped_set_queries_its_cut_once(inst, monkeypatch):
+    cuts = []
     set_cut_distance = DistanceOracle.set_cut_distance
-    on_pop = PruneTracker.on_pop
 
-    def counted_cut(self, *args):
-        cuts.append(args[0])
-        return set_cut_distance(self, *args)
-
-    def counted_pop(self, vertex, mask, cost):
-        pops.append(mask)
-        return on_pop(self, vertex, mask, cost)
+    def counted_cut(self, mask):
+        cuts.append(mask)
+        return set_cut_distance(self, mask)
 
     monkeypatch.setattr(DistanceOracle, "set_cut_distance", counted_cut)
-    monkeypatch.setattr(PruneTracker, "on_pop", counted_pop)
-    solve(random_instance(91, k_range=(6, 6)), prune="full")
-    assert len(pops) > len(set(pops))  # some set is popped more than once
-    assert sorted(cuts) == sorted(set(pops))
+    (search, perm), = _tracked_solves(monkeypatch, [inst])
+    sets = [mask for labels in perm for mask in labels]
+    assert len(sets) > len(set(sets))  # some set is permanent at two vertices
+    assert sorted(cuts) == sorted(search.tracker.sets) == sorted(set(sets))
+
+
+def test_pop_rule_tie_keeps_the_cut_witness(monkeypatch):
+    # terminals 0..3 at vertices 1..4.  I = {0, 1} is first permanent at
+    # vertex 0: its labels at vertices 0, 1 and 2 all cost 2, and the zero
+    # bound's equal keys pop the smallest vertex first.  The cut of I is 5,
+    # from terminal 0 to terminal 3, and vertex 0 is at 5 from terminal 2
+    # (and 6 from terminal 3): the tie keeps terminal 3
+    g = Graph(5, [(0, 1, 1), (0, 2, 1), (1, 4, 5), (0, 3, 5)])
+    inst = SteinerInstance(graph=g, terminals=[1, 2, 3, 4])
+    (search, perm), = _tracked_solves(monkeypatch, [inst], bound="zero",
+                                      root_rule="index:3")
+    tracker = search.tracker
+    assert perm[0][0b0011] == 2
+    assert tracker.sets[0b0011][:2] == (5, 3)
+    assert tracker.oracle.columns[0][2:] == (5, 6)
+    assert tracker.upper[0b0011] == 7
+    assert tracker.witness[0b0011] == 0b1000
 
 
 def test_prune_tracker_merge_combination():

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import dsteiner
+from dsteiner.distances import DistanceOracle
 
 SRC = Path(dsteiner.__file__).parent
 
@@ -161,6 +162,41 @@ def test_row_check_finds_hand_written_reads(tmp_path):
         "bounds.py:2 .settled", "bounds.py:3 .settle", "bounds.py:4 .rows",
         "distances.py:3 .rows", "solver.py:2 .settle", "solver.py:3 .dist",
         "solver.py:5 .cap", "solver.py:6 ._grow", "solver.py:7 .heap"]
+
+
+def _per_pop_queries(src: Path) -> list[str]:
+    """Places that name ``vertex_to_set_distance`` other than its ``def``:
+    as a name, an attribute or a string, the ways a call can reach it."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if name == "vertex_to_set_distance":
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_calls_the_per_pop_vertex_query():
+    # the label loop scans oracle.columns[v] itself: the call per pop cost
+    # about 3% of a hanan3d solve.  The method stays, because
+    # perfbench/tracing.py wraps it by name
+    assert _per_pop_queries(SRC) == []
+    assert callable(DistanceOracle.vertex_to_set_distance)
+
+
+def test_query_check_finds_a_call(tmp_path):
+    (tmp_path / "distances.py").write_text(
+        "class DistanceOracle:\n"
+        "    def vertex_to_set_distance(self, v, ts):\n"
+        "        return min(ts)\n")
+    (tmp_path / "solver.py").write_text(
+        "def _label_loop(oracle, v, ts):\n"
+        "    query = oracle.vertex_to_set_distance\n"
+        "    return getattr(oracle, 'vertex_to_set_distance')(v, ts)\n")
+    assert _per_pop_queries(tmp_path) == ["solver.py:2", "solver.py:3"]
 
 
 def _self_referring_closures(src: Path) -> list[str]:

@@ -3,7 +3,10 @@
 The traced benchmark pass reads each layer's time from spans the tracer
 records by wrapping public names (``perfbench/tracing.py``).  A name that
 stays defined but is no longer called reads 0 there; these tests fail
-instead.
+instead.  One such name passes: the oracle's ``vertex_to_set_distance``,
+which the label loop no longer calls, records under ``distances.query``,
+the span name it shares with ``set_cut_distance``, which is still called
+once per popped set.
 """
 
 import sys
