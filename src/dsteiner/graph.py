@@ -23,10 +23,11 @@ MAX_TERMINALS = 63
 ADJ_EDGE_BYTES = 160
 # Bytes zero-edge contraction holds at its peak per input edge, for the
 # memory-limit check made before it allocates: lattices of 3,120 to 28,560
-# edges, 5-10% of them zero-cost, peaked at 202-257 B per edge under
-# tracemalloc on CPython 3.11 (the union-find array, the component maps and
-# the contracted cost and witness dicts); half-zero lattices peaked lower.
-CONTRACT_EDGE_BYTES = 256
+# edges, 5-10% of them zero-cost, peaked at 97-142 B per edge under
+# tracemalloc on CPython 3.11 (mostly the copied cost dict, plus the
+# union-find array, the vertex map and the witness dict); half-zero
+# lattices peaked at 107-124 B.
+CONTRACT_EDGE_BYTES = 144
 
 
 class Graph:
@@ -235,12 +236,18 @@ def validate_tree(instance: SteinerInstance, edges: Sequence[tuple[int, int]]) -
 
 @dataclass
 class ContractionMap:
-    """Maps a zero-edge-contracted instance back to the original one."""
+    """Maps a zero-edge-contracted instance back to the original one.
 
-    old_to_new: list[int]
-    # per new vertex: zero-cost original edges spanning its merged component
-    component_edges: list[list[tuple[int, int]]]
-    # per contracted edge (u', v'): a cheapest original edge realizing it
+    Contraction keeps vertex ids: each zero-cost component is the vertex
+    of its least member, and its other members are left isolated.
+    """
+
+    old_to_new: list[int]  # per vertex, its component's least member
+    # per kept vertex of a merged component: the zero-cost original edges
+    # spanning that component
+    component_edges: dict[int, list[tuple[int, int]]]
+    # per re-keyed edge (u', v'): a cheapest original edge realizing it; an
+    # edge missing here is its own original
     edge_witness: dict[tuple[int, int], tuple[int, int]]
 
     def lift_edges(
@@ -252,12 +259,12 @@ class ContractionMap:
         touched: set[int] = set()
         for u, v in edges:
             key = (u, v) if u < v else (v, u)
-            lifted.append(self.edge_witness[key])
+            lifted.append(self.edge_witness.get(key, key))
             touched.add(u)
             touched.add(v)
         touched.add(root)
         for comp in touched:
-            lifted.extend(self.component_edges[comp])
+            lifted.extend(self.component_edges.get(comp, ()))
         return lifted
 
 
@@ -266,10 +273,16 @@ def contract_zero_edges(
 ) -> tuple[SteinerInstance, Optional[ContractionMap]]:
     """Contract all zero-cost edges; the result has strictly positive costs.
 
-    Merged vertices keep terminal status if any member was a terminal, and
-    terminal order follows the first occurrence in the original order.  The
-    returned map lifts any contracted tree back to an original tree of the
-    same cost (zero edges re-inserted).  Without a zero-cost edge the
+    Vertex ids, ``n`` and ``coords`` stay as they are: each zero-cost
+    component keeps the id of its least member, so the kept ids stand in
+    the order a renumbering in vertex order would give, which the label
+    heap's tie-break on the vertex reads; its other members are left
+    isolated.  Only the edges at those members are re-keyed to the kept
+    ids, parallel ones keeping the cheaper cost.  A component holding a
+    terminal is a terminal, and
+    terminal order follows the first occurrence in the original order.
+    The returned map lifts any contracted tree back to an original tree of
+    the same cost (zero edges re-inserted).  Without a zero-cost edge the
     result is the same instance on a new ``Graph`` sharing the cost dict,
     with no map, so the adjacency a solve builds is the solve's own.
     ``limits`` is checked for memory before a contraction allocates.
@@ -279,60 +292,41 @@ def contract_zero_edges(
         return replace(instance, graph=Graph._from_costs(g.n, g._edge_cost)), None
     limits.check_memory(g.m * CONTRACT_EDGE_BYTES, "zero-edge contraction")
     parent = list(range(g.n))
-    # the zero edges that merge two components span the merged ones
+    # the zero edges that merge two components span the merged ones; the
+    # smaller root wins, so each root is its component's least vertex
     zero_span: list[tuple[int, int]] = []
     for (u, v), c in g._edge_cost.items():
         if c == 0:
             ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
-                parent[ru] = rv
+                parent[max(ru, rv)] = min(ru, rv)
                 zero_span.append((u, v))
+    rep = [_find(parent, v) for v in range(g.n)]
 
-    comp_of: dict[int, int] = {}
-    old_to_new = [0] * g.n
-    representative: list[int] = []
-    for v in range(g.n):
-        r = _find(parent, v)
-        if r not in comp_of:
-            comp_of[r] = len(representative)
-            representative.append(v)
-        old_to_new[v] = comp_of[r]
-
-    new_n = len(representative)
-    # cheapest cost per contracted pair, and the first original edge with it
-    new_cost: dict[tuple[int, int], int] = {}
+    # only edges at a non-kept member move: each re-keyed pair keeps the
+    # cheapest cost, with an original edge of that cost as its witness
+    cost = dict(g._edge_cost)
     edge_witness: dict[tuple[int, int], tuple[int, int]] = {}
-    get = new_cost.get
+    get = cost.get
     for edge, c in g._edge_cost.items():
-        nu, nv = old_to_new[edge[0]], old_to_new[edge[1]]
-        if nu == nv:
+        u, v = edge
+        ru, rv = rep[u], rep[v]
+        if ru == u and rv == v:
             continue
-        key = (nu, nv) if nu < nv else (nv, nu)
+        del cost[edge]
+        if ru == rv:
+            continue
+        key = (ru, rv) if ru < rv else (rv, ru)
         prev = get(key)
         if prev is None or c < prev:
-            new_cost[key] = c
+            cost[key] = c
             edge_witness[key] = edge
-    new_graph = Graph._from_costs(new_n, new_cost)
 
-    new_terminals = list(dict.fromkeys(old_to_new[t] for t in instance.terminals))
-
-    component_edges = [[] for _ in range(new_n)]
+    component_edges: dict[int, list[tuple[int, int]]] = {}
     for u, v in zero_span:
-        component_edges[old_to_new[u]].append((u, v))
+        component_edges.setdefault(rep[u], []).append((u, v))
 
-    new_coords = None
-    if instance.coords is not None:
-        new_coords = [instance.coords[representative[i]] for i in range(new_n)]
-
-    reduced = SteinerInstance(
-        graph=new_graph,
-        terminals=new_terminals,
-        name=instance.name,
-        coords=new_coords,
-    )
-    cmap = ContractionMap(
-        old_to_new=old_to_new,
-        component_edges=component_edges,
-        edge_witness=edge_witness,
-    )
-    return reduced, cmap
+    reduced = replace(
+        instance, graph=Graph._from_costs(g.n, cost),
+        terminals=list(dict.fromkeys(rep[t] for t in instance.terminals)))
+    return reduced, ContractionMap(rep, component_edges, edge_witness)

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -325,9 +326,11 @@ def test_contract_merges_zero_joined_terminals():
     g = Graph(3, [(0, 1, 0), (1, 2, 4)])
     inst = SteinerInstance(graph=g, terminals=[0, 1, 2])
     reduced, _ = contract_zero_edges(inst)
-    assert reduced.k == 2
-    assert reduced.n == 2
-    assert all(c > 0 for _, c in edges_of(reduced.graph))
+    # vertex ids are kept: the component {0, 1} is vertex 0, and 1 is isolated
+    assert reduced.n == 3
+    assert reduced.terminals == [0, 2]
+    assert edges_of(reduced.graph) == [((0, 2), 4)]
+    assert reduced.graph.adj[1] == []
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -339,16 +342,63 @@ def test_contract_preserves_optimum(seed):
     assert validate_tree(inst, rec.edges) == rec.opt
 
 
+def _least_zero_component_member(graph):
+    """Per vertex, the least vertex of its zero-cost component, by a BFS
+    over the zero-cost edges from each vertex in increasing order."""
+    zero_adj = [[] for _ in range(graph.n)]
+    for (u, v), c in edges_of(graph):
+        if c == 0:
+            zero_adj[u].append(v)
+            zero_adj[v].append(u)
+    least = [None] * graph.n
+    for s in range(graph.n):
+        if least[s] is None:
+            least[s] = s
+            queue = [s]
+            for x in queue:
+                for y in zero_adj[x]:
+                    if least[y] is None:
+                        least[y] = s
+                        queue.append(y)
+    return least
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_contract_output_always_positive(seed):
-    inst = random_instance(seed % 97, zero_edges=4)
-    reduced, cmap = contract_zero_edges(inst)
-    assert all(c > 0 for _, c in edges_of(reduced.graph))
-    # every original terminal lands on a reduced terminal
-    reduced_terms = set(reduced.terminals)
-    for t in inst.terminals:
-        assert cmap.old_to_new[t] in reduced_terms
+    side = 6 + seed % 5
+    lattice = replace(lattice_instance(side, 4, seed, cost_range=(0, 9)),
+                      coords=[divmod(v, side) for v in range(side * side)])
+    for inst in (random_instance(seed % 97, zero_edges=4), lattice):
+        reduced, cmap = contract_zero_edges(inst)
+        assert (cmap is not None) == inst.graph.has_zero_edge()
+        old_to_new = cmap.old_to_new if cmap else list(range(inst.n))
+        witness = cmap.edge_witness if cmap else {}
+        assert all(c > 0 for _, c in edges_of(reduced.graph))
+        # vertex ids are kept, and each vertex maps to the least member of
+        # its zero-cost component
+        assert reduced.n == inst.n and reduced.coords is inst.coords
+        least = _least_zero_component_member(inst.graph)
+        assert old_to_new == least
+        # every member but the kept one is isolated
+        ends = {x for key, _ in edges_of(reduced.graph) for x in key}
+        assert all(least[v] == v for v in ends)
+        # the cheapest original edge between each two components, realized
+        # by its witness
+        cheapest = {}
+        for (u, v), c in edges_of(inst.graph):
+            a, b = sorted((least[u], least[v]))
+            if a != b and c < cheapest.get((a, b), INF):
+                cheapest[a, b] = c
+        assert dict(edges_of(reduced.graph)) == cheapest
+        for key, c in edges_of(reduced.graph):
+            u, v = witness.get(key, key)
+            assert inst.graph.edge_cost(u, v) == c
+            assert tuple(sorted((least[u], least[v]))) == key
+        # every original terminal lands on a reduced terminal
+        reduced_terms = set(reduced.terminals)
+        for t in inst.terminals:
+            assert old_to_new[t] in reduced_terms
 
 
 def test_contract_long_zero_components_in_linear_time():
@@ -362,8 +412,8 @@ def test_contract_long_zero_components_in_linear_time():
     start = time.perf_counter()
     reduced, cmap = contract_zero_edges(inst)
     assert time.perf_counter() - start < 1.0
-    assert (reduced.n, reduced.m, reduced.k) == (2, 1, 2)
-    lifted = cmap.lift_edges([(0, 1)], 0)
+    assert (reduced.n, reduced.m, reduced.k) == (inst.n, 1, 2)
+    lifted = cmap.lift_edges([(0, c)], 0)
     assert sorted(lifted) == sorted([(u, v) for u, v, _ in path + star] + [(length, c)])
     assert validate_tree(inst, lifted) == 3
 
@@ -382,7 +432,7 @@ def test_contraction_estimate_tracks_measured_peak():
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert reduced.n < inst.n
+        assert cmap is not None and reduced.m < inst.m
         est = inst.m * CONTRACT_EDGE_BYTES
         assert peak / 2 <= est <= 2 * peak, (inst.m, peak)
 
@@ -396,7 +446,8 @@ def test_memory_limit_refuses_contraction_before_it_allocates(monkeypatch):
         m.setattr(graph, "_find", lambda *a: pytest.fail("contraction started"))
         with pytest.raises(MemoryLimit, match="zero-edge contraction"):
             contract_zero_edges(inst, limits=Limits(mem_limit=est - 1))
-    assert contract_zero_edges(inst, limits=Limits(mem_limit=est))[0].n < inst.n
+    reduced, cmap = contract_zero_edges(inst, limits=Limits(mem_limit=est))
+    assert cmap is not None and reduced.m < inst.m
     # without a zero-cost edge nothing is contracted, so nothing is checked
     positive = lattice_instance(20, 4, seed=3)
     reduced, cmap = contract_zero_edges(positive, limits=Limits(mem_limit=1))

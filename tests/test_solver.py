@@ -1056,7 +1056,7 @@ def test_no_collector_pass_runs_inside_solve():
 
 
 NO_CYCLE_INSTANCES = {
-    # zero-cost edges, so contraction removes vertices and lifting adds edges
+    # zero-cost edges, so contraction merges vertices and lifting adds edges
     "zero-lattice": lambda: lattice_instance(12, 5, seed=2, cost_range=(0, 9)),
     "hanan": lambda: build_hanan_grid(generate_random_points(2, 7, 100, 3))[0],
 }
