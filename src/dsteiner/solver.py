@@ -41,8 +41,8 @@ from .stp import SolutionRecord
 # less that for the heap left at its end, the label loop grew 78-228 B per
 # label (median 128) on 40 3D Hanan grids with k=8 (onetree/full), and
 # 174-251 B (median 195) on 6 2D grids with k=12, each under onetree and tsp,
-# for the two label maps, the prune tracker and the rows grown on demand; all
-# under the default root, "medoid" ("last": 73-235 and 152-245 B).
+# for the two label maps, the per-set upper bounds and the rows grown on
+# demand; all under the default root, "medoid" ("last": 73-235 and 152-245 B).
 LABEL_BYTES = 200
 HEAP_ENTRY_BYTES = 160
 LIMIT_CHECK_INTERVAL = 1024
@@ -65,37 +65,6 @@ class SolveStats:
     # wall milliseconds per phase; a phase that did not run stays at 0.0
     phase_ms: dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(PHASES, 0.0))
-
-
-class PruneTracker:
-    """Per-set upper bounds U(I) with witness terminals S(I) outside I.
-
-    The tracker holds the per-set state and the merge rule; the label loop
-    applies the pop rule to it in place (see ``_label_loop``).  ``sets``
-    holds what every pop of I reads, recorded on its first pop: the cut
-    distance and witness, and the terminals outside I in increasing order.
-    """
-
-    def __init__(self, oracle: DistanceOracle):
-        self.oracle = oracle
-        self.upper: dict[int, int] = {}
-        self.witness: dict[int, int] = {}
-        self.sets: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-
-    def on_merge(self, m1: int, m2: int) -> None:
-        """Combine U(m1) + U(m2) into U(m1 | m2) when the witnesses allow it;
-        both sets have been popped, so both have a U and a witness."""
-        s1 = self.witness[m1]
-        s2 = self.witness[m2]
-        if s1 & m2 and s2 & m1:
-            return
-        union = m1 | m2
-        cand = self.upper[m1] + self.upper[m2]
-        if cand < self.upper.get(union, INF):
-            new_s = (s1 | s2) & ~union
-            if new_s:
-                self.upper[union] = cand
-                self.witness[union] = new_s
 
 
 # the named root rules, besides "index:<i>"; the first is the default
@@ -226,7 +195,8 @@ def solve(
 
 @dataclass
 class _Search:
-    """The contracted instance and everything the label loop reads."""
+    """The contracted instance and everything the label loop reads; under
+    prune "full" the loop also writes the per-set state here."""
 
     reduced: SteinerInstance
     cmap: Optional[ContractionMap]  # None when nothing was contracted
@@ -234,7 +204,13 @@ class _Search:
     sources_mask: int  # all terminal bits but the root's: the root label's set
     bound: Optional[BoundOracle] = None  # None when the root is the only terminal
     upper2: int = INF  # doubled global upper bound; INF when prune is "off"
-    tracker: Optional[PruneTracker] = None  # set when prune is "full"
+    oracle: Optional[DistanceOracle] = None  # set when prune is "full"
+    # U(I), S(I) as a mask, and what every pop of I reads, recorded on its
+    # first pop: the cut distance and its witness, and the terminals outside
+    # I in increasing order; all empty unless prune is "full"
+    upper: dict[int, int] = field(default_factory=dict)
+    witness: dict[int, int] = field(default_factory=dict)
+    sets: dict[int, tuple[int, int, tuple[int, ...]]] = field(default_factory=dict)
 
 
 def _lap(stats: SolveStats, phase: str, since: float) -> float:
@@ -290,7 +266,7 @@ def _prepare(
     search.bound = make_bound(bound, reduced, root_idx, oracle, upper=upper,
                               limits=limits)
     if prune == "full":
-        search.tracker = PruneTracker(oracle)
+        search.oracle = oracle
     _lap(stats, "bound", t)
     return search
 
@@ -301,14 +277,25 @@ def _label_loop(
     """Run labels until the root label is permanent; returns its cost and the
     permanent labels' costs by vertex and set, which ``_backtrack`` reads.
 
-    Under prune "full" every permanent label (v, I) but the root's applies
-    the pop rule.  Let d be the cut distance of I, the least d(x, y) over
-    terminals x in I and y outside it, with y its witness; the least d(v, y')
-    over terminals y' outside I replaces both if it is strictly smaller, the
-    smaller index winning a tie among the y'.  A d(v, y') that only ties d
-    keeps the cut's witness.  If cost + d is below U(I), U(I) becomes
-    cost + d and S(I) becomes {y}.  The rule runs in the loop rather than
-    behind a call: the call cost about 3% of a ``hanan3d`` solve.
+    Under prune "full" the loop keeps U(I) and S(I) on ``search`` by two
+    rules, written out in place: a call per pop cost about 3% of a
+    ``hanan3d`` solve.
+
+    The pop rule: every permanent label (v, I) but the root's lowers U(I).
+    Let d be the cut distance of I, the least d(x, y) over terminals x in I
+    and y outside it, with y its witness; the least d(v, y') over terminals
+    y' outside I replaces both if it is strictly smaller, the smaller index
+    winning a tie among the y'.  A d(v, y') that only ties d keeps the cut's
+    witness.  If cost + d is below U(I), U(I) becomes cost + d and S(I)
+    becomes {y}.
+
+    The merge rule: a merge of the popped (v, I) with a permanent (v, J)
+    that passes the dominance test offers U(I) + U(J) to U(I | J), with
+    witnesses (S(I) | S(J)) minus I | J, unless S(I) meets J and S(J) meets
+    I.  A merge that an existing label of I | J at v dominates is skipped
+    before the rule runs.  Every stored witness is nonempty and outside its
+    set, so a merge the rule does not skip has S(I) or S(J) wholly outside
+    I | J, and the witness it stores is nonempty too.
     """
     reduced = search.reduced
     n = reduced.graph.n
@@ -319,12 +306,11 @@ def _label_loop(
     target_v = search.root
     value2 = search.bound.value2
     upper2 = search.upper2
-    tracker = search.tracker
-    upper: dict[int, int] = {}
-    if tracker is not None:
-        upper, witness, sets = tracker.upper, tracker.witness, tracker.sets
-        set_cut_distance = tracker.oracle.set_cut_distance
-        columns = tracker.oracle.columns
+    oracle = search.oracle
+    upper, witness, sets = search.upper, search.witness, search.sets
+    if oracle is not None:
+        set_cut_distance = oracle.set_cut_distance
+        columns = oracle.columns
     upper_get = upper.get
     # per vertex: the cost of every label, and of the permanent ones; a
     # label is permanent iff its mask is in ``perm``
@@ -377,7 +363,7 @@ def _label_loop(
         if v == target_v and mask == sources_mask:
             stats.bound_evaluations = search.bound.evaluations
             return cost, perm
-        if tracker is not None:
+        if oracle is not None:
             # the pop rule (see the docstring); I's cut is queried once
             record = sets.get(mask)
             if record is None:
@@ -420,8 +406,14 @@ def _label_loop(
             tc = cost_v.get(union)
             if tc is not None and (nc >= tc or union in perm_v):
                 continue
-            if tracker is not None:
-                tracker.on_merge(mask, j)
+            if oracle is not None:
+                # the merge rule (see the docstring); U(mask) is set_upper
+                s1, s2 = witness[mask], witness[j]
+                if not (s1 & j and s2 & mask):
+                    cand = set_upper + upper[j]
+                    if cand < upper_get(union, INF):
+                        upper[union] = cand
+                        witness[union] = (s1 | s2) & ~union
             if (2 * nc > upper2 or nc > upper_get(union, INF)
                     or (nkey := 2 * nc + value2(v, full_mask ^ union)) > upper2):
                 stats.pruned_at_creation += 1

@@ -224,7 +224,7 @@ def _tracked_solves(monkeypatch, insts, **kwargs):
     return runs
 
 
-def _tracker_cases():
+def _per_set_cases():
     """Random instances, with and without zero-cost edges, and lattices with
     costs from 0, all with k <= 6."""
     return ([random_instance(seed + 900, k_range=(3, 6)) for seed in range(10)]
@@ -236,7 +236,7 @@ def _tracker_cases():
 def test_pop_rule_bounds_the_set_of_every_permanent_label(monkeypatch):
     # U(I) <= cost + min(cut(I), d(v, y) for y outside I) for every permanent
     # (v, I); the root's label ends the loop and is not among them
-    for search, perm in _tracked_solves(monkeypatch, _tracker_cases()):
+    for search, perm in _tracked_solves(monkeypatch, _per_set_cases()):
         reduced = search.reduced
         terms = reduced.terminals
         dist = [bellman_ford(reduced.graph, t) for t in terms]
@@ -247,25 +247,25 @@ def test_pop_rule_bounds_the_set_of_every_permanent_label(monkeypatch):
                 outside = list(iter_bits(full ^ mask))
                 cut = min(dist[x][terms[y]] for x in iter_bits(mask) for y in outside)
                 near = min(dist[y][v] for y in outside)
-                assert search.tracker.upper[mask] <= cost + min(cut, near)
+                assert search.upper[mask] <= cost + min(cut, near)
 
 
 def test_witnesses_bound_the_cheapest_forest_reaching_them(monkeypatch):
     # U(I) is the cost of a forest spanning I whose every tree holds a
     # terminal of S(I): at least the optimum for I | S(I) once S(I)'s
     # terminals are joined by zero-cost edges
-    for search, _ in _tracked_solves(monkeypatch, _tracker_cases()):
-        reduced, tracker = search.reduced, search.tracker
+    for search, _ in _tracked_solves(monkeypatch, _per_set_cases()):
+        reduced = search.reduced
         terms = reduced.terminals
-        assert tracker.witness.keys() == tracker.upper.keys()
-        for mask, witness in tracker.witness.items():
+        assert search.witness.keys() == search.upper.keys()
+        for mask, witness in search.witness.items():
             assert witness and not witness & mask
             joined = [terms[y] for y in iter_bits(witness)]
             edges = [(u, v, c) for (u, v), c in edges_of(reduced.graph)]
             edges += [(a, b, 0) for a, b in zip(joined, joined[1:])]
             forest = SteinerInstance(graph=Graph(reduced.n, edges),
                                      terminals=[terms[x] for x in iter_bits(mask | witness)])
-            assert tracker.upper[mask] >= solve_baseline(forest)[0]
+            assert search.upper[mask] >= solve_baseline(forest)[0]
 
 
 @pytest.mark.parametrize("inst", [
@@ -284,7 +284,7 @@ def test_each_popped_set_queries_its_cut_once(inst, monkeypatch):
     (search, perm), = _tracked_solves(monkeypatch, [inst])
     sets = [mask for labels in perm for mask in labels]
     assert len(sets) > len(set(sets))  # some set is permanent at two vertices
-    assert sorted(cuts) == sorted(search.tracker.sets) == sorted(set(sets))
+    assert sorted(cuts) == sorted(search.sets) == sorted(set(sets))
 
 
 def test_pop_rule_tie_keeps_the_cut_witness(monkeypatch):
@@ -297,38 +297,46 @@ def test_pop_rule_tie_keeps_the_cut_witness(monkeypatch):
     inst = SteinerInstance(graph=g, terminals=[1, 2, 3, 4])
     (search, perm), = _tracked_solves(monkeypatch, [inst], bound="zero",
                                       root_rule="index:3")
-    tracker = search.tracker
     assert perm[0][0b0011] == 2
-    assert tracker.sets[0b0011][:2] == (5, 3)
-    assert tracker.oracle.columns[0][2:] == (5, 6)
-    assert tracker.upper[0b0011] == 7
-    assert tracker.witness[0b0011] == 0b1000
+    assert search.sets[0b0011][:2] == (5, 3)
+    assert search.oracle.columns[0][2:] == (5, 6)
+    assert search.upper[0b0011] == 7
+    assert search.witness[0b0011] == 0b1000
 
 
-def test_prune_tracker_merge_combination():
-    from dsteiner import DistanceOracle
-    from dsteiner.graph import INF
-    from dsteiner.solver import PruneTracker
+def test_merge_rule_stores_only_what_the_witnesses_allow(monkeypatch):
+    # a star: terminals 0..3 at vertices 1..4, joined to the centre 0 by
+    # edges of cost 1, 2, 4 and 20; terminal 3 is the root.  The first pops
+    # give U({0}) = 3 with S = {1}, U({1}) = 3 with S = {0}, and U({2}) = 5
+    # with S = {0}.  At the centre {1} merges with {0} first: each witness
+    # lies in the other set, so the rule stores nothing.  Then {2} merges
+    # with {0}, whose witness lies outside {2}: U({0, 2}) = 5 + 3 with
+    # S = {1}, the witnesses less the union; and {2} with {1} stores 5 + 3
+    # with S = {0}.  Each union's first bound query comes right after the
+    # merge that makes it, so it sees what the rule stored
+    g = Graph(5, [(0, 1, 1), (0, 2, 2), (0, 3, 4), (0, 4, 20)])
+    inst = SteinerInstance(graph=g, terminals=[1, 2, 3, 4])
+    searches, first = [], {}
+    loop, value2 = solver._label_loop, BoundOracle.value2
 
-    inst = random_instance(93, k_range=(6, 6))
-    oracle = DistanceOracle(inst.graph, inst.terminals)
-    tracker = PruneTracker(oracle)
-    tracker.upper[0b000011] = 7
-    tracker.witness[0b000011] = 0b000100  # witness terminal 2
-    tracker.upper[0b011000] = 9
-    tracker.witness[0b011000] = 0b000100
-    tracker.on_merge(0b000011, 0b011000)
-    union = 0b011011
-    assert tracker.upper.get(union, INF) == 16
-    assert tracker.witness[union] == 0b000100
-    # witnesses inside the partner set block the combination
-    tracker2 = PruneTracker(oracle)
-    tracker2.upper[0b000011] = 7
-    tracker2.witness[0b000011] = 0b001000  # inside the other set
-    tracker2.upper[0b011000] = 9
-    tracker2.witness[0b011000] = 0b000001  # inside the other set
-    tracker2.on_merge(0b000011, 0b011000)
-    assert tracker2.upper.get(union, INF) > 16
+    def watched(search, *args):
+        searches.append(search)
+        return loop(search, *args)
+
+    def query(bound, v, jmask):
+        union = 0b1111 ^ jmask
+        search, = searches
+        first.setdefault(union, (v, search.upper.get(union), search.witness.get(union)))
+        return value2(bound, v, jmask)
+
+    monkeypatch.setattr(solver, "_label_loop", watched)
+    monkeypatch.setattr(BoundOracle, "value2", query)
+    assert solve(inst, bound="zero", root_rule="index:3").opt == 27
+    search, = searches
+    assert [search.upper[m] for m in (0b0001, 0b0010, 0b0100)] == [3, 3, 5]
+    assert first[0b0011] == (0, None, None)
+    assert first[0b0101] == (0, 8, 0b0010)
+    assert first[0b0110] == (0, 8, 0b0001)
 
 
 @pytest.mark.parametrize("seed", range(10))
