@@ -2,7 +2,6 @@
 
 Terminals of an instance are numbered 0..k-1 in file order; a terminal set
 is the int with those bits set.  Label sets never contain the root's bit.
-Masks fit in 63 bits (instances hold at most ``graph.MAX_TERMINALS``).
 """
 
 from __future__ import annotations

@@ -48,16 +48,22 @@ def _zero(v: int) -> int:
 class BoundOracle:
     """Base class: per-set evaluators, and the doubled-value contract."""
 
-    def __init__(self):
+    # pointer slots of the evaluators' lists and tuples, for the label loop's
+    # memory estimate; each _for_set adds what it builds
+    slots = 0
+
+    def __init__(self, limits: Limits = NO_LIMITS):
         # jmask -> the set's evaluator
-        self._cache: dict[int, Evaluator] = {}
+        self.evaluators: dict[int, Evaluator] = {}
         self.evaluations = 0
+        self.limits = limits
 
     def value2(self, v: int, jmask: int) -> int:
         """2 * B(v, set(jmask)) for a set holding the root; counts the query."""
-        evaluate = self._cache.get(jmask)
+        evaluate = self.evaluators.get(jmask)
         if evaluate is None:
-            evaluate = self._cache[jmask] = self._for_set(jmask)
+            evaluate = self.evaluators[jmask] = self._for_set(jmask)
+            self.limits.check_time("while building a set's bound")
         self.evaluations += 1
         return evaluate(v)
 
@@ -78,8 +84,8 @@ class OneTreeBound(BoundOracle):
     d(v,i) + d(v,j), plus mst(J), which is computed once per set.
     """
 
-    def __init__(self, oracle: DistanceOracle):
-        super().__init__()
+    def __init__(self, oracle: DistanceOracle, limits: Limits = NO_LIMITS):
+        super().__init__(limits)
         self.oracle = oracle
 
     def _for_set(self, jmask):
@@ -87,6 +93,7 @@ class OneTreeBound(BoundOracle):
         members = list(iter_bits(jmask))
         if len(members) == 1:
             members *= 2
+        self.slots += len(members)
         mst = oracle.mst_cost(jmask)
         columns = oracle.columns
 
@@ -129,7 +136,7 @@ class JTermBound(BoundOracle):
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
                  root_index: int, j: int, *, upper: int = INF,
                  limits: Limits = NO_LIMITS):
-        super().__init__()
+        super().__init__(limits)
         if j not in (2, 3):
             raise ValueError(f"jterm bound supports j in 2..3, got {j}")
         self.j = j
@@ -177,6 +184,7 @@ class JTermBound(BoundOracle):
         src_part = jmask & ~self.root_bit
         scan = [self.tables[s | self.root_bit]
                 for s in iter_subsets_of_size_at_most(src_part, self.j - 1)]
+        self.slots += len(scan)
         # max of smt(S | {root}) over nonempty S <= sources(jmask), |S| <= j
         per_set = 0
         for s in iter_subsets_of_size_at_most(src_part, self.j):
@@ -220,7 +228,7 @@ class TspBound(BoundOracle):
 
     def __init__(self, instance: SteinerInstance, oracle: DistanceOracle,
                  root_index: int, *, limits: Limits = NO_LIMITS):
-        super().__init__()
+        super().__init__(limits)
         k = instance.k
         if k > MAX_TSP_TERMINALS:
             raise TspTableTooLarge(f"k={k} exceeds the TSP table cap {MAX_TSP_TERMINALS}")
@@ -294,6 +302,8 @@ class TspBound(BoundOracle):
             rows = self.paths[jmask]
             ends = [(a, b, rows[a][j]) for i, a in enumerate(bits)
                     for j, b in enumerate(bits[i + 1:], i + 1)]
+        # a list slot and a 3-tuple (64 B) per end pair
+        self.slots += len(bits) + 9 * len(ends)
         columns = self.oracle.columns
 
         def evaluate(v):
@@ -308,9 +318,16 @@ class TspBound(BoundOracle):
 
 
 class MaxBound(BoundOracle):
-    def __init__(self, parts: list[BoundOracle]):
-        super().__init__()
+    def __init__(self, parts: list[BoundOracle], limits: Limits = NO_LIMITS):
+        super().__init__(limits)
         self.parts = parts
+
+    @property
+    def slots(self):
+        # the parts' lists, and per set an evaluator of each part: a closure
+        # with its cells, about 350 B (44 slots) under tracemalloc
+        return (sum(p.slots for p in self.parts)
+                + 44 * len(self.parts) * len(self.evaluators))
 
     def _for_set(self, jmask):
         # the parts' evaluators are called directly, so a query counts once,
@@ -354,21 +371,22 @@ def make_bound(spec: str, instance: SteinerInstance, root_index: int,
                limits: Limits = NO_LIMITS) -> BoundOracle:
     """Build a bound evaluator from its selection string.
 
-    ``limits`` bounds the jterm and TSP table builds.  The jterm tables stop
+    ``limits`` bounds the jterm and TSP table builds, and the time limit is
+    checked after each set's evaluator is built.  The jterm tables stop
     at the horizon ``upper``, an upper bound U >= opt (INF for none).
     """
     parsed = parse_bound_spec(spec)
     if isinstance(parsed, list):
         return MaxBound([_build(leaf, instance, root_index, oracle, upper, limits)
-                         for leaf in parsed])
+                         for leaf in parsed], limits)
     return _build(parsed, instance, root_index, oracle, upper, limits)
 
 
 def _build(leaf, instance, root_index, oracle, upper, limits) -> BoundOracle:
     if leaf == "zero":
-        return ZeroBound()
+        return ZeroBound(limits)
     if leaf == "onetree":
-        return OneTreeBound(oracle)
+        return OneTreeBound(oracle, limits)
     if leaf == "tsp":
         return TspBound(instance, oracle, root_index, limits=limits)
     return JTermBound(instance, oracle, root_index, int(leaf[6:]), upper=upper,

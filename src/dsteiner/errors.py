@@ -31,10 +31,6 @@ class NonIntegralCost(StpError):
     pass
 
 
-class TooManyTerminals(StpError):
-    pass
-
-
 # --- solution validation ---
 
 class InvalidTree(DsteinerError):

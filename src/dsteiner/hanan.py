@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DEFAULT_MEM_LIMIT, GridTooLarge, TooManyTerminals
-from .graph import MAX_TERMINALS, Graph, SteinerInstance
+from .errors import DEFAULT_MEM_LIMIT, GridTooLarge
+from .graph import Graph, SteinerInstance
 
 # Bytes a built grid holds per vertex and per edge, measured with
 # tracemalloc on CPython 3.11 over d = 2..8: a vertex is its coordinate tuple
@@ -61,9 +61,6 @@ def build_hanan_grid(
         raise GridTooLarge(
             f"grid would have {items} vertices and edges, over {MAX_GRID_ITEMS} "
             f"(about {GRID_ITEM_BYTES} B each)")
-    distinct = len(set(points.points))
-    if distinct > MAX_TERMINALS:
-        raise TooManyTerminals(f"{distinct} distinct points; at most {MAX_TERMINALS} supported")
 
     # strides for row-major rank indexing: last axis varies fastest
     strides = [0] * d

@@ -45,6 +45,14 @@ from .stp import SolutionRecord
 # demand; all under the default root, "medoid" ("last": 73-235 and 152-245 B).
 LABEL_BYTES = 200
 HEAP_ENTRY_BYTES = 160
+# Bytes per terminal set the bound holds an evaluator for: the evaluator and
+# its cache entry, and the set's prune record, U(I) and S(I), which never
+# exist without one; plus a SLOT_BYTES pointer per slot of the record's outside
+# terminals (k at most) and of the evaluators' lists (BoundOracle.slots).  An
+# evaluator held 400-460 B besides its slots under tracemalloc (CPython 3.11),
+# the loop 370-430 B per set on unit paths whose vertices are all terminals.
+SET_BYTES = 500
+SLOT_BYTES = 8
 LIMIT_CHECK_INTERVAL = 1024
 
 PRUNE_MODES = ("off", "bound", "full")
@@ -305,6 +313,7 @@ def _label_loop(
     sources_mask = search.sources_mask
     target_v = search.root
     value2 = search.bound.value2
+    set_bytes = SET_BYTES + SLOT_BYTES * reduced.k
     upper2 = search.upper2
     oracle = search.oracle
     upper, witness, sets = search.upper, search.witness, search.sets
@@ -348,7 +357,9 @@ def _label_loop(
         if stats.pops % LIMIT_CHECK_INTERVAL == 0:
             limits.check_time("in the label loop")
             limits.check_memory(stats.labels_created * LABEL_BYTES
-                                + len(heap) * HEAP_ENTRY_BYTES, "label")
+                                + len(heap) * HEAP_ENTRY_BYTES
+                                + len(search.bound.evaluators) * set_bytes
+                                + search.bound.slots * SLOT_BYTES, "label")
 
         # re-prune on selection: only U(I) can have improved since the
         # label was created

@@ -14,8 +14,8 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional, TextIO, Union
 
-from .errors import CountMismatch, NonIntegralCost, StpSyntaxError, TooManyTerminals
-from .graph import MAX_TERMINALS, Graph, SteinerInstance
+from .errors import CountMismatch, NonIntegralCost, StpSyntaxError
+from .graph import Graph, SteinerInstance
 
 MAGIC = "33D32945 STP File, STP Format Version 1.0"
 
@@ -193,8 +193,6 @@ def parse_stp(text: Union[str, bytes], name: str = "") -> SteinerInstance:
         if t - 1 not in seen:
             seen.add(t - 1)
             terminals.append(t - 1)
-    if len(terminals) > MAX_TERMINALS:
-        raise TooManyTerminals(f"{len(terminals)} terminals; the solver supports at most {MAX_TERMINALS}")
 
     coords = None
     if coord_lines:

@@ -346,7 +346,7 @@ def test_max_is_pointwise_max_and_idempotent():
             assert combined == max(jt.value2(v, jmask), lt.value2(v, jmask))
             assert same.value2(v, jmask) == lt.value2(v, jmask)
     # the max bound combines its parts' evaluators; the parts keep none
-    assert all(not p._cache and p.evaluations == 0 for p in mx.parts + same.parts)
+    assert all(not p.evaluators and p.evaluations == 0 for p in mx.parts + same.parts)
 
 
 # --- per-set evaluators ---
@@ -379,7 +379,7 @@ def test_for_set_runs_once_per_set_and_matches_a_fresh_evaluator(spec, monkeypat
     inst = random_instance(31, k_range=(6, 6), n_range=(15, 25))
     assert solve(inst, bound=spec).opt == solve_baseline(inst)[0]
     (args, kwargs, bound, calls, answers), = built
-    assert len(calls) == len(set(calls)) == len(bound._cache) > 1
+    assert len(calls) == len(set(calls)) == len(bound.evaluators) > 1
     assert {jmask for _, jmask, _ in answers} == set(calls)
     assert len(answers) == bound.evaluations
     # a second bound built from the same oracle answers every query alike

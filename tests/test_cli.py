@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsteiner import cli, parse_stp_file, solve, write_stp
+from dsteiner import Graph, SteinerInstance, cli, parse_stp_file, solve, write_stp
 from dsteiner.cli import main
 
 from gen import lattice_instance, random_instance
@@ -376,8 +376,6 @@ def _points_file(tmp_path, points):
     ("validate", None, 2, "parse"),
     # 20^6 vertices: over MAX_GRID_ITEMS, refused unbuilt
     ("hanan", [(i,) * 6 for i in range(20)], 1, "GridTooLarge"),
-    # 64 distinct points: the StpError that solve also exits 2 with
-    ("hanan", [(i, 0) for i in range(64)], 2, "parse"),
 ])
 def test_each_error_class_has_one_exit_code_in_every_command(tmp_path, capsys,
                                                              command, points,
@@ -397,6 +395,21 @@ def test_each_error_class_has_one_exit_code_in_every_command(tmp_path, capsys,
     assert main(argv) == code
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == kind
+
+
+def test_solve_then_validate_past_63_terminals(tmp_path, capsys):
+    # a 70-vertex unit path with 64 terminals at one end: the optimum is the
+    # path through them, 63 edges
+    inst = SteinerInstance(Graph(70, [(i, i + 1, 1) for i in range(69)]),
+                           list(range(64)))
+    path = tmp_path / "wide.stp"
+    path.write_text(stp_text(inst))
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--bound", "jterm:2", "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["k"], payload["opt"], len(payload["edges"])) == (64, 63, 63)
+    capsys.readouterr()
+    assert main(["validate", str(path), str(out)]) == 0
 
 
 def test_hanan_single_point(tmp_path, capsys):

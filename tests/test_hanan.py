@@ -9,7 +9,7 @@ from dsteiner import (
     solve,
     validate_tree,
 )
-from dsteiner.errors import DEFAULT_MEM_LIMIT, GridTooLarge, TooManyTerminals
+from dsteiner.errors import DEFAULT_MEM_LIMIT, GridTooLarge
 from dsteiner.hanan import GRID_ITEM_BYTES, MAX_GRID_ITEMS, parse_points
 
 from gen import edges_of, rectilinear_smt_bruteforce
@@ -142,11 +142,6 @@ def test_grid_item_bytes_tracks_measured_growth():
         tracemalloc.stop()
     items = inst.n + inst.m
     assert items * GRID_ITEM_BYTES / 2 <= peak <= items * GRID_ITEM_BYTES
-
-
-def test_too_many_distinct_points_refused_before_building():
-    # 64^3 vertices would fit under the cap; the point count refuses them
-    assert _refused_peak(_axis_points((64, 64, 64)), TooManyTerminals) < 100_000
 
 
 def test_dimension_must_be_at_least_two():

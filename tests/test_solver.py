@@ -22,7 +22,7 @@ from dsteiner import (
     validate_tree,
 )
 from dsteiner.bitsets import iter_bits
-from dsteiner.bounds import LEAF_SPECS, BoundOracle, JTermBound, TspBound
+from dsteiner.bounds import LEAF_SPECS, BoundOracle, JTermBound, TspBound, make_bound
 from dsteiner.distances import DistanceOracle
 from dsteiner.errors import (
     CenterRuleNeedsCoordinates,
@@ -358,6 +358,25 @@ def test_iteration_bound_holds():
     assert rec.stats.permanents <= inst.n * (1 << (inst.k - 1))
 
 
+def _unit_path(n, k):
+    """A unit-cost path on n vertices, its first k the terminals: the
+    optimum is the path through them, k - 1 edges."""
+    return SteinerInstance(Graph(n, [(i, i + 1, 1) for i in range(n - 1)]),
+                           list(range(k)))
+
+
+@pytest.mark.parametrize("n, k, bound, prune", [
+    *((70, 64, "jterm:2", prune) for prune in PRUNES),
+    *((110, 100, "jterm:2", prune) for prune in PRUNES),
+    (70, 64, "zero", "full"),
+])
+def test_terminal_sets_wider_than_63_bits(n, k, bound, prune):
+    inst = _unit_path(n, k)
+    rec = solve(inst, bound=bound, prune=prune)
+    assert rec.opt == k - 1
+    assert validate_tree(inst, rec.edges) == k - 1
+
+
 # --- upper bound ---
 
 def _upper_bound_cases():
@@ -611,6 +630,17 @@ def test_time_limit_covers_tsp_table_build():
     with pytest.raises(TimeLimit, match="TSP table"):
         solve(inst, bound="tsp", time_limit=0.05)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("spec", ["zero", "onetree"])
+def test_time_limit_covers_each_sets_evaluator(spec):
+    # a onetree evaluator costs the set's MST, O(k^2): with hundreds of
+    # terminals the label loop builds many between its own time checks
+    inst = random_instance(31, k_range=(6, 6), n_range=(15, 25))
+    oracle = DistanceOracle(inst.graph, inst.terminals)
+    bound = make_bound(spec, inst, 0, oracle, limits=Limits(time_limit=1e-9))
+    with pytest.raises(TimeLimit, match="set's bound"):
+        bound.value2(inst.terminals[0], (1 << inst.k) - 1)
 
 
 def test_memory_limit_refuses_tsp_table_before_building(monkeypatch):
@@ -906,12 +936,16 @@ def test_pinned_counters_medoid(seed, bound, monkeypatch):
     assert got == PINNED_COUNTERS_MEDOID[seed, bound]
 
 
-def test_memory_estimate_tracks_measured_growth():
+@pytest.mark.parametrize("inst", [
+    build_hanan_grid(generate_random_points(3, 7, 10**6, 2))[0],
+    # few labels per set: what each set holds is most of the loop's growth
+    _unit_path(30, 30),
+], ids=["3d-k7", "path-all-terminals"])
+def test_memory_estimate_tracks_measured_growth(inst):
     # traced memory held at the end of the label loop, against the estimate
     # the memory limit is checked with, read from the loop's own locals
     import tracemalloc
 
-    inst, _ = build_hanan_grid(generate_random_points(3, 7, 10**6, 2))
     code = solver._label_loop.__code__
     seen = {}
 
@@ -919,6 +953,8 @@ def test_memory_estimate_tracks_measured_growth():
         if event == "return":
             seen["growth"] = tracemalloc.get_traced_memory()[0] - seen["start"]
             seen["heap"] = len(frame.f_locals["heap"])
+            seen["bound"] = frame.f_locals["search"].bound
+            seen["k"] = frame.f_locals["reduced"].k
 
     def on_call(frame, event, arg):
         if frame.f_code is not code:
@@ -934,8 +970,11 @@ def test_memory_estimate_tracks_measured_growth():
     finally:
         sys.settrace(None)
         tracemalloc.stop()
+    bound = seen["bound"]
     est = (rec.stats.labels_created * solver.LABEL_BYTES
-           + seen["heap"] * solver.HEAP_ENTRY_BYTES)
+           + seen["heap"] * solver.HEAP_ENTRY_BYTES
+           + len(bound.evaluators) * (solver.SET_BYTES + solver.SLOT_BYTES * seen["k"])
+           + bound.slots * solver.SLOT_BYTES)
     assert rec.stats.labels_created > 1000
     assert seen["growth"] / 2 <= est <= 2 * seen["growth"]
 

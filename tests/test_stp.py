@@ -14,7 +14,6 @@ from dsteiner.errors import (
     NonIntegralCost,
     StpError,
     StpSyntaxError,
-    TooManyTerminals,
 )
 from dsteiner.stp import (
     CSV_HEADER,
@@ -113,20 +112,22 @@ def test_line_without_argument_is_syntax_error(line, bare):
     assert info.value.line_no == text.splitlines().index(bare) + 1
 
 
-def test_too_many_terminals():
-    n = 70
+@pytest.mark.parametrize("k", [64, 100])
+def test_terminal_sets_wider_than_63_bits_are_parsed(k):
+    n = k + 10
     lines = [
         "SECTION Graph",
         f"Nodes {n}",
         f"Edges {n - 1}",
     ]
     lines += [f"E {i} {i + 1} 1" for i in range(1, n)]
-    lines += ["END", "SECTION Terminals", "Terminals 64"]
-    lines += [f"T {i}" for i in range(1, 65)]
+    lines += ["END", "SECTION Terminals", f"Terminals {k}"]
+    lines += [f"T {i}" for i in range(1, k + 1)]
     lines += ["END", "EOF"]
-    with pytest.raises(TooManyTerminals), warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        parse_stp("\n".join(lines))
+        inst = parse_stp("\n".join(lines))
+    assert (inst.n, inst.m, inst.terminals) == (n, n - 1, list(range(k)))
 
 
 def test_coordinates_parsed():
@@ -269,7 +270,7 @@ def test_parser_never_hangs_on_garbage(junk):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             parse_stp(junk)
-    except (StpSyntaxError, CountMismatch, NonIntegralCost, TooManyTerminals):
+    except (StpSyntaxError, CountMismatch, NonIntegralCost):
         pass
 
 
