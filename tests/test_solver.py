@@ -979,6 +979,31 @@ def test_memory_estimate_tracks_measured_growth(inst):
     assert seen["growth"] / 2 <= est <= 2 * seen["growth"]
 
 
+@pytest.mark.parametrize("bound", ["onetree", "max(jterm:2,onetree)", "tsp"])
+def test_label_memory_check_prices_each_sets_evaluator(bound, monkeypatch):
+    # the estimate the loop checks, against its parts read from the loop's
+    # locals at each check
+    checks = []
+    check = Limits.check_memory
+
+    def spy(self, est, what):
+        if what == "label":
+            loop = sys._getframe(1).f_locals
+            search, k = loop["search"], loop["reduced"].k
+            checks.append((est, loop["stats"].labels_created * solver.LABEL_BYTES
+                           + len(loop["heap"]) * solver.HEAP_ENTRY_BYTES
+                           + len(search.bound.evaluators)
+                           * (solver.SET_BYTES + solver.SLOT_BYTES * k)
+                           + search.bound.slots * solver.SLOT_BYTES,
+                           search.bound.slots))
+        return check(self, est, what)
+
+    monkeypatch.setattr(Limits, "check_memory", spy)
+    solve(build_hanan_grid(generate_random_points(3, 7, 10**6, 2))[0], bound=bound)
+    assert checks and all(est == parts for est, parts, _ in checks)
+    assert checks[-1][2] > 0
+
+
 def _solve_with_full_rows(monkeypatch, inst, **kwargs):
     """solve() with the bound's tables never capped at U."""
     make = solver.make_bound
