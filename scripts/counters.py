@@ -7,12 +7,20 @@ prune ``full``: 200 on ``hanan3d``, 48 x 6 on ``hanan2d_bounds`` and 24 on
 ``lattice_cli``.  For each unit ``dump`` records opt, the sorted tree edges
 and every integer ``SolveStats`` field; ``diff`` compares two dumps.
 
-    python3 scripts/counters.py dump OUT.json [--src DIR] [--root R]
+    python3 scripts/counters.py dump OUT.json [--src DIR] [--root R] [--family F]
     python3 scripts/counters.py diff A.json B.json
+
+``--family holed`` solves, in place of the benchmark's units, 24 units with
+many terminals, where the per-set code does most of the work: the holed
+instances 60/12 of ``scripts/holed.py`` with k = 24, 40, 63 and 90 and
+seeds 1 and 3, each under ``onetree``, ``jterm:2`` and
+``max(jterm:2,onetree)``.  Seed 2 is left out for its time alone: at k = 63
+it took 26-35 s per bound, and at k = 90 it ran past 60 s under all three.
 
 ``--src`` solves with the package under DIR/src, for example a parent
 commit unpacked with ``git archive``; the inputs always come from this
-checkout's ``perfbench/inputs.py``, which is imported, not changed.
+checkout's ``perfbench/inputs.py`` and ``scripts/holed.py``, which are
+imported, not changed.
 ``--root`` is the root rule every unit is solved under; without it each
 unit is solved under the tree's own default rule, as the benchmark does.
 ``diff`` prints one line per differing unit and field, then one summary
@@ -32,6 +40,11 @@ from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+FAMILIES = ("bench", "holed")
+# instance name -> the width, holes, k and seed of ``holed.holed_instance``
+HOLED = {f"60-12-{k}-s{seed}": (60, 12, k, seed)
+         for k in (24, 40, 63, 90) for seed in (1, 3)}
+HOLED_BOUNDS = ("onetree", "jterm:2", "max(jterm:2,onetree)")
 
 
 def _inputs():
@@ -43,13 +56,30 @@ def _inputs():
     return inputs
 
 
+def _holed():
+    # holed.py puts this checkout's src/ first on sys.path; the dsteiner
+    # already imported, from --src, stays the one every solve uses
+    saved = list(sys.path)
+    sys.path.insert(0, str(REPO_ROOT / "scripts"))
+    try:
+        import holed
+    finally:
+        sys.path[:] = saved
+    return holed
+
+
 def units() -> list[tuple[str, int, str]]:
     """Every (workload, instance index, bound) unit, in benchmark order."""
     return [(w.name, i, bound) for w in _inputs().WORKLOADS.values()
             for i in range(w.pool) for bound in w.bounds]
 
 
-def unit_key(unit: tuple[str, int, str]) -> str:
+def holed_units() -> list[tuple[str, str, str]]:
+    """Every ("holed", instance name in ``HOLED``, bound) unit."""
+    return [("holed", name, bound) for name in HOLED for bound in HOLED_BOUNDS]
+
+
+def unit_key(unit: tuple[str, int | str, str]) -> str:
     return "{}/{}/{}".format(*unit)
 
 
@@ -60,12 +90,14 @@ def solve_units(selected, root_rule: Optional[str] = None) -> dict[str, dict]:
     import dsteiner
     from dsteiner.hanan import parse_points
 
-    inputs = _inputs()
+    inputs, holed = _inputs(), _holed()
     opts = {} if root_rule is None else {"root_rule": root_rule}
     records = {}
     for name, i, bound in selected:
-        workload = inputs.WORKLOADS[name]
-        if workload.kind == "hanan":
+        workload = inputs.WORKLOADS.get(name)
+        if name == "holed":
+            inst = holed.holed_instance(*HOLED[i])
+        elif workload.kind == "hanan":
             inst, _ = dsteiner.build_hanan_grid(
                 parse_points(inputs.points_text(workload, SEED, i)))
         else:
@@ -142,6 +174,9 @@ def main(argv=None) -> int:
                         help="tree whose src/ holds the package to solve with")
     p_dump.add_argument("--root", help="root rule every unit is solved under "
                                        "(default: the tree's own default)")
+    p_dump.add_argument("--family", choices=FAMILIES, default="bench",
+                        help="units to solve: the benchmark's (default) or "
+                             "the holed instances with many terminals")
     p_diff = sub.add_parser("diff", help="name every unit and field that differ")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
@@ -153,7 +188,8 @@ def main(argv=None) -> int:
     import dsteiner
     if not Path(dsteiner.__file__).resolve().is_relative_to(src):
         ap.error(f"dsteiner was imported from {dsteiner.__file__}, not {src}")
-    return dump(args.out, units(), args.root)
+    return dump(args.out, holed_units() if args.family == "holed" else units(),
+                args.root)
 
 
 if __name__ == "__main__":

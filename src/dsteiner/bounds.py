@@ -11,9 +11,10 @@ holds the root's bit: the solver asks only for the complement of a label's
 source set, which never holds the root.
 
 Work that depends only on the set is done once per set: on the first query
-of a set, ``BoundOracle.value2`` asks the bound's ``_for_set`` for an
-evaluator ``v -> 2*B(v, J)`` with the set's members, spanning tree, tables
-or tour already in hand, and keeps it for the set's later queries.
+of a set, ``BoundOracle.value2`` keeps a record of J, ``sets[J]``: the tuple
+of J's members, the evaluator ``v -> 2*B(v, J)`` that the bound's
+``_for_set`` builds with them, and a slot where the solver's pop rule keeps
+the cut distance of I = T \\ J, with its witness, from I's first pop.
 An evaluator reads terminal distances as ``oracle.columns[v]``, one tuple
 per vertex indexed by terminal; the oracle grows its rows on the first
 read of a vertex.
@@ -46,34 +47,37 @@ def _zero(v: int) -> int:
 
 
 class BoundOracle:
-    """Base class: per-set evaluators, and the doubled-value contract."""
+    """Base class: per-set records, and the doubled-value contract."""
 
-    # pointer slots of the evaluators' lists and tuples, for the label loop's
-    # memory estimate; each _for_set adds what it builds
+    # pointer slots of the evaluators' own lists and tuples, for the label
+    # loop's memory estimate; each _for_set adds what it builds
     slots = 0
 
     def __init__(self, limits: Limits = NO_LIMITS):
-        # jmask -> the set's evaluator
-        self.evaluators: dict[int, Evaluator] = {}
+        # jmask -> [the set's evaluator, its members in increasing order,
+        # the pop rule's (cut distance, witness) or None before I's first pop]
+        self.sets: dict[int, list] = {}
         self.evaluations = 0
         self.limits = limits
 
     def value2(self, v: int, jmask: int) -> int:
         """2 * B(v, set(jmask)) for a set holding the root; counts the query."""
-        evaluate = self.evaluators.get(jmask)
-        if evaluate is None:
-            evaluate = self.evaluators[jmask] = self._for_set(jmask)
+        record = self.sets.get(jmask)
+        if record is None:
+            members = tuple(iter_bits(jmask))
+            record = self.sets[jmask] = [self._for_set(jmask, members), members, None]
             self.limits.check_time("while building a set's bound")
         self.evaluations += 1
-        return evaluate(v)
+        return record[0](v)
 
-    def _for_set(self, jmask: int) -> Evaluator:
-        """The evaluator v -> 2 * B(v, set(jmask)), built once per set."""
+    def _for_set(self, jmask: int, members: tuple[int, ...]) -> Evaluator:
+        """The evaluator v -> 2 * B(v, set(jmask)), built once per set;
+        ``members`` is the record's tuple of the set's terminals."""
         raise NotImplementedError
 
 
 class ZeroBound(BoundOracle):
-    def _for_set(self, jmask):
+    def _for_set(self, jmask, members):
         return _zero
 
 
@@ -88,12 +92,10 @@ class OneTreeBound(BoundOracle):
         super().__init__(limits)
         self.oracle = oracle
 
-    def _for_set(self, jmask):
+    def _for_set(self, jmask, members):
         oracle = self.oracle
-        members = list(iter_bits(jmask))
         if len(members) == 1:
             members *= 2
-        self.slots += len(members)
         mst = oracle.mst_cost(jmask)
         columns = oracle.columns
 
@@ -180,7 +182,7 @@ class JTermBound(BoundOracle):
             limits.check_time("while building the jterm tables")
         self.tables = tables
 
-    def _for_set(self, jmask):
+    def _for_set(self, jmask, members):
         src_part = jmask & ~self.root_bit
         scan = [self.tables[s | self.root_bit]
                 for s in iter_subsets_of_size_at_most(src_part, self.j - 1)]
@@ -294,16 +296,15 @@ class TspBound(BoundOracle):
                 getters[mask] = itemgetter(*members)
         return paths
 
-    def _for_set(self, jmask):
-        bits = list(iter_bits(jmask))
-        if len(bits) == 1:
-            ends = [(bits[0], bits[0], 0)]
+    def _for_set(self, jmask, members):
+        if len(members) == 1:
+            ends = [(members[0], members[0], 0)]
         else:
             rows = self.paths[jmask]
-            ends = [(a, b, rows[a][j]) for i, a in enumerate(bits)
-                    for j, b in enumerate(bits[i + 1:], i + 1)]
+            ends = [(a, b, rows[a][j]) for i, a in enumerate(members)
+                    for j, b in enumerate(members[i + 1:], i + 1)]
         # a list slot and a 3-tuple (64 B) per end pair
-        self.slots += len(bits) + 9 * len(ends)
+        self.slots += 9 * len(ends)
         columns = self.oracle.columns
 
         def evaluate(v):
@@ -327,12 +328,12 @@ class MaxBound(BoundOracle):
         # the parts' lists, and per set an evaluator of each part: a closure
         # with its cells, about 350 B (44 slots) under tracemalloc
         return (sum(p.slots for p in self.parts)
-                + 44 * len(self.parts) * len(self.evaluators))
+                + 44 * len(self.parts) * len(self.sets))
 
-    def _for_set(self, jmask):
+    def _for_set(self, jmask, members):
         # the parts' evaluators are called directly, so a query counts once,
-        # here, and the parts keep no evaluators
-        first, *rest = [p._for_set(jmask) for p in self.parts]
+        # here, and the parts keep no records
+        first, *rest = [p._for_set(jmask, members) for p in self.parts]
 
         def evaluate(v):
             best = first(v)

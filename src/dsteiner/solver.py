@@ -38,20 +38,21 @@ from .stp import SolutionRecord
 
 # Memory-limit footprints, measured with tracemalloc on CPython 3.11: a heap
 # of 10^5 (key, cost, v, mask) tuples of fresh large ints grew 160 B per entry;
-# less that for the heap left at its end, the label loop grew 78-228 B per
-# label (median 128) on 40 3D Hanan grids with k=8 (onetree/full), and
-# 174-251 B (median 195) on 6 2D grids with k=12, each under onetree and tsp,
-# for the two label maps, the per-set upper bounds and the rows grown on
-# demand; all under the default root, "medoid" ("last": 73-235 and 152-245 B).
-LABEL_BYTES = 200
+# less that for the heap left at its end and the per-set term below, the label
+# loop grew 77-229 B per label (median 121) on 40 3D Hanan grids with k=8
+# (onetree/full), and 86-170 B (median 139) on 6 2D grids with k=12 under
+# onetree, for the two label maps and the rows grown on demand (under tsp the
+# per-set term took nearly all of it); root "medoid" ("last": 66-175 B in 3D).
+LABEL_BYTES = 120
 HEAP_ENTRY_BYTES = 160
-# Bytes per terminal set the bound holds an evaluator for: the evaluator and
-# its cache entry, and the set's prune record, U(I) and S(I), which never
-# exist without one; plus a SLOT_BYTES pointer per slot of the record's outside
-# terminals (k at most) and of the evaluators' lists (BoundOracle.slots).  An
-# evaluator held 400-460 B besides its slots under tracemalloc (CPython 3.11),
-# the loop 370-430 B per set on unit paths whose vertices are all terminals.
-SET_BYTES = 500
+# Bytes per terminal set the bound keeps a record of: the record and its
+# evaluator, and the set's U(I), S(I) and cut, which never exist without one;
+# plus a SLOT_BYTES pointer per slot of the record's terminal tuple (k at most)
+# and of the evaluators' own lists (BoundOracle.slots).  A onetree record held
+# 423-437 B besides its tuple under tracemalloc (CPython 3.11); the loop grew
+# 447-537 B per set besides those slots and LABEL_BYTES per label on unit paths
+# of 20-40 vertices, all terminals.
+SET_BYTES = 520
 SLOT_BYTES = 8
 LIMIT_CHECK_INTERVAL = 1024
 
@@ -204,7 +205,7 @@ def solve(
 @dataclass
 class _Search:
     """The contracted instance and everything the label loop reads; under
-    prune "full" the loop also writes the per-set state here."""
+    prune "full" the loop also writes U(I) and S(I) here."""
 
     reduced: SteinerInstance
     cmap: Optional[ContractionMap]  # None when nothing was contracted
@@ -213,12 +214,10 @@ class _Search:
     bound: Optional[BoundOracle] = None  # None when the root is the only terminal
     upper2: int = INF  # doubled global upper bound; INF when prune is "off"
     oracle: Optional[DistanceOracle] = None  # set when prune is "full"
-    # U(I), S(I) as a mask, and what every pop of I reads, recorded on its
-    # first pop: the cut distance and its witness, and the terminals outside
-    # I in increasing order; all empty unless prune is "full"
+    # U(I) and S(I) as a mask, both empty unless prune is "full"; the rest of
+    # what a pop of I reads is in the bound's record of its complement J
     upper: dict[int, int] = field(default_factory=dict)
     witness: dict[int, int] = field(default_factory=dict)
-    sets: dict[int, tuple[int, int, tuple[int, ...]]] = field(default_factory=dict)
 
 
 def _lap(stats: SolveStats, phase: str, since: float) -> float:
@@ -316,7 +315,7 @@ def _label_loop(
     set_bytes = SET_BYTES + SLOT_BYTES * reduced.k
     upper2 = search.upper2
     oracle = search.oracle
-    upper, witness, sets = search.upper, search.witness, search.sets
+    upper, witness, sets = search.upper, search.witness, search.bound.sets
     if oracle is not None:
         set_cut_distance = oracle.set_cut_distance
         columns = oracle.columns
@@ -358,7 +357,7 @@ def _label_loop(
             limits.check_time("in the label loop")
             limits.check_memory(stats.labels_created * LABEL_BYTES
                                 + len(heap) * HEAP_ENTRY_BYTES
-                                + len(search.bound.evaluators) * set_bytes
+                                + len(sets) * set_bytes
                                 + search.bound.slots * SLOT_BYTES, "label")
 
         # re-prune on selection: only U(I) can have improved since the
@@ -374,15 +373,16 @@ def _label_loop(
         if v == target_v and mask == sources_mask:
             stats.bound_evaluations = search.bound.evaluations
             return cost, perm
+        jmask_same = full_mask ^ mask
         if oracle is not None:
-            # the pop rule (see the docstring); I's cut is queried once
-            record = sets.get(mask)
-            if record is None:
-                outside = tuple(iter_bits(full_mask & ~mask))
-                record = sets[mask] = (*set_cut_distance(mask), outside)
-            d, y, outside = record
+            # the pop rule (see the docstring), read from the record of J,
+            # which the label's creation queried; I's cut is queried once
+            record = sets[jmask_same]
+            if record[2] is None:
+                record[2] = set_cut_distance(mask)
+            d, y = record[2]
             col = columns[v]
-            for z in outside:
+            for z in record[1]:
                 if col[z] < d:
                     d, y = col[z], z
             if cost + d < set_upper:
@@ -391,7 +391,6 @@ def _label_loop(
 
         # relax all edges incident to v; cheap discards first: cost alone
         # (L >= 0), the per-set bound, and only then the lower bound
-        jmask_same = full_mask ^ mask
         for w, ec in adj[v]:
             nc = cost + ec
             cost_w = cost_of[w]

@@ -345,8 +345,8 @@ def test_max_is_pointwise_max_and_idempotent():
             combined = mx.value2(v, jmask)
             assert combined == max(jt.value2(v, jmask), lt.value2(v, jmask))
             assert same.value2(v, jmask) == lt.value2(v, jmask)
-    # the max bound combines its parts' evaluators; the parts keep none
-    assert all(not p.evaluators and p.evaluations == 0 for p in mx.parts + same.parts)
+    # the max bound combines its parts' evaluators; the parts keep no records
+    assert all(not p.sets and p.evaluations == 0 for p in mx.parts + same.parts)
 
 
 # --- per-set evaluators ---
@@ -361,9 +361,9 @@ def test_for_set_runs_once_per_set_and_matches_a_fresh_evaluator(spec, monkeypat
         calls, answers = [], []
         for_set, value2 = bound._for_set, bound.value2
 
-        def counted(jmask):
+        def counted(jmask, members):
             calls.append(jmask)
-            return for_set(jmask)
+            return for_set(jmask, members)
 
         def recorded(v, jmask):
             val = value2(v, jmask)
@@ -379,12 +379,13 @@ def test_for_set_runs_once_per_set_and_matches_a_fresh_evaluator(spec, monkeypat
     inst = random_instance(31, k_range=(6, 6), n_range=(15, 25))
     assert solve(inst, bound=spec).opt == solve_baseline(inst)[0]
     (args, kwargs, bound, calls, answers), = built
-    assert len(calls) == len(set(calls)) == len(bound.evaluators) > 1
+    assert len(calls) == len(set(calls)) == len(bound.sets) > 1
     assert {jmask for _, jmask, _ in answers} == set(calls)
     assert len(answers) == bound.evaluations
     # a second bound built from the same oracle answers every query alike
     fresh = make_bound(*args, **kwargs)
-    evaluators = {jmask: fresh._for_set(jmask) for jmask in calls}
+    evaluators = {jmask: fresh._for_set(jmask, tuple(iter_bits(jmask)))
+                  for jmask in calls}
     for v, jmask, val in answers:
         assert val == evaluators[jmask](v), (spec, v, bin(jmask))
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dsteiner import solve
 from dsteiner.solver import DEFAULT_ROOT_RULE
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "counters.py"
@@ -78,3 +79,23 @@ def test_dump_root_moves_the_counters_but_not_opt(tmp_path, monkeypatch):
     default = tmp_path / "default.json"
     assert counters.main(["dump", str(default)]) == 0
     assert json.loads(default.read_text())[key] == dumps[DEFAULT_ROOT_RULE]
+
+
+def test_holed_family_dumps_large_k_units(tmp_path, monkeypatch):
+    counters = _counters()
+    units = counters.holed_units()
+    assert len(units) == 24
+    assert {counters.HOLED[name][2] for _, name, _ in units} == {24, 40, 63, 90}
+    unit = ("holed", "60-12-24-s1", "onetree")
+    assert unit in units
+    monkeypatch.setattr(counters, "holed_units", lambda: [unit])
+    # main puts this checkout's src/ first on sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "holed.json"
+    assert counters.main(["dump", str(out), "--family", "holed"]) == 0
+    rec, = json.loads(out.read_text()).values()
+    # the instance scripts/holed.py builds, with its 24 terminals
+    inst = counters._holed().holed_instance(60, 12, 24, 1)
+    assert rec["opt"] == solve(inst, bound="jterm:2").opt
+    assert len(rec["edges"]) >= inst.k - 1 and rec["upper_bound"] >= rec["opt"]
+    assert rec["pops"] > 1000

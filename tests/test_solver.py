@@ -284,7 +284,14 @@ def test_each_popped_set_queries_its_cut_once(inst, monkeypatch):
     (search, perm), = _tracked_solves(monkeypatch, [inst])
     sets = [mask for labels in perm for mask in labels]
     assert len(sets) > len(set(sets))  # some set is permanent at two vertices
-    assert sorted(cuts) == sorted(search.sets) == sorted(set(sets))
+    # each queried J keeps one record: its terminals, walked once, and the
+    # cut of its complement I, filled exactly for the sets that were popped
+    records = search.bound.sets
+    full = (1 << search.reduced.k) - 1
+    assert all(record[1] == tuple(iter_bits(jmask)) for jmask, record in records.items())
+    cut = sorted(full ^ jmask for jmask, record in records.items() if record[2] is not None)
+    assert sorted(cuts) == cut == sorted(set(sets))
+    assert len(records) > len(cut)  # some queried set was never popped
 
 
 def test_pop_rule_tie_keeps_the_cut_witness(monkeypatch):
@@ -298,7 +305,7 @@ def test_pop_rule_tie_keeps_the_cut_witness(monkeypatch):
     (search, perm), = _tracked_solves(monkeypatch, [inst], bound="zero",
                                       root_rule="index:3")
     assert perm[0][0b0011] == 2
-    assert search.sets[0b0011][:2] == (5, 3)
+    assert search.bound.sets[0b1100][1:] == [(2, 3), (5, 3)]
     assert search.oracle.columns[0][2:] == (5, 6)
     assert search.upper[0b0011] == 7
     assert search.witness[0b0011] == 0b1000
@@ -655,7 +662,7 @@ def test_memory_limit_refuses_tsp_table_before_building(monkeypatch):
 class InconsistentBound(BoundOracle):
     """Large at vertex 0 and zero elsewhere, so keys drop one edge away."""
 
-    def _for_set(self, jmask):
+    def _for_set(self, jmask, members):
         return lambda v: 10**6 if v == 0 else 0
 
 
@@ -973,7 +980,7 @@ def test_memory_estimate_tracks_measured_growth(inst):
     bound = seen["bound"]
     est = (rec.stats.labels_created * solver.LABEL_BYTES
            + seen["heap"] * solver.HEAP_ENTRY_BYTES
-           + len(bound.evaluators) * (solver.SET_BYTES + solver.SLOT_BYTES * seen["k"])
+           + len(bound.sets) * (solver.SET_BYTES + solver.SLOT_BYTES * seen["k"])
            + bound.slots * solver.SLOT_BYTES)
     assert rec.stats.labels_created > 1000
     assert seen["growth"] / 2 <= est <= 2 * seen["growth"]
@@ -992,7 +999,7 @@ def test_label_memory_check_prices_each_sets_evaluator(bound, monkeypatch):
             search, k = loop["search"], loop["reduced"].k
             checks.append((est, loop["stats"].labels_created * solver.LABEL_BYTES
                            + len(loop["heap"]) * solver.HEAP_ENTRY_BYTES
-                           + len(search.bound.evaluators)
+                           + len(search.bound.sets)
                            * (solver.SET_BYTES + solver.SLOT_BYTES * k)
                            + search.bound.slots * solver.SLOT_BYTES,
                            search.bound.slots))
@@ -1001,7 +1008,9 @@ def test_label_memory_check_prices_each_sets_evaluator(bound, monkeypatch):
     monkeypatch.setattr(Limits, "check_memory", spy)
     solve(build_hanan_grid(generate_random_points(3, 7, 10**6, 2))[0], bound=bound)
     assert checks and all(est == parts for est, parts, _ in checks)
-    assert checks[-1][2] > 0
+    # a onetree evaluator reads the record's tuple of members, priced once
+    # per set; jterm's scan lists and tsp's end pairs are the bound's own
+    assert (checks[-1][2] > 0) == (bound != "onetree")
 
 
 def _solve_with_full_rows(monkeypatch, inst, **kwargs):

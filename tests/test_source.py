@@ -199,6 +199,39 @@ def test_query_check_finds_a_call(tmp_path):
     assert _per_pop_queries(tmp_path) == ["solver.py:2", "solver.py:3"]
 
 
+def _set_walks(src: Path) -> list[str]:
+    """Calls of ``iter_bits`` inside a ``_for_set`` of ``bounds.py``."""
+    tree = ast.parse((src / "bounds.py").read_text())
+    return [f"bounds.py:{node.lineno}"
+            for method in ast.walk(tree)
+            if isinstance(method, ast.FunctionDef) and method.name == "_for_set"
+            for node in ast.walk(method)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            == "iter_bits"]
+
+
+def test_each_sets_terminals_are_walked_once():
+    # value2 walks J's bits into the set's record and hands the tuple to
+    # _for_set, so a bound that walked them again would hold a second copy
+    assert _set_walks(SRC) == []
+
+
+def test_walk_check_finds_a_hand_written_call(tmp_path):
+    (tmp_path / "bounds.py").write_text(
+        "from . import bitsets\n"
+        "from .bitsets import iter_bits\n"
+        "class OneTreeBound:\n"
+        "    def value2(self, v, jmask):\n"
+        "        return tuple(iter_bits(jmask))\n"
+        "    def _for_set(self, jmask, members):\n"
+        "        members = list(iter_bits(jmask))\n"
+        "        def evaluate(v):\n"
+        "            return sum(bitsets.iter_bits(jmask))\n"
+        "        return evaluate\n")
+    assert _set_walks(tmp_path) == ["bounds.py:7", "bounds.py:9"]
+
+
 def _self_referring_closures(src: Path) -> list[str]:
     """Functions nested in a function that name themselves: each call of
     the outer function then builds a function and a cell that refer to
