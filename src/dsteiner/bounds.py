@@ -160,6 +160,10 @@ class JTermBound(BoundOracle):
         built = sum(1 for mask in family if mask & (mask - 1))
         limits.check_memory(built * n * ROW_SLOT_BYTES, "jterm table")
         rows = oracle.complete(upper)
+        # an isolated vertex, such as a member that zero-edge contraction
+        # merged away, reaches only itself: no two disjoint sets' entries
+        # are both finite there, so the merge below skips it
+        linked = [v for v, nbrs in enumerate(graph.adj) if nbrs]
         tables: dict[int, Sequence[int]] = {}
         for mask in family:
             if mask & (mask - 1) == 0:
@@ -172,7 +176,7 @@ class JTermBound(BoundOracle):
                 if sub & low and sub != mask:
                     da = tables[sub]
                     db = tables[mask ^ sub]
-                    for v in range(n):
+                    for v in linked:
                         c = da[v] + db[v]
                         if c < arr[v]:
                             arr[v] = c

@@ -1,15 +1,20 @@
 """Terminal-to-all shortest path rows and distance-graph spanning trees.
 
-One solver run owns one DistanceOracle.  Its rows grow on demand: each is a
-resumable Dijkstra from one terminal.  Readers see them only through
-``columns``, one tuple of exact distances per vertex, which grows the rows
-as far as the vertex needs on its first read; only ``complete()`` hands out
-whole rows, run out as far as an upper bound U >= opt.  The oracle keeps no
-per-set state: its set queries are pure.
+One solver run owns one DistanceOracle.  Readers see its distances through
+``columns``, one tuple of exact distances per vertex, built on the vertex's
+first read; only ``complete()`` hands out whole rows, run out as far as an
+upper bound U >= opt.  The columns come from one of two sources, chosen by
+the graph.  On a Hanan grid (``Graph.grid_coords`` set) a distance is the
+L1 distance of two coordinate vectors, so a column is the sum of per-axis
+tuples of coordinate differences and no search runs.  On any other graph
+the rows grow on demand: each is a resumable Dijkstra from one terminal,
+which a column's first read grows as far as the vertex needs.  The oracle
+keeps no per-set state: its set queries are pure.
 """
 
 from __future__ import annotations
 
+from operator import add, itemgetter
 from typing import Mapping, Sequence
 
 from .bitsets import iter_bits
@@ -38,6 +43,12 @@ FRONTIER_ENTRY_BYTES = 72
 # B per vertex (tuple header, dict entry, int key) with every column read.
 COLUMN_SLOT_BYTES = 8
 COLUMN_BYTES = 104
+# Bytes per terminal a Hanan grid's column holds: its tuple slot and an int
+# of its own, which no row shares.  With every column read, 2D-5D grids with
+# k = 7..30 and n = 64..32768 grew COLUMN_BYTES per vertex plus 40-51 B per
+# terminal under tracemalloc (CPython 3.11); the highs are the small grids,
+# where the per-axis tuples weigh most.
+GRID_SLOT_BYTES = 40
 _GROWING = "while growing the distance oracle's rows"
 
 
@@ -61,38 +72,81 @@ class _Columns(dict):
         return col
 
 
+class _GridColumns(dict):
+    """Vertex -> tuple of the L1 distances from every terminal, built on
+    first read as the sum of one tuple per axis: for each coordinate value
+    on that axis, its distance to every terminal's value there."""
+
+    def __init__(self, coords: Sequence[tuple[int, ...]], terminals: Sequence[int]):
+        self._coords = coords
+        ends = [coords[t] for t in terminals]
+        self._axes = [
+            {x: tuple([abs(x - end[a]) for end in ends])
+             for x in set(map(itemgetter(a), coords))}
+            for a in range(len(coords[0]))]
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        per_axis = map(dict.__getitem__, self._axes, self._coords[v])
+        col = next(per_axis)
+        for row in per_axis:
+            col = map(add, col, row)
+        col = self[v] = tuple(col)
+        return col
+
+
 class DistanceOracle:
     """Shortest-path distances from every terminal, plus terminal-set queries.
 
     Terminal sets are int masks over terminal indices 0..k-1 (file order).
     ``columns[v]`` is the tuple of distances from every terminal to vertex
-    ``v``, indexed by terminal; its first read grows one resumable Dijkstra
-    per terminal as far as ``v`` needs.  ``pair`` and ``mst_cost`` read the
-    terminals' columns, built at construction, so each row starts settled
-    up to the terminals; no row is ever rewritten.  ``complete()`` runs
-    the rows out.  ``limits`` is checked for the size of k full rows,
-    their frontiers and the columns before the build, and for time after
-    each row's growth.
+    ``v``, indexed by terminal.  On a graph with ``grid_coords`` its first
+    read sums per-axis coordinate differences and ``_searches`` is None;
+    on any other graph it grows one resumable Dijkstra per terminal as far
+    as ``v`` needs.  ``pair`` and ``mst_cost`` read the terminals' columns,
+    built at construction, so each row starts settled up to the
+    terminals; no row is ever rewritten.  ``complete()`` runs the rows out.
+    ``limits`` is checked before the build for the size of every column
+    and, on the Dijkstra path, of k full rows and their frontiers, and for
+    time after each row's growth.
     """
 
     def __init__(self, graph: Graph, terminals: Sequence[int], *,
                  limits: Limits = NO_LIMITS):
         self.terminals = list(terminals)
         self.k = len(self.terminals)
-        limits.check_memory(
-            ((ROW_SLOT_BYTES + COLUMN_SLOT_BYTES) * self.k
-             + FRONTIER_ENTRY_BYTES + COLUMN_BYTES) * graph.n, "distance-row")
+        self._n = graph.n
         self._limits = limits
-        self._searches = [ResumableDijkstra(graph, [(t, 0)]) for t in self.terminals]
-        self.columns: Mapping[int, tuple[int, ...]] = _Columns(self._searches, limits)
+        coords = graph.grid_coords
+        if coords is None:
+            limits.check_memory(
+                ((ROW_SLOT_BYTES + COLUMN_SLOT_BYTES) * self.k
+                 + FRONTIER_ENTRY_BYTES + COLUMN_BYTES) * graph.n, "distance-row")
+            self._searches = [ResumableDijkstra(graph, [(t, 0)])
+                              for t in self.terminals]
+            self.columns: Mapping[int, tuple[int, ...]] = _Columns(
+                self._searches, limits)
+        else:
+            limits.check_memory(
+                (GRID_SLOT_BYTES * self.k + COLUMN_BYTES) * graph.n, "distance-column")
+            self._searches = None
+            self.columns = _GridColumns(coords, self.terminals)
         # k x k matrix of pairwise terminal distances (metric closure on T)
         self.pair = [list(row) for row in
                      zip(*[self.columns[t] for t in self.terminals])]
 
     def complete(self, horizon: int = INF) -> list[list[int]]:
         """Run every row out as far as ``horizon``; returns the rows,
-        indexed by terminal, with every entry beyond it INF."""
+        indexed by terminal, with every entry beyond it INF.  On a grid the
+        rows are read from every vertex's column, after a check for their
+        size."""
         rows = []
+        if self._searches is None:
+            self._limits.check_memory(self.k * self._n * ROW_SLOT_BYTES, "distance-row")
+            cols = list(map(self.columns.__getitem__, range(self._n)))
+            for row in zip(*cols):
+                rows.append([d if d <= horizon else INF for d in row])
+                self._limits.check_time(_GROWING)
+            return rows
         for search in self._searches:
             rows.append(search.drain(horizon))
             self._limits.check_time(_GROWING)

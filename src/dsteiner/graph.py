@@ -33,9 +33,12 @@ class Graph:
 
     The cost dict, keyed by ``(u, v)`` with ``u < v``, is the one structure
     built eagerly; the adjacency lists are built on first read of ``adj``.
+    ``grid_coords`` is None, or, on a graph that ``hanan.build_hanan_grid``
+    built, its instance's list of vertex coordinates: every shortest-path
+    distance in such a graph is the L1 distance between those coordinates.
     """
 
-    __slots__ = ("n", "m", "_adj", "_edge_cost")
+    __slots__ = ("n", "m", "_adj", "_edge_cost", "grid_coords")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         """Build from (u, v, cost) triples in one pass: parallel edges keep
@@ -55,6 +58,7 @@ class Graph:
         self._edge_cost = cost
         self.m = len(cost)
         self._adj = None
+        self.grid_coords = None
 
     @classmethod
     def _from_costs(cls, n: int, cost: dict[tuple[int, int], int]) -> "Graph":
@@ -65,6 +69,7 @@ class Graph:
         graph._edge_cost = cost
         graph.m = len(cost)
         graph._adj = None
+        graph.grid_coords = None
         return graph
 
     @property
@@ -281,13 +286,16 @@ def contract_zero_edges(
     terminal order follows the first occurrence in the original order.
     The returned map lifts any contracted tree back to an original tree of
     the same cost (zero edges re-inserted).  Without a zero-cost edge the
-    result is the same instance on a new ``Graph`` sharing the cost dict,
-    with no map, so the adjacency a solve builds is the solve's own.
+    result is the same instance on a new ``Graph`` sharing the cost dict and
+    its ``grid_coords``, with no map, so the adjacency a solve builds is the
+    solve's own; a contracted graph has no ``grid_coords``.
     ``limits`` is checked for memory before a contraction allocates.
     """
     g = instance.graph
     if not g.has_zero_edge():
-        return replace(instance, graph=Graph._from_costs(g.n, g._edge_cost)), None
+        same = Graph._from_costs(g.n, g._edge_cost)
+        same.grid_coords = g.grid_coords
+        return replace(instance, graph=same), None
     limits.check_memory(g.m * CONTRACT_EDGE_BYTES, "zero-edge contraction")
     parent = list(range(g.n))
     # the zero edges that merge two components span the merged ones; the

@@ -4,6 +4,14 @@ The grid vertex set is the Cartesian product of the distinct coordinate
 values per axis; axis-adjacent grid points are joined by an edge costing
 their coordinate difference.  An optimum rectilinear Steiner tree lives on
 this grid, so solving the graph instance solves the geometric one.
+
+A path that is monotone along every axis is a shortest one, so a grid's
+shortest-path distance between two vertices is the L1 distance of their
+coordinates.  The built graph carries its instance's coordinate list as
+``Graph.grid_coords``, and the distance oracle reads its columns from
+coordinates instead of growing Dijkstra rows.  Only this module sets that
+mark: a graph built any other way, a holed grid or a parsed STP file among
+them, has none.
 """
 
 from __future__ import annotations
@@ -93,11 +101,9 @@ def build_hanan_grid(
             seen.add(vid)
             terminals.append(vid)
 
-    instance = SteinerInstance(
-        graph=Graph._from_costs(total, cost), terminals=terminals,
-        coords=list(product(*axes))
-    )
-    return instance, point_to_vertex
+    graph = Graph._from_costs(total, cost)
+    graph.grid_coords = coords = list(product(*axes))
+    return SteinerInstance(graph=graph, terminals=terminals, coords=coords), point_to_vertex
 
 
 def generate_random_points(d: int, k: int, coord_max: int, seed: int) -> PointSet:

@@ -246,7 +246,8 @@ def _prepare(
     root = (None if root_rule == "medoid"
             else instance.terminals[choose_root(instance, root_rule)])
     reduced, cmap = contract_zero_edges(instance, limits=limits)
-    # checked before the oracle first reads ``adj``
+    # checked before anything reads ``adj``: the oracle's Dijkstra rows, or on
+    # a Hanan grid, whose oracle runs no search, the bound or the label loop
     limits.check_memory(reduced.m * ADJ_EDGE_BYTES, "adjacency")
     terminals = reduced.terminals
     t = _lap(stats, "contract", t)

@@ -1,13 +1,27 @@
+import io
 import random
+from dataclasses import replace
 
 import pytest
 
-from dsteiner import DistanceOracle, multi_source_dijkstra, solve, solver
+from dsteiner import (
+    DistanceOracle,
+    Graph,
+    build_hanan_grid,
+    contract_zero_edges,
+    generate_random_points,
+    multi_source_dijkstra,
+    parse_stp,
+    solve,
+    solver,
+    write_stp,
+)
 from dsteiner.bitsets import iter_bits
 from dsteiner.distances import (
     COLUMN_BYTES,
     COLUMN_SLOT_BYTES,
     FRONTIER_ENTRY_BYTES,
+    GRID_SLOT_BYTES,
     ROW_SLOT_BYTES,
 )
 from dsteiner.errors import Limits, MemoryLimit
@@ -296,3 +310,127 @@ def test_row_and_frontier_estimate_tracks_measured_peak():
     assert frontier > inst.n // 8
     est = _oracle_estimate(oracle.k, inst.n)
     assert peak / 2 <= est <= 2 * peak, (peak, est)
+
+
+# --- Hanan grids: columns from coordinates ---
+
+def _unmarked(graph):
+    """The same graph, sharing its cost dict, without ``grid_coords``."""
+    return Graph._from_costs(graph.n, graph._edge_cost)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_grid_columns_equal_dijkstra_columns(d):
+    for seed in range(6):
+        # coordinates from 0..3, so axes share values, and a repeated
+        # point, which collapses into its first copy's terminal
+        points = generate_random_points(d, 3 + seed % 5, 3, seed)
+        points.points.append(points.points[0])
+        inst = build_hanan_grid(points)[0]
+        assert inst.k < len(points.points)
+        grid = DistanceOracle(inst.graph, inst.terminals)
+        plain = DistanceOracle(_unmarked(inst.graph), inst.terminals)
+        assert grid._searches is None and plain._searches is not None
+        for v in range(inst.n):
+            assert grid.columns[v] == plain.columns[v], (seed, v)
+        assert grid.pair == plain.pair
+        for h in (0, 1, 3, 5, INF):
+            assert grid.complete(h) == plain.complete(h), (seed, h)
+        # fewer terminals than points: some coordinate values are no
+        # terminal's own
+        some = inst.terminals[:2]
+        assert (DistanceOracle(inst.graph, some).complete()
+                == DistanceOracle(_unmarked(inst.graph), some).complete())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_grid_and_its_stp_round_trip_solve_alike(d):
+    # the round trip drops the mark, so the parsed graph grows Dijkstra rows
+    for seed in range(3):
+        inst = build_hanan_grid(generate_random_points(d, 6, 10**6, seed))[0]
+        out = io.StringIO()
+        write_stp(inst, out)
+        parsed = parse_stp(out.getvalue())
+        assert parsed.graph.grid_coords is None
+        for bound in ("onetree", "jterm:3", "tsp"):
+            recs = [solve(x, bound=bound) for x in (inst, parsed)]
+            a, b = ({"opt": r.opt, "edges": sorted(r.edges),
+                     **{f: v for f, v in vars(r.stats).items() if type(v) is int}}
+                    for r in recs)
+            assert a == b, (seed, bound)
+
+
+def test_only_hanan_grids_take_the_grid_path():
+    from test_holed import _holed
+
+    inst = build_hanan_grid(generate_random_points(3, 5, 10**6, 1))[0]
+    assert inst.graph.grid_coords is inst.coords
+    # contraction without a zero-cost edge keeps the mark
+    assert contract_zero_edges(inst)[0].graph.grid_coords is inst.coords
+    holed = _holed().holed_instance(30, 6, 8, 1)
+    rebuilt = replace(inst, graph=Graph(inst.n, [
+        (u, v, c) for (u, v), c in inst.graph._edge_cost.items()]))
+    # a zero-cost edge on a marked graph: the contracted graph has no mark
+    cost = dict(inst.graph._edge_cost)
+    cost[next(iter(cost))] = 0
+    zeroed = Graph._from_costs(inst.n, cost)
+    zeroed.grid_coords = inst.coords
+    contracted = contract_zero_edges(replace(inst, graph=zeroed))[0]
+    for case in (holed, rebuilt, contracted):
+        assert case.graph.grid_coords is None
+        assert DistanceOracle(case.graph, case.terminals)._searches is not None
+
+
+def _grid_estimate(k, n):
+    """What the oracle's memory check counts on a grid: every column."""
+    return (GRID_SLOT_BYTES * k + COLUMN_BYTES) * n
+
+
+def test_memory_limit_refuses_grid_columns_before_building(monkeypatch):
+    import dsteiner.distances as distances
+
+    inst = build_hanan_grid(generate_random_points(3, 6, 10**6, 1))[0]
+    est = _grid_estimate(inst.k, inst.n)
+
+    def columns(*args):
+        pytest.fail("a column was built")
+
+    monkeypatch.setattr(distances, "_GridColumns", columns)
+    with pytest.raises(MemoryLimit, match="distance-column"):
+        DistanceOracle(inst.graph, inst.terminals, limits=Limits(mem_limit=est - 1))
+    monkeypatch.undo()
+    oracle = DistanceOracle(inst.graph, inst.terminals, limits=Limits(mem_limit=est))
+    # complete() checks its rows before it reads a column beyond the
+    # terminals' own
+    rows = inst.k * inst.n * ROW_SLOT_BYTES
+    oracle._limits = Limits(mem_limit=rows - 1)
+    with pytest.raises(MemoryLimit, match="distance-row"):
+        oracle.complete()
+    assert len(oracle.columns) == inst.k
+    oracle._limits = Limits(mem_limit=rows)
+    assert len(oracle.complete()) == inst.k
+
+
+@pytest.mark.parametrize("d, k", [(2, 16), (3, 12), (4, 8), (5, 6)])
+def test_grid_column_estimate_tracks_measured_peak(d, k):
+    # every column read, then the rows run out: the columns' check is
+    # within 2x of the traced peak, and the rows' check errs high, since
+    # the rows share the columns' ints
+    import tracemalloc
+
+    inst = build_hanan_grid(generate_random_points(d, k, 10**6, 1))[0]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oracle = DistanceOracle(inst.graph, inst.terminals)
+        for v in range(inst.n):
+            oracle.columns[v]
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        oracle.complete()
+        rows_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    est = _grid_estimate(inst.k, inst.n)
+    assert (peak - start) / 2 <= est <= 2 * (peak - start), (peak - start, est)
+    assert rows_peak <= inst.k * inst.n * ROW_SLOT_BYTES

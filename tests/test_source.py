@@ -326,3 +326,65 @@ def test_gc_check_finds_a_switch_outside_solve(tmp_path):
         "    gc.set_threshold(10**6)\n")
     assert _gc_switches(tmp_path) == [
         "solver.py:6 gc.freeze", "stp.py:1 gc.disable", "stp.py:4 gc.set_threshold"]
+
+
+def _grid_marks(src: Path) -> list[str]:
+    """Places outside hanan.py that set ``grid_coords`` to anything but
+    None, by assignment, ``setattr`` or keyword, other than
+    ``graph.contract_zero_edges`` handing a graph's mark on unchanged."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "hanan.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        carry = _inside(tree, "contract_zero_edges") if path.name == "graph.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                value = node.value
+                if isinstance(value, ast.Constant) and value.value is None:
+                    continue
+                if (id(node) in carry and isinstance(value, ast.Attribute)
+                        and value.attr == "grid_coords"):
+                    continue
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == "grid_coords"
+                       for target in targets for t in ast.walk(target)):
+                    found.append(f"{path.name}:{node.lineno} set")
+            elif isinstance(node, ast.Call):
+                if (getattr(node.func, "id", None) == "setattr" and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)
+                        and node.args[1].value == "grid_coords"):
+                    found.append(f"{path.name}:{node.lineno} setattr")
+                found += [f"{path.name}:{node.lineno} keyword" for kw in node.keywords
+                          if kw.arg == "grid_coords"]
+    return found
+
+
+def test_only_hanan_marks_a_graph_as_a_grid():
+    # the oracle reads a marked graph's distances from its coordinates, so
+    # a mark on any other graph would give wrong distances without a sign
+    assert _grid_marks(SRC) == []
+
+
+def test_mark_check_finds_a_hand_written_set(tmp_path):
+    (tmp_path / "hanan.py").write_text(
+        "def build(graph, coords):\n"
+        "    graph.grid_coords = same = coords\n")
+    (tmp_path / "graph.py").write_text(
+        "class Graph:\n"
+        "    def __init__(self):\n"
+        "        self.grid_coords = None\n"
+        "    def copy(self):\n"
+        "        other = Graph()\n"
+        "        other.grid_coords = self.grid_coords\n"
+        "def contract_zero_edges(g, same):\n"
+        "    same.grid_coords = g.grid_coords\n"
+        "    same.grid_coords = g.coords\n")
+    (tmp_path / "stp.py").write_text(
+        "def parse_stp(graph, coords):\n"
+        "    graph.grid_coords, n = coords, 0\n"
+        "    setattr(graph, 'grid_coords', coords)\n"
+        "    return Graph(n, grid_coords=coords)\n")
+    assert sorted(_grid_marks(tmp_path)) == [
+        "graph.py:6 set", "graph.py:9 set", "stp.py:2 set", "stp.py:3 setattr",
+        "stp.py:4 keyword"]
